@@ -77,7 +77,9 @@ def cmd_build(parser, args) -> int:
     gp = greedy_permutation(m, seed=args.seed)
     schedule = deletion_times(gp, args.epsilon)
     ctx = WeightContext(epsilon=args.epsilon, schedule=schedule, metric=m)
-    f = filt.build_sparse_from_context(m, ctx, args.k)
+    edges = filt.sparse_edges(m, ctx)
+    f = filt.clique_expand(edges, m.n, args.k, vertex_caps=schedule.t,
+                           kind=filt.KIND_SPARSE)
     elapsed = time.perf_counter() - t0
 
     _atomic_write(args.out, filt.filtration_text(f))
@@ -89,7 +91,7 @@ def cmd_build(parser, args) -> int:
     for d, c in enumerate(counts):
         print(f"  dim {d}: {c} simplices")
     print(f"  total: {len(f)} simplices")
-    print(f"  max |E(p)|: {filt.max_edge_degree(m, ctx)}")
+    print(f"  max |E(p)|: {filt.charged_degrees(edges, schedule.t).max()}")
     print(f"  wall time: {elapsed:.3f}s")
     print(f"wrote {args.out}")
     return EXIT_OK

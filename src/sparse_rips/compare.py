@@ -24,25 +24,27 @@ DEFAULT_RTOL = 1e-12
 
 def diagram_equal(a: PersistenceDiagram, b: PersistenceDiagram,
                   tol: float = 1e-9) -> bool:
-    """Exact multiset equality up to ``tol`` per coordinate.
+    """Multiset equality up to relative ``tol`` per coordinate.
 
-    Sorted pairwise comparison; sufficient at tol = 1e-9 because all
-    birth and death values come from exact closed-form arithmetic.
+    Sorted pairwise comparison: x and y agree when |x - y| <= tol *
+    max(|x|, |y|), so the test does not depend on the scale of the
+    data; an infinite death agrees only with an infinite death.
     """
     if a.k != b.k:
         raise ValueError(f"dimension caps differ: {a.k} vs {b.k}")
+
+    def close(x: float, y: float) -> bool:
+        if math.isinf(x) or math.isinf(y):
+            return x == y
+        return abs(x - y) <= tol * max(abs(x), abs(y))
+
     for d in range(a.k):
         pa, pb = sorted(a.in_dim(d)), sorted(b.in_dim(d))
         if len(pa) != len(pb):
             return False
-        for (b1, d1), (b2, d2) in zip(pa, pb):
-            if abs(b1 - b2) > tol:
-                return False
-            if math.isinf(d1) or math.isinf(d2):
-                if not (math.isinf(d1) and math.isinf(d2)):
-                    return False
-            elif abs(d1 - d2) > tol:
-                return False
+        if not all(close(b1, b2) and close(d1, d2)
+                   for (b1, d1), (b2, d2) in zip(pa, pb)):
+            return False
     return True
 
 

@@ -25,6 +25,10 @@ KIND_RELAXED = "relaxed_rips"
 STATIC_KINDS = ("Q_open", "Q_closed", "relaxed_full")
 
 
+class MalformedFiltrationError(ValueError):
+    """A filtration breaks the order, value or face rules of its format."""
+
+
 @dataclass(frozen=True, slots=True)
 class FilteredSimplex:
     """A simplex (strictly increasing vertex tuple) with its birth scale."""
@@ -224,52 +228,73 @@ def static_to_filtration(c: StaticComplex, value: float = 0.0) -> SparseFiltrati
     return SparseFiltration(simplices=sims, k=c.k, kind=KIND_SPARSE, alpha_max=None)
 
 
-def validate_filtration(f: SparseFiltration) -> None:
-    """Raise ValueError if sorted order or face containment is violated."""
+def validate_filtration(f: SparseFiltration) -> list[tuple[int, ...]]:
+    """Check a filtration and return the facet indices of each simplex.
+
+    Raises MalformedFiltrationError unless every simplex has strictly
+    increasing vertices, dimension <= k and a finite value >= 0; the
+    simplices are sorted by (value, dimension, vertex order) without
+    duplicates; vertices have value 0; and every facet of a simplex is
+    listed before it.  Entry i of the result holds the positions of the
+    facets of simplex i (empty for a vertex): the boundary column of
+    simplex i over GF(2).
+    """
     index: dict[tuple[int, ...], int] = {}
+    facets: list[tuple[int, ...]] = []
     prev_key = None
     for i, s in enumerate(f.simplices):
-        if list(s.vertices) != sorted(set(s.vertices)):
-            raise ValueError(f"vertices not strictly increasing: {s.vertices}")
+        verts = s.vertices
+        if list(verts) != sorted(set(verts)):
+            raise MalformedFiltrationError(
+                f"vertices not strictly increasing: {verts}")
         if s.dim > f.k:
-            raise ValueError(f"simplex {s.vertices} exceeds dimension cap {f.k}")
+            raise MalformedFiltrationError(
+                f"simplex {verts} exceeds dimension cap {f.k}")
         if not (s.value >= 0 and math.isfinite(s.value)):
-            raise ValueError(f"bad value {s.value} for simplex {s.vertices}")
-        key = (s.value, len(s.vertices), s.vertices)
+            raise MalformedFiltrationError(f"bad value {s.value} for simplex {verts}")
+        key = (s.value, len(verts), verts)
         if prev_key is not None and key < prev_key:
-            raise ValueError(f"simplices out of order at position {i}")
+            raise MalformedFiltrationError(f"simplices out of order at position {i}")
         prev_key = key
-        if s.vertices in index:
-            raise ValueError(f"duplicate simplex {s.vertices}")
-        index[s.vertices] = i
-        if s.dim == 0:
-            if s.value != 0.0:
-                raise ValueError(f"vertex {s.vertices} has nonzero value {s.value}")
-            continue
-        for v in range(len(s.vertices)):
-            face = s.vertices[:v] + s.vertices[v + 1:]
+        if verts in index:
+            raise MalformedFiltrationError(f"duplicate simplex {verts}")
+        index[verts] = i
+        if len(verts) == 1 and s.value != 0.0:
+            raise MalformedFiltrationError(
+                f"vertex {verts} has nonzero value {s.value}")
+        # with the order above, a face listed before its coface is born no later
+        faces = []
+        for v in range(len(verts)) if len(verts) > 1 else ():
+            face = verts[:v] + verts[v + 1:]
             j = index.get(face)
             if j is None:
-                raise ValueError(f"missing face {face} of simplex {s.vertices}")
-            if f.simplices[j].value > s.value:
-                raise ValueError(
-                    f"face {face} born after coface {s.vertices}"
-                )
+                raise MalformedFiltrationError(
+                    f"missing face {face} before simplex {verts}")
+            faces.append(j)
+        facets.append(tuple(faces))  # smaller than a list: one per simplex
+    return facets
 
 
 # --- degree and size accounting -----------------------------------------
 
-def edge_degrees(m: MetricInput, ctx: WeightContext) -> np.ndarray:
-    """Per-point count of sparse-edge neighbors with later-or-equal deletion.
+def charged_degrees(edges, t: np.ndarray) -> np.ndarray:
+    """Per-point count of the sparse edges charged to it.
 
-    degrees[p] = #{q : t_p <= t_q and birth(p, q) <= t_p}; ties in t
-    contribute to both endpoints.
+    An edge counts for its endpoint with the smaller deletion time, and
+    for both endpoints on a tie: degrees[p] = #{q : t_p <= t_q and
+    birth(p, q) <= t_p}, since a sparse edge has birth <= min(t_p, t_q).
     """
-    births = birth_matrix(m, ctx, within_deletion_caps=True)
-    t = ctx.schedule.t
-    keep = (births <= t[:, None]) & (t[None, :] >= t[:, None])
-    np.fill_diagonal(keep, False)  # inf <= inf would count the seed itself
-    return keep.sum(axis=1)
+    deg = np.zeros(len(t), dtype=np.int64)
+    if edges:
+        p, q = np.array([(p, q) for p, q, _ in edges]).T
+        np.add.at(deg, p, t[p] <= t[q])
+        np.add.at(deg, q, t[q] <= t[p])
+    return deg
+
+
+def edge_degrees(m: MetricInput, ctx: WeightContext) -> np.ndarray:
+    """Per-point count of sparse-edge neighbors with later-or-equal deletion."""
+    return charged_degrees(sparse_edges(m, ctx), ctx.schedule.t)
 
 
 def max_edge_degree(m: MetricInput, ctx: WeightContext) -> int:

@@ -1,9 +1,12 @@
 """Persistent homology by boundary-matrix reduction over GF(2).
 
-Columns are sparse sorted index lists added by symmetric difference.
-Dimensions are processed in decreasing order so that the clearing
-optimization can skip columns already known to reduce to zero; the
-output is identical to the plain left-to-right reduction.
+A column is the Python set of the indices of its nonzero rows, taken
+from the facet indices that ``validate_filtration`` returns; adding two
+columns is their symmetric difference and the pivot is the largest
+index.  Dimensions are processed in decreasing order so that the
+clearing optimization can skip columns already known to reduce to zero;
+the output is identical to the plain left-to-right reduction.  Betti
+numbers of a static complex are the infinite bars of the same reduction.
 """
 
 from __future__ import annotations
@@ -12,13 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .filtration import SparseFiltration, StaticComplex
+from .filtration import MalformedFiltrationError  # noqa: F401  (re-exported)
+from .filtration import (SparseFiltration, StaticComplex, static_to_filtration,
+                         validate_filtration)
 
 INF = math.inf
-
-
-class MalformedFiltrationError(ValueError):
-    """A filtration misses a face or orders a face after its coface."""
 
 
 @dataclass(frozen=True)
@@ -41,56 +42,6 @@ class PersistenceDiagram:
         return sum(len(v) for v in self.pairs.values())
 
 
-def _symm_diff(a: list[int], b: list[int]) -> list[int]:
-    """Symmetric difference of two sorted index lists (GF(2) column add)."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x == y:
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
-def _boundaries(f: SparseFiltration):
-    """Facet index lists per simplex; raises on missing/misordered faces."""
-    index: dict[tuple[int, ...], int] = {}
-    for i, s in enumerate(f.simplices):
-        if s.vertices in index:
-            raise MalformedFiltrationError(f"duplicate simplex {s.vertices}")
-        index[s.vertices] = i
-    bnd: list[list[int] | None] = [None] * len(f.simplices)
-    for i, s in enumerate(f.simplices):
-        if s.dim == 0:
-            continue
-        faces = []
-        for v in range(len(s.vertices)):
-            face = s.vertices[:v] + s.vertices[v + 1:]
-            j = index.get(face)
-            if j is None:
-                raise MalformedFiltrationError(
-                    f"missing face {face} of simplex {s.vertices}"
-                )
-            if j > i:
-                raise MalformedFiltrationError(
-                    f"face {face} ordered after its coface {s.vertices}"
-                )
-            faces.append(j)
-        faces.sort()
-        bnd[i] = faces
-    return bnd
-
-
 def compute_persistence(f: SparseFiltration,
                         keep_zero_pairs: bool = False) -> PersistenceDiagram:
     """Standard column reduction in filtration order, GF(2) coefficients.
@@ -100,10 +51,9 @@ def compute_persistence(f: SparseFiltration,
     Zero-persistence pairs are dropped unless ``keep_zero_pairs``.
     """
     sims = f.simplices
-    n = len(sims)
-    bnd = _boundaries(f)
+    facets = validate_filtration(f)
     dims = [s.dim for s in sims]
-    maxdim = max(dims) if n else 0
+    maxdim = max(dims) if sims else 0
 
     by_dim: dict[int, list[int]] = {d: [] for d in range(maxdim + 1)}
     for i, d in enumerate(dims):
@@ -114,33 +64,29 @@ def compute_persistence(f: SparseFiltration,
     unpaired: dict[int, list[int]] = {d: [] for d in range(maxdim + 1)}
 
     for d in range(maxdim, 0, -1):
-        low_to_col: dict[int, list[int]] = {}
+        pivot_col: dict[int, set[int]] = {}
         for j in by_dim[d]:
             if j in cleared:
                 continue
-            col = bnd[j]
+            col = set(facets[j])
             while col:
-                other = low_to_col.get(col[-1])
+                low = max(col)
+                other = pivot_col.get(low)
                 if other is None:
+                    pivot_col[low] = col
+                    finite_pairs.append((low, j))
+                    cleared.add(low)
                     break
-                col = _symm_diff(col, other)
-            if col:
-                low = col[-1]
-                low_to_col[low] = col
-                finite_pairs.append((low, j))
-                cleared.add(low)
+                col ^= other
             else:
                 unpaired[d].append(j)
     unpaired[0] = [i for i in by_dim[0] if i not in cleared]
 
     pairs: dict[int, list[tuple[float, float]]] = {d: [] for d in range(f.k)}
-    for i, j in finite_pairs:
-        d = dims[i]
-        if d >= f.k:
-            continue
+    for i, j in finite_pairs:   # a creator is a face, so dims[i] < k
         birth, death = sims[i].value, sims[j].value
         if death != birth or keep_zero_pairs:
-            pairs[d].append((birth, death))
+            pairs[dims[i]].append((birth, death))
     for d in range(min(f.k, maxdim + 1)):
         for i in unpaired[d]:
             pairs[d].append((sims[i].value, INF))
@@ -149,58 +95,22 @@ def compute_persistence(f: SparseFiltration,
     return PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)
 
 
-def _gf2_rank(cols: list[int]) -> int:
-    """Rank of a GF(2) matrix given as integer-bitmask columns."""
-    pivot: dict[int, int] = {}
-    rank = 0
-    for c in cols:
-        while c:
-            low = c.bit_length() - 1
-            p = pivot.get(low)
-            if p is None:
-                pivot[low] = c
-                rank += 1
-                break
-            c ^= p
-    return rank
-
-
 def betti_numbers(c: StaticComplex, through_dim: int | None = None) -> list[int]:
     """Homology ranks over GF(2) of a static complex.
 
     Reports dimensions 0..k-1 by default (the top dimension is
     unreliable under a k-skeleton); pass ``through_dim`` to override,
-    e.g. for Euler characteristic checks on uncapped complexes.
+    e.g. for Euler characteristic checks on uncapped complexes.  Rank
+    d < k counts the infinite bars of the complex as a constant
+    filtration; rank k is #k-simplices minus the pairs they destroy.
     """
     top = c.k - 1 if through_dim is None else through_dim
-    index_by_dim: dict[int, dict[tuple[int, ...], int]] = {}
-    for s in c.simplices:
-        d = len(s) - 1
-        idx = index_by_dim.setdefault(d, {})
-        if tuple(s) in idx:
-            raise ValueError(f"duplicate simplex {s}")
-        idx[tuple(s)] = len(idx)
-
-    def rank_boundary(d: int) -> int:
-        if d <= 0 or d not in index_by_dim or (d - 1) not in index_by_dim:
-            return 0
-        faces = index_by_dim[d - 1]
-        cols = []
-        for s in index_by_dim[d]:
-            mask = 0
-            for v in range(len(s)):
-                face = s[:v] + s[v + 1:]
-                j = faces.get(face)
-                if j is None:
-                    raise ValueError(f"missing face {face} of simplex {s}")
-                mask |= 1 << j
-            cols.append(mask)
-        return _gf2_rank(cols)
-
-    betti = []
-    for d in range(top + 1):
-        n_d = len(index_by_dim.get(d, {}))
-        betti.append(n_d - rank_boundary(d) - rank_boundary(d + 1))
+    dgm = compute_persistence(static_to_filtration(c), keep_zero_pairs=True)
+    betti = [sum(1 for _, death in dgm.in_dim(d) if death == INF)
+             for d in range(top + 1)]
+    if top >= c.k:
+        destroyed = len(dgm.in_dim(c.k - 1)) - betti[c.k - 1]
+        betti[c.k] = c.counts_by_dim()[c.k] - destroyed
     return betti
 
 

@@ -107,6 +107,17 @@ def test_persist_missing_face_error(tmp_path, capsys):
     assert "missing face" in err and "(1, 2)" in err
 
 
+def test_persist_rejects_coface_born_before_its_faces(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# k=2 kind=sparse_S alpha_max=none\n"
+                   "0.0 0\n0.0 1\n0.0 2\n5.0 0 1\n5.0 0 2\n5.0 1 2\n1.0 0 1 2\n")
+    out = tmp_path / "x.json"
+    code = main(["persist", "--filtration", str(bad), "--out", str(out)])
+    assert code == 1
+    assert "out of order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_persist_csv_output(tmp_path):
     src = write_square(tmp_path)
     out = tmp_path / "dgm.csv"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sparse_rips import (PersistenceDiagram, diagram_equal, match_report_json,
+from sparse_rips import (PersistenceDiagram, build_sparse, compute_persistence,
+                         diagram_equal, from_points, full_rips, match_report_json,
                          multiplicative_match)
 
 INF = math.inf
@@ -31,6 +32,26 @@ def test_not_equal():
     a = dgm({1: [(1, 2)]})
     b = dgm({1: [(1, 3)]})
     assert not diagram_equal(a, b, tol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_equal_tolerance_scales_with_the_values(scale):
+    a = dgm({1: [(scale, 2 * scale)]})
+    assert diagram_equal(a, dgm({1: [(scale, (2 + 1e-12) * scale)]}), tol=1e-9)
+    assert not diagram_equal(a, dgm({1: [(scale, 3 * scale)]}), tol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_equal_tells_sparse_from_full_rips_at_any_scale(scale):
+    # same pair counts per dimension, different values: only the values decide
+    m = from_points(np.random.default_rng(0).random((12, 2)) * scale)
+    sparse = compute_persistence(build_sparse(m, 1 / 3, 2))
+    diam = float(m.distance_matrix().max())
+    full = compute_persistence(full_rips(m, diam * (1 + 1e-9), 2))
+    assert [len(sparse.in_dim(d)) for d in range(2)] == \
+        [len(full.in_dim(d)) for d in range(2)]
+    assert diagram_equal(sparse, sparse)
+    assert not diagram_equal(sparse, full)
 
 
 def test_equal_infinity_only_matches_infinity():

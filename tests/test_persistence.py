@@ -101,6 +101,28 @@ def test_missing_face_reported():
         compute_persistence(f)
 
 
+MALFORMED = {
+    "duplicate": ([((0,), 0), ((1,), 0), ((0, 1), 1), ((0, 1), 1)], 1),
+    "vertices-not-increasing": ([((0,), 0), ((1,), 0), ((1, 0), 1)], 1),
+    "dim-above-k": ([((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 1), ((0, 2), 1),
+                     ((1, 2), 1), ((0, 1, 2), 1)], 1),
+    "nan-value": ([((0,), 0), ((1,), 0), ((0, 1), math.nan)], 1),
+    "negative-value": ([((0,), 0), ((1,), 0), ((0, 1), -1.0)], 1),
+    "nonzero-vertex-value": ([((0,), 0), ((1,), 0.5), ((0, 1), 1)], 1),
+    "out-of-order": ([((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 5), ((0, 2), 5),
+                      ((1, 2), 5), ((0, 1, 2), 1)], 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_filtration_rejected(shape):
+    simplices, k = MALFORMED[shape]
+    sims = [FilteredSimplex(tuple(v), float(val)) for v, val in simplices]
+    f = SparseFiltration(simplices=sims, k=k, kind="sparse_S")  # kept unsorted
+    with pytest.raises(MalformedFiltrationError):
+        compute_persistence(f)
+
+
 def test_zero_persistence_pairs_dropped_by_default():
     f = filt([((0,), 0), ((1,), 0), ((0, 1), 0)], k=1)
     assert compute_persistence(f).in_dim(0) == [(0.0, INF)]
@@ -112,8 +134,12 @@ def test_zero_persistence_pairs_dropped_by_default():
 
 def test_matches_naive_reduction_on_random_filtrations():
     rng = np.random.default_rng(51)
-    for _ in range(25):
-        f = random_filtration(rng)
+    cases = [random_filtration(rng) for _ in range(25)]
+    for _ in range(4):  # k = 3 and >= 200 simplices: columns fill in
+        full = full_rips(from_points(rng.random((10, 2))), 1.5, 3)
+        sims = full.simplices[: int(rng.integers(200, len(full) + 1))]
+        cases.append(SparseFiltration(simplices=sims, k=3, kind=full.kind))
+    for f in cases:
         for keep in (False, True):
             got = compute_persistence(f, keep_zero_pairs=keep)
             expect = naive_diagram(f, keep_zero_pairs=keep)
@@ -194,10 +220,14 @@ def test_constant_filtration_reproduces_betti():
         ctx = WeightContext.build(m, 0.25)
         c = static_complex(m, ctx, float(rng.uniform(0.1, 0.9)),
                            "relaxed_full", 3)
-        dgm = compute_persistence(static_to_filtration(c))
+        dgm = naive_diagram(static_to_filtration(c), keep_zero_pairs=True)
         infinite = [sum(1 for _, dth in dgm.in_dim(d) if math.isinf(dth))
                     for d in range(c.k)]
         assert infinite == betti_numbers(c)
+        # betti_k = n_k - rank of the boundary map = n_k - pairs the k-simplices close
+        destroyed = len(dgm.in_dim(c.k - 1)) - infinite[c.k - 1]
+        top = c.counts_by_dim()[c.k] - destroyed
+        assert infinite + [top] == betti_numbers(c, through_dim=c.k)
 
 
 # --- serialization --------------------------------------------------------

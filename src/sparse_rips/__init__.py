@@ -20,11 +20,11 @@ from .relaxed import (WeightContext, birth_matrix, edge_birth, pair_birth,
                       pair_birth_batch, pair_relaxed_distance, point_weight,
                       relaxed_distance, weight, weight_batch)
 from .filtration import (FilteredSimplex, MalformedFiltrationError, SizeStats,
-                         SparseFiltration, StaticComplex, build_sparse,
-                         build_sparse_from_context, clique_expand, edge_degrees,
-                         filtration_text, full_rips, max_edge_degree, read_filtration,
-                         relaxed_rips, sparse_edges, sparse_size_stats, static_complex,
-                         static_to_filtration, validate_filtration, write_filtration)
+                         SparseFiltration, build_sparse, build_sparse_from_context,
+                         charged_degrees, clique_expand, filtration_text, full_rips,
+                         max_edge_degree, read_filtration, relaxed_rips, sparse_edges,
+                         sparse_size_stats, static_complex, validate_filtration,
+                         write_filtration)
 from .persistence import (PersistenceDiagram, betti_numbers, compute_persistence,
                           diagram_from_csv, diagram_from_json, diagram_to_csv,
                           diagram_to_json)
@@ -45,11 +45,11 @@ __all__ = [
     "WeightContext", "birth_matrix", "edge_birth", "pair_birth",
     "pair_birth_batch", "pair_relaxed_distance", "point_weight",
     "relaxed_distance", "weight", "weight_batch",
-    "FilteredSimplex", "SizeStats", "SparseFiltration", "StaticComplex",
-    "build_sparse", "build_sparse_from_context", "clique_expand",
-    "edge_degrees", "filtration_text", "full_rips", "max_edge_degree", "read_filtration",
+    "FilteredSimplex", "SizeStats", "SparseFiltration", "build_sparse",
+    "build_sparse_from_context", "charged_degrees", "clique_expand",
+    "filtration_text", "full_rips", "max_edge_degree", "read_filtration",
     "relaxed_rips", "sparse_edges", "sparse_size_stats", "static_complex",
-    "static_to_filtration", "validate_filtration", "write_filtration",
+    "validate_filtration", "write_filtration",
     "MalformedFiltrationError", "PersistenceDiagram", "betti_numbers",
     "compute_persistence", "diagram_from_csv", "diagram_from_json",
     "diagram_to_csv", "diagram_to_json",

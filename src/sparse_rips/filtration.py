@@ -4,7 +4,7 @@ Builds the sparse clique filtration (edges filtered by deletion times,
 simplices admitted while all their vertices are alive) together with the
 two reference filtrations used to check it: the full Vietoris-Rips
 filtration and the relaxed Vietoris-Rips filtration on all points.
-Static snapshots at a fixed scale are available for rank comparisons.
+Static snapshots for rank comparisons are constant-0 filtrations.
 """
 
 from __future__ import annotations
@@ -65,20 +65,11 @@ class SparseFiltration:
         return counts
 
 
-@dataclass(frozen=True)
-class StaticComplex:
-    """A plain simplicial complex frozen at one scale (closed under faces)."""
-
-    simplices: list[tuple[int, ...]]
-    scale: float
-    kind: str
-    k: int
-
-    def counts_by_dim(self) -> list[int]:
-        counts = [0] * (self.k + 1)
-        for s in self.simplices:
-            counts[len(s) - 1] += 1
-        return counts
+def _edges_within(values: np.ndarray, cap) -> list[tuple[int, int, float]]:
+    """Pairs p < q with values[p, q] <= cap (a scalar or broadcast array),
+    in row-major order, as Python (int, int, float) tuples."""
+    iu, ju = np.nonzero(np.triu(values <= cap, k=1))
+    return list(zip(iu.tolist(), ju.tolist(), values[iu, ju].tolist()))
 
 
 def sparse_edges(m: MetricInput, ctx: WeightContext) -> list[tuple[int, int, float]]:
@@ -90,10 +81,7 @@ def sparse_edges(m: MetricInput, ctx: WeightContext) -> list[tuple[int, int, flo
     """
     births = birth_matrix(m, ctx, within_deletion_caps=True)
     t = ctx.schedule.t
-    cap = np.minimum(t[:, None], t[None, :])
-    iu, ju = np.nonzero(np.triu(births <= cap, k=1))
-    return [(int(p), int(q), float(births[p, q]))
-            for p, q in zip(iu.tolist(), ju.tolist())]
+    return _edges_within(births, np.minimum(t[:, None], t[None, :]))
 
 
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
@@ -160,9 +148,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
 def build_sparse(m: MetricInput, epsilon: float, k: int,
                  seed: int = 0) -> SparseFiltration:
     """End-to-end sparse filtration: greedy order, deletion times, edges, cliques."""
-    ctx = WeightContext.build(m, epsilon, seed=seed)
-    edges = sparse_edges(m, ctx)
-    return clique_expand(edges, m.n, k, vertex_caps=ctx.schedule.t, kind=KIND_SPARSE)
+    return build_sparse_from_context(m, WeightContext.build(m, epsilon, seed=seed), k)
 
 
 def full_rips(m: MetricInput, alpha_max: float, k: int) -> SparseFiltration:
@@ -173,9 +159,7 @@ def full_rips(m: MetricInput, alpha_max: float, k: int) -> SparseFiltration:
     """
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    dmat = m.distance_matrix()
-    iu, ju = np.nonzero(np.triu(dmat <= alpha_max, k=1))
-    edges = [(int(p), int(q), float(dmat[p, q])) for p, q in zip(iu.tolist(), ju.tolist())]
+    edges = _edges_within(m.distance_matrix(), alpha_max)
     return clique_expand(edges, m.n, k, kind=KIND_FULL, alpha_max=float(alpha_max))
 
 
@@ -188,19 +172,18 @@ def relaxed_rips(m: MetricInput, ctx: WeightContext, alpha_max: float,
     """
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    births = birth_matrix(m, ctx, within_deletion_caps=False)
-    iu, ju = np.nonzero(np.triu(births <= alpha_max, k=1))
-    edges = [(int(p), int(q), float(births[p, q])) for p, q in zip(iu.tolist(), ju.tolist())]
+    edges = _edges_within(birth_matrix(m, ctx, within_deletion_caps=False), alpha_max)
     return clique_expand(edges, m.n, k, kind=KIND_RELAXED, alpha_max=float(alpha_max))
 
 
 def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
-                   kind: str, k: int) -> StaticComplex:
-    """Snapshot complex at scale alpha.
+                   kind: str, k: int) -> SparseFiltration:
+    """Snapshot complex at scale alpha, as a constant-0 filtration.
 
     Vertex set: the open net for Q_open, the closed net for Q_closed,
     all points for relaxed_full.  Simplices are the cliques of the graph
-    {(p, q) : relaxed distance at alpha <= alpha} on that vertex set.
+    {(p, q) : relaxed distance at alpha <= alpha} on that vertex set,
+    every one with value 0.0; ``kind`` is the snapshot kind.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -214,18 +197,9 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
     dmat = m.distance_matrix()
     w = weight_batch(alpha, ctx.schedule.t, ctx.epsilon)
     rel = dmat[np.ix_(verts, verts)] + w[verts, None] + w[None, verts]
-    iu, ju = np.nonzero(np.triu(rel <= alpha, k=1))
-    edges = [(int(verts[i]), int(verts[j]), 0.0) for i, j in zip(iu.tolist(), ju.tolist())]
-    filt = clique_expand(edges, m.n, k, vertices=verts)
-    return StaticComplex(simplices=[s.vertices for s in filt.simplices],
-                         scale=float(alpha), kind=kind, k=k)
-
-
-def static_to_filtration(c: StaticComplex, value: float = 0.0) -> SparseFiltration:
-    """View a static complex as a constant-value filtration."""
-    sims = [FilteredSimplex(tuple(s), float(value)) for s in c.simplices]
-    sims.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
-    return SparseFiltration(simplices=sims, k=c.k, kind=KIND_SPARSE, alpha_max=None)
+    vl = verts.tolist()
+    edges = [(vl[i], vl[j], 0.0) for i, j, _ in _edges_within(rel, alpha)]
+    return clique_expand(edges, m.n, k, kind=kind, vertices=vl)
 
 
 def validate_filtration(f: SparseFiltration) -> list[tuple[int, ...]]:
@@ -292,13 +266,8 @@ def charged_degrees(edges, t: np.ndarray) -> np.ndarray:
     return deg
 
 
-def edge_degrees(m: MetricInput, ctx: WeightContext) -> np.ndarray:
-    """Per-point count of sparse-edge neighbors with later-or-equal deletion."""
-    return charged_degrees(sparse_edges(m, ctx), ctx.schedule.t)
-
-
 def max_edge_degree(m: MetricInput, ctx: WeightContext) -> int:
-    return int(edge_degrees(m, ctx).max()) if m.n else 0
+    return int(charged_degrees(sparse_edges(m, ctx), ctx.schedule.t).max()) if m.n else 0
 
 
 @dataclass(frozen=True)
@@ -317,14 +286,15 @@ def sparse_size_stats(m: MetricInput, ctx: WeightContext, k: int) -> SizeStats:
     Counts each simplex at its vertex of minimum deletion time (smallest
     index on ties); a simplex rooted at p consists of later points q, r,
     ... whose pairwise births are all <= t_p.  Fast paths cover k <= 2;
-    larger k falls back to the full construction.
+    larger k expands the sparse edges, which also give the degrees.
     """
-    if k > 2:
-        filt = build_sparse_from_context(m, ctx, k)
-        return SizeStats(counts_by_dim=tuple(filt.counts_by_dim()),
-                         max_degree=max_edge_degree(m, ctx))
     n = m.n
     t = ctx.schedule.t
+    if k > 2:
+        edges = sparse_edges(m, ctx)
+        filt = clique_expand(edges, n, k, vertex_caps=t)
+        return SizeStats(counts_by_dim=tuple(filt.counts_by_dim()),
+                         max_degree=int(charged_degrees(edges, t).max()) if n else 0)
     births = birth_matrix(m, ctx, within_deletion_caps=True)
     order = np.arange(n)
     # strict "later than p" relation with index tie-break

@@ -6,7 +6,7 @@ columns is their symmetric difference and the pivot is the largest
 index.  Dimensions are processed in decreasing order so that the
 clearing optimization can skip columns already known to reduce to zero;
 the output is identical to the plain left-to-right reduction.  Betti
-numbers of a static complex are the infinite bars of the same reduction.
+numbers of a snapshot (a constant-0 filtration) are its infinite bars.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .filtration import MalformedFiltrationError  # noqa: F401  (re-exported)
-from .filtration import (SparseFiltration, StaticComplex, static_to_filtration,
-                         validate_filtration)
+from .filtration import SparseFiltration, validate_filtration
 
 INF = math.inf
 
@@ -95,22 +94,22 @@ def compute_persistence(f: SparseFiltration,
     return PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)
 
 
-def betti_numbers(c: StaticComplex, through_dim: int | None = None) -> list[int]:
-    """Homology ranks over GF(2) of a static complex.
+def betti_numbers(f: SparseFiltration, through_dim: int | None = None) -> list[int]:
+    """Homology ranks over GF(2) of a snapshot, a constant-0 filtration.
 
     Reports dimensions 0..k-1 by default (the top dimension is
     unreliable under a k-skeleton); pass ``through_dim`` to override,
     e.g. for Euler characteristic checks on uncapped complexes.  Rank
-    d < k counts the infinite bars of the complex as a constant
-    filtration; rank k is #k-simplices minus the pairs they destroy.
+    d < k counts the infinite bars of ``static_complex``'s output; rank
+    k is #k-simplices minus the pairs they destroy.
     """
-    top = c.k - 1 if through_dim is None else through_dim
-    dgm = compute_persistence(static_to_filtration(c), keep_zero_pairs=True)
+    top = f.k - 1 if through_dim is None else through_dim
+    dgm = compute_persistence(f, keep_zero_pairs=True)
     betti = [sum(1 for _, death in dgm.in_dim(d) if death == INF)
              for d in range(top + 1)]
-    if top >= c.k:
-        destroyed = len(dgm.in_dim(c.k - 1)) - betti[c.k - 1]
-        betti[c.k] = c.counts_by_dim()[c.k] - destroyed
+    if top >= f.k:
+        destroyed = len(dgm.in_dim(f.k - 1)) - betti[f.k - 1]
+        betti[f.k] = f.counts_by_dim()[f.k] - destroyed
     return betti
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,13 +177,33 @@ def edge_birth(ctx: WeightContext, p: int, q: int, cap: float | None = None):
     return alpha
 
 
+def _births_exact_at_caps(d, tp, tq, eps):
+    """``pair_birth_batch``, with each birth <= c = min(t_p, t_q) iff it is so exactly.
+
+    birth <= c iff g(c) = c - w_p(c) - w_q(c) >= d.  Where the float g(c) is
+    within rounding of d, the float birth can land on the wrong side of c
+    (g may be flat up to c), so those pairs are solved in Fraction arithmetic.
+    """
+    births = pair_birth_batch(d, tp, tq, eps)
+    c = np.minimum(tp, tq)
+    with np.errstate(invalid="ignore"):  # c = inf when neither point is deleted
+        g = c - weight_batch(c, tp, eps) - weight_batch(c, tq, eps)
+    for i in np.flatnonzero(np.isfinite(c) & (np.abs(g - d) <= 1e-9 * c)).tolist():
+        exact = pair_birth(*(x if x == _INF else Fraction(x)
+                             for x in (d[i], tp[i], tq[i], eps)))
+        births[i] = (float(exact) if exact <= c[i]
+                     else max(float(exact), np.nextafter(c[i], _INF)))
+    return births
+
+
 def birth_matrix(m: MetricInput, ctx: WeightContext,
                  within_deletion_caps: bool = False) -> np.ndarray:
     """Full n x n matrix of edge birth scales (diagonal and masked pairs +inf).
 
     With ``within_deletion_caps`` the computation is restricted to the
     pairs that can possibly satisfy birth <= min(t_p, t_q); all other
-    entries are +inf.  Every returned finite entry is an exact birth.
+    entries are +inf.  Every returned finite entry is an exact birth, and
+    is <= min(t_p, t_q) iff it is so in exact arithmetic on the same floats.
     """
     n = m.n
     dmat = m.distance_matrix()
@@ -193,5 +214,5 @@ def birth_matrix(m: MetricInput, ctx: WeightContext,
         # birth <= min t forces d <= min t, since the birth is >= d
         mask &= dmat <= np.minimum(t[:, None], t[None, :])
     idx = np.nonzero(mask)
-    out[idx] = pair_birth_batch(dmat[idx], t[idx[0]], t[idx[1]], ctx.epsilon)
+    out[idx] = _births_exact_at_caps(dmat[idx], t[idx[0]], t[idx[1]], ctx.epsilon)
     return np.minimum(out, out.T)

@@ -24,8 +24,7 @@ from .filtration import (build_sparse_from_context, full_rips, relaxed_rips,
                          static_complex)
 from .metric import MetricInput
 from .persistence import betti_numbers, compute_persistence
-from .relaxed import (WeightContext, birth_matrix, pair_birth,
-                      pair_relaxed_distance)
+from .relaxed import WeightContext, pair_birth, pair_relaxed_distance
 from .greedy import check_net_conditions
 
 #: above this point count the reference filtrations get expensive
@@ -141,18 +140,11 @@ def check_betti(m: MetricInput, ctx: WeightContext, k: int = 2,
                        f"{samples} scales, ranks agree in dims 0..{k - 1}")
 
 
-def _untruncated_alpha_max(m: MetricInput, ctx: WeightContext) -> float:
-    births = birth_matrix(m, ctx, within_deletion_caps=False)
-    finite = births[np.isfinite(births)]
-    top = float(finite.max()) if len(finite) else 1.0
-    return top * (1.0 + 1e-9) + 1e-12
-
-
 def check_diagram_equality(m: MetricInput, ctx: WeightContext, k: int = 2,
                            tol: float = 1e-9) -> CheckResult:
     """Diagram of the sparse filtration equals the relaxed reference diagram."""
     sparse = build_sparse_from_context(m, ctx, k)
-    relaxed = relaxed_rips(m, ctx, _untruncated_alpha_max(m, ctx), k)
+    relaxed = relaxed_rips(m, ctx, math.inf, k)
     ds = compute_persistence(sparse)
     dr = compute_persistence(relaxed)
     ok = diagram_equal(ds, dr, tol=tol)
@@ -167,8 +159,7 @@ def check_c_approximation(m: MetricInput, ctx: WeightContext,
     """Sparse diagram is a 1/(1-2eps)-approximation of the true Rips diagram."""
     c = 1.0 / (1.0 - 2.0 * ctx.epsilon)
     sparse = build_sparse_from_context(m, ctx, k)
-    diam = float(m.distance_matrix().max()) if m.n > 1 else 1.0
-    rips = full_rips(m, diam * (1.0 + 1e-9) + 1e-12, k)
+    rips = full_rips(m, math.inf, k)
     ds = compute_persistence(sparse)
     dr = compute_persistence(rips)
     res = multiplicative_match(ds, dr, c)

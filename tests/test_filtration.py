@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from sparse_rips import (WeightContext, build_sparse, clique_expand,
-                         edge_degrees, from_points, full_rips, net_at,
-                         read_filtration, relaxed_rips, sparse_edges,
-                         sparse_size_stats, static_complex, validate_filtration,
-                         write_filtration)
+from sparse_rips import (PersistenceDiagram, SparseFiltration, WeightContext,
+                         birth_matrix, build_sparse, charged_degrees, clique_expand,
+                         compute_persistence, diagram_equal, from_points,
+                         full_rips, net_at, pair_birth, read_filtration,
+                         relaxed_rips, sparse_edges, sparse_size_stats,
+                         static_complex, validate_filtration, write_filtration)
 from sparse_rips.greedy import DeletionSchedule
 
 INF = math.inf
@@ -51,6 +53,40 @@ def test_sparse_edges_inclusion_by_deletion_time():
     assert sparse_edges(m, ctx) == [(0, 1, 7.0)]
     m2, ctx2 = manual_ctx([[0.0], [20.0]], [9.0, INF], eps)
     assert sparse_edges(m2, ctx2) == []  # birth 30 exceeds t = 9
+
+
+def test_sparse_edges_match_exact_rational_births():
+    # Integer inputs force ties in distances, insertion radii and deletion
+    # times.  Recompute every birth in Fraction arithmetic from the same
+    # float d, t and eps: sparse_edges must keep exactly the pairs with
+    # exact birth <= min(t_p, t_q), with births equal up to rounding.  On a
+    # line with eps = 0.1, (1 - 2 eps) t_p rounds to d for some pairs while
+    # the exact value is below it; their exact birth is just above t_p.
+    rng = np.random.default_rng(42)
+    inputs = [[[i % w, i // w] for i in range(w * h)]
+              for w, h in ((3, 3), (4, 4), (5, 3), (6, 2), (7, 7))]
+    inputs += [[[i * step] for i in range(25)] for step in (1, 3)]
+    inputs += [np.unique(rng.integers(0, 8, size=(20, 2)), axis=0) for _ in range(3)]
+    inputs += [np.unique(rng.integers(0, 4, size=(20, 3)), axis=0) for _ in range(2)]
+    cases = 0
+    for pts in inputs:
+        m = from_points(np.asarray(pts, dtype=float))
+        dmat = m.distance_matrix()
+        for eps in (0.1, 0.2, 0.25, 1.0 / 3.0):
+            ctx = WeightContext.build(m, eps)
+            t = [INF if math.isinf(x) else Fraction(float(x)) for x in ctx.schedule.t]
+            exact = {}
+            for p, q in combinations(range(m.n), 2):
+                b = pair_birth(Fraction(float(dmat[p, q])), t[p], t[q],
+                               Fraction(ctx.epsilon))
+                if b <= min(t[p], t[q]):
+                    exact[(p, q)] = b
+            got = {(p, q): b for p, q, b in sparse_edges(m, ctx)}
+            assert got.keys() == exact.keys(), (pts, eps, got.keys() ^ exact.keys())
+            for pq, b in exact.items():
+                assert abs(Fraction(got[pq]) - b) <= b * Fraction(1, 10**12)
+            cases += 1
+    assert cases == 48
 
 
 # --- clique_expand --------------------------------------------------------
@@ -270,8 +306,8 @@ def test_static_complex_boundary_at_deletion_time():
     ctx = WeightContext.build(m, 1.0 / 3.0)  # t = [inf, 9, 18, 36]
     q_open = static_complex(m, ctx, 9.0, "Q_open", 2)
     q_closed = static_complex(m, ctx, 9.0, "Q_closed", 2)
-    open_verts = {s[0] for s in q_open.simplices if len(s) == 1}
-    closed_verts = {s[0] for s in q_closed.simplices if len(s) == 1}
+    open_verts = {s.vertices[0] for s in q_open.simplices if s.dim == 0}
+    closed_verts = {s.vertices[0] for s in q_closed.simplices if s.dim == 0}
     assert 1 not in open_verts
     assert 1 in closed_verts
 
@@ -286,8 +322,22 @@ def test_static_open_is_induced_subcomplex_of_relaxed():
         q = static_complex(m, ctx, alpha, "Q_open", 2)
         r = static_complex(m, ctx, alpha, "relaxed_full", 2)
         net = set(net_at(ctx.schedule, alpha).tolist())
-        induced = {s for s in r.simplices if set(s) <= net}
-        assert set(q.simplices) == induced
+        induced = {s.vertices for s in r.simplices if set(s.vertices) <= net}
+        assert {s.vertices for s in q.simplices} == induced
+
+
+def test_static_complex_is_a_constant_zero_filtration():
+    rng = np.random.default_rng(33)
+    m = from_points(rng.random((12, 2)))
+    ctx = WeightContext.build(m, 0.25)
+    t = ctx.schedule.t
+    for alpha in rng.uniform(0.0, t[np.isfinite(t)].max(), size=4):
+        for kind in ("Q_open", "Q_closed", "relaxed_full"):
+            c = static_complex(m, ctx, float(alpha), kind, 2)
+            assert isinstance(c, SparseFiltration)
+            assert c.kind == kind and c.k == 2
+            validate_filtration(c)
+            assert {s.value for s in c.simplices} == {0.0}
 
 
 def test_static_complex_kind_validation():
@@ -336,11 +386,29 @@ def test_size_stats_match_materialized_build():
             assert st.max_degree == max_edge_degree(m, ctx)
 
 
+def test_size_stats_build_one_birth_matrix(monkeypatch):
+    # every k: one n x n birth matrix, shared by the counts and the degrees
+    import sparse_rips.filtration as filtration
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return birth_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(filtration, "birth_matrix", counted)
+    m = from_points(np.random.default_rng(44).random((20, 2)))
+    ctx = WeightContext.build(m, 0.25)
+    for k in (1, 2, 3):
+        calls.clear()
+        sparse_size_stats(m, ctx, k)
+        assert len(calls) == 1, k
+
+
 def test_edge_degree_definition():
     # degrees count neighbors with later-or-equal deletion and early birth
     eps = 1.0 / 3.0
     m, ctx = manual_ctx([[0.0], [5.0], [40.0]], [9.0, INF, INF], eps)
-    deg = edge_degrees(m, ctx)
+    deg = charged_degrees(sparse_edges(m, ctx), ctx.schedule.t)
     # (0,1): birth 7 <= t0 = 9, counted for 0 only since t1 > t0.
     # (1,2): birth 35, both immortal, the tie counts for both.
     # (0,2): birth 60 > t0 = 9, no edge.
@@ -381,3 +449,36 @@ def test_degree_stays_bounded_as_n_grows():
             degs.append(sparse_size_stats(m, ctx, 1).max_degree)
         means[n] = float(np.mean(degs))
     assert means[4 * n0] <= 1.2 * means[n0]
+
+
+# --- invariance under scaling and relabeling ------------------------------
+
+def sparse_diagram(points, eps, seed=0):
+    return compute_persistence(build_sparse(from_points(points), eps, 2, seed=seed))
+
+
+@pytest.mark.parametrize("s, tol", [(2.0 ** 20, 0.0), (2.0 ** -20, 0.0),
+                                    (1e6, 1e-9), (1e-6, 1e-9)])
+def test_sparse_diagram_scales_with_the_points(s, tol):
+    # s * points gives s times the diagram; powers of two scale every float exactly
+    for trial in range(10):
+        rng = np.random.default_rng([46, trial])
+        pts = rng.random((40, 2))
+        eps = (0.1, 0.25, 1.0 / 3.0)[trial % 3]
+        base = sparse_diagram(pts, eps)
+        scaled = PersistenceDiagram(
+            pairs={d: [(b * s, dth * s) for b, dth in base.in_dim(d)]
+                   for d in range(base.k)}, k=base.k)
+        assert diagram_equal(sparse_diagram(pts * s, eps), scaled, tol=tol)
+
+
+def test_sparse_diagram_ignores_point_labels():
+    # permuted points, with the greedy order started from the same point
+    for trial in range(10):
+        rng = np.random.default_rng([47, trial])
+        pts = rng.random((40, 2))
+        eps = (0.1, 0.25, 1.0 / 3.0)[trial % 3]
+        perm = rng.permutation(40)
+        seed = int(np.flatnonzero(perm == 0)[0])
+        assert sparse_diagram(pts[perm], eps, seed=seed).pairs == \
+            sparse_diagram(pts, eps).pairs

@@ -8,8 +8,7 @@ from sparse_rips import (FilteredSimplex, MalformedFiltrationError,
                          PersistenceDiagram, SparseFiltration, WeightContext,
                          betti_numbers, compute_persistence, diagram_from_csv,
                          diagram_from_json, diagram_to_csv, diagram_to_json,
-                         from_points, full_rips, static_complex,
-                         static_to_filtration)
+                         from_points, full_rips, static_complex)
 
 INF = math.inf
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -198,6 +197,19 @@ def test_betti_filled_triangle():
     assert betti_numbers(c) == [1, 0]
 
 
+def test_betti_takes_a_constant_zero_filtration():
+    # a snapshot is an ordinary filtration with every value 0.0
+    hollow = [((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 0), ((0, 2), 0), ((1, 2), 0)]
+    assert betti_numbers(filt(hollow, 2)) == [1, 1]
+    assert betti_numbers(filt(hollow + [((0, 1, 2), 0)], 2)) == [1, 0]
+    m = from_points(SQUARE)
+    c = static_complex(m, WeightContext.build(m, 0.01), 1.2, "relaxed_full", 2)
+    square = [((v,), 0) for v in range(4)] + [((0, 1), 0), ((1, 2), 0),
+                                               ((2, 3), 0), ((0, 3), 0)]
+    assert c.simplices == filt(square, 2).simplices
+    assert betti_numbers(c) == betti_numbers(filt(square, 2)) == [1, 1]
+
+
 def test_euler_characteristic_uncapped():
     rng = np.random.default_rng(55)
     for _ in range(6):
@@ -220,7 +232,7 @@ def test_constant_filtration_reproduces_betti():
         ctx = WeightContext.build(m, 0.25)
         c = static_complex(m, ctx, float(rng.uniform(0.1, 0.9)),
                            "relaxed_full", 3)
-        dgm = naive_diagram(static_to_filtration(c), keep_zero_pairs=True)
+        dgm = naive_diagram(c, keep_zero_pairs=True)
         infinite = [sum(1 for _, dth in dgm.in_dim(d) if math.isinf(dth))
                     for d in range(c.k)]
         assert infinite == betti_numbers(c)

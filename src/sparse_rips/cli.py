@@ -69,10 +69,17 @@ def _check_k(parser, k: int) -> None:
         parser.error(f"--k must be >= 1, got {k}")
 
 
+def _check_seed(m: met.MetricInput, seed: int) -> None:
+    """The greedy seed indexes the points left after deduplication."""
+    if not (0 <= seed < m.n):
+        raise ValueError(f"--seed {seed} out of range for n={m.n}")
+
+
 def cmd_build(parser, args) -> int:
     _check_epsilon(parser, args.epsilon)
     _check_k(parser, args.k)
     m = _load_input(args)
+    _check_seed(m, args.seed)
     t0 = time.perf_counter()
     gp = greedy_permutation(m, seed=args.seed)
     schedule = deletion_times(gp, args.epsilon)
@@ -114,6 +121,7 @@ def cmd_persist(parser, args) -> int:
                 parser.error("building in-process requires --epsilon")
             _check_epsilon(parser, args.epsilon)
             _check_k(parser, args.k)
+            _check_seed(m, args.seed)
             f = filt.build_sparse(m, args.epsilon, args.k, seed=args.seed)
     dgm = compute_persistence(f, keep_zero_pairs=args.keep_zero_pairs)
     text = diagram_to_csv(dgm) if args.csv else diagram_to_json(dgm) + "\n"
@@ -128,6 +136,7 @@ def cmd_verify(parser, args) -> int:
     _check_epsilon(parser, args.epsilon)
     _check_k(parser, args.k)
     m = _load_input(args)
+    _check_seed(m, args.seed)
     try:
         results = run_battery(m, args.epsilon, k=args.k, samples=args.samples,
                               seed=args.seed, force=args.force)

@@ -117,8 +117,11 @@ def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
         )
         pts = pts[keep]
     pts.setflags(write=False)
-    return MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts,
-                       dedup_map=remap)
+    m = MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts,
+                    dedup_map=remap)
+    if m.n == dmat.shape[0]:   # nothing removed: dmat is already the metric
+        m.__dict__["_dmat"] = dmat
+    return m
 
 
 def from_matrix(matrix) -> MetricInput:

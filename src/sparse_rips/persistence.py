@@ -1,12 +1,16 @@
-"""Persistent homology by boundary-matrix reduction over GF(2).
+"""Persistent (co)homology over GF(2) by coboundary-matrix reduction.
 
-A column is the Python set of the indices of its nonzero rows, taken
-from the facet indices that ``validate_filtration`` returns; adding two
-columns is their symmetric difference and the pivot is the largest
-index.  Dimensions are processed in decreasing order so that the
-clearing optimization can skip columns already known to reduce to zero;
-the output is identical to the plain left-to-right reduction.  Betti
-numbers of a snapshot (a constant-0 filtration) are its infinite bars.
+The column of a simplex is the list of its cofacets, taken by inverting
+the facet indices that ``validate_filtration`` returns; adding two
+columns is their symmetric difference and the pivot is the smallest
+index.  Each dimension is reduced in reverse filtration order, from low
+dimension to high, and clearing skips the simplices already known to
+destroy a class one dimension down.  For a fixed total order the
+persistence pairing is unique and cohomology has the same pairs as
+homology (de Silva, Morozov and Vejdemo-Johansson, 2011), so the output
+equals the plain boundary reduction; the coboundary columns need far
+fewer additions (Bauer, Ripser, 2021).  Betti numbers of a snapshot (a
+constant-0 filtration) are its infinite bars.
 """
 
 from __future__ import annotations
@@ -43,52 +47,50 @@ class PersistenceDiagram:
 
 def compute_persistence(f: SparseFiltration,
                         keep_zero_pairs: bool = False) -> PersistenceDiagram:
-    """Standard column reduction in filtration order, GF(2) coefficients.
+    """Persistent cohomology with clearing, GF(2) coefficients.
 
-    Pairs (value of creating simplex, value of destroying simplex) per
-    finite class; unpaired creators of dimension < k give infinite bars.
-    Zero-persistence pairs are dropped unless ``keep_zero_pairs``.
+    For d = 0 .. k-1 the d-simplices are visited in reverse filtration
+    order; the column of one is its list of cofacets and its pivot the
+    earliest of them.  A new pivot pairs the simplex with that
+    (d+1)-simplex, which then needs no column of its own (clearing); a
+    column that empties is an infinite bar.  Pairs (value of creating
+    simplex, value of destroying simplex) per finite class; unpaired
+    creators of dimension < k give infinite bars.  Zero-persistence
+    pairs are dropped unless ``keep_zero_pairs``.
     """
     sims = f.simplices
     facets = validate_filtration(f)
-    dims = [s.dim for s in sims]
-    maxdim = max(dims) if sims else 0
+    by_dim: list[list[int]] = [[] for _ in range(f.k)]
+    cofacets: list[list[int] | None] = [None] * len(sims)   # ascending lists
+    for j, s in enumerate(sims):
+        if s.dim < f.k:
+            by_dim[s.dim].append(j)
+            cofacets[j] = []
+        for i in facets[j]:
+            cofacets[i].append(j)
+    del facets   # free it: the cofacet lists hold the same incidences
 
-    by_dim: dict[int, list[int]] = {d: [] for d in range(maxdim + 1)}
-    for i, d in enumerate(dims):
-        by_dim[d].append(i)
-
+    pairs: dict[int, list[tuple[float, float]]] = {d: [] for d in range(f.k)}
     cleared: set[int] = set()
-    finite_pairs: list[tuple[int, int]] = []   # (creator index, destroyer index)
-    unpaired: dict[int, list[int]] = {d: [] for d in range(maxdim + 1)}
-
-    for d in range(maxdim, 0, -1):
-        pivot_col: dict[int, set[int]] = {}
-        for j in by_dim[d]:
-            if j in cleared:
+    for d in range(f.k):
+        pivot_col: dict[int, list[int] | set[int]] = {}
+        for i in reversed(by_dim[d]):
+            if i in cleared:
                 continue
-            col = set(facets[j])
+            col = cofacets[i]
             while col:
-                low = max(col)
+                low = min(col)
                 other = pivot_col.get(low)
                 if other is None:
                     pivot_col[low] = col
-                    finite_pairs.append((low, j))
                     cleared.add(low)
+                    birth, death = sims[i].value, sims[low].value
+                    if death != birth or keep_zero_pairs:
+                        pairs[d].append((birth, death))
                     break
-                col ^= other
+                col = set(col).symmetric_difference(other)
             else:
-                unpaired[d].append(j)
-    unpaired[0] = [i for i in by_dim[0] if i not in cleared]
-
-    pairs: dict[int, list[tuple[float, float]]] = {d: [] for d in range(f.k)}
-    for i, j in finite_pairs:   # a creator is a face, so dims[i] < k
-        birth, death = sims[i].value, sims[j].value
-        if death != birth or keep_zero_pairs:
-            pairs[dims[i]].append((birth, death))
-    for d in range(min(f.k, maxdim + 1)):
-        for i in unpaired[d]:
-            pairs[d].append((sims[i].value, INF))
+                pairs[d].append((sims[i].value, INF))
     for d in pairs:
         pairs[d].sort()
     return PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)

@@ -144,6 +144,23 @@ def test_verify_random_points_pass(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("command", ["build", "persist", "verify"])
+@pytest.mark.parametrize("seed", [4, -1])
+def test_seed_out_of_range_is_data_error(tmp_path, capsys, command, seed):
+    # five rows, one a duplicate: n = 4 after deduplication
+    src = tmp_path / "square.csv"
+    src.write_text("0,0\n1,0\n1,1\n0,1\n0,0\n")
+    argv = [command, "--input", str(src), "--epsilon", "0.3", "--seed", str(seed)]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    with pytest.warns(UserWarning, match="duplicate"):
+        code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --seed {seed} out of range for n=4\n"
+    assert "Traceback" not in err
+
+
 def test_verify_guard_refusal(tmp_path, capsys):
     src = write_random(tmp_path, 200, seed=12)
     code = main(["verify", "--input", str(src), "--epsilon", "0.25"])

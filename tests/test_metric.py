@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sparse_rips import (MetricFormatError, from_matrix, from_points,
+import sparse_rips.metric as metric
+from sparse_rips import (MetricFormatError, build_sparse, from_matrix, from_points,
                          lint_triangle_inequality, load_matrix, load_points)
 
 
@@ -142,6 +143,22 @@ def test_duplicates_removed_with_warning():
         m = from_points(pts)
     assert m.n == 3
     assert m.dedup_map == (0, 1, 0, 2, 1)
+
+
+def test_distances_computed_once_without_duplicates(monkeypatch):
+    real_cdist = metric.cdist
+    calls = []
+
+    def counting_cdist(*args, **kwargs):
+        calls.append(1)
+        return real_cdist(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "cdist", counting_cdist)
+    pts = np.random.default_rng(7).random((30, 2))
+    m = from_points(pts)
+    build_sparse(m, 1 / 3, 2)
+    assert len(calls) == 1
+    assert np.array_equal(m.distance_matrix(), real_cdist(pts, pts))
 
 
 def test_duplicate_matrix_entries_merged():

@@ -6,9 +6,9 @@ import pytest
 
 from sparse_rips import (FilteredSimplex, MalformedFiltrationError,
                          PersistenceDiagram, SparseFiltration, WeightContext,
-                         betti_numbers, compute_persistence, diagram_from_csv,
-                         diagram_from_json, diagram_to_csv, diagram_to_json,
-                         from_points, full_rips, static_complex)
+                         betti_numbers, build_sparse, compute_persistence,
+                         diagram_from_csv, diagram_from_json, diagram_to_csv,
+                         diagram_to_json, from_points, full_rips, static_complex)
 
 INF = math.inf
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -143,6 +143,47 @@ def test_matches_naive_reduction_on_random_filtrations():
             got = compute_persistence(f, keep_zero_pairs=keep)
             expect = naive_diagram(f, keep_zero_pairs=keep)
             assert got.pairs == expect.pairs
+
+
+def assert_matches_naive(f):
+    for keep in (False, True):
+        got = compute_persistence(f, keep_zero_pairs=keep)
+        assert got.pairs == naive_diagram(f, keep_zero_pairs=keep).pairs
+
+
+# (n, eps, k): n is smaller where k = 3 or eps = 0.1 makes the complex dense
+SPARSE_ORACLE_CASES = [(40, 0.1, 1), (40, 1 / 3, 1), (24, 0.1, 2), (40, 1 / 3, 2),
+                       (20, 0.1, 3), (25, 1 / 3, 3)]
+
+
+@pytest.mark.parametrize("n,eps,k", SPARSE_ORACLE_CASES)
+def test_sparse_filtration_matches_naive_reduction(n, eps, k):
+    rng = np.random.default_rng([57, n, k])
+    assert_matches_naive(build_sparse(from_points(rng.random((n, 2))), eps, k))
+
+
+def test_constant_zero_snapshots_match_naive_reduction():
+    # every value ties, so the order is (dimension, vertices) alone
+    rng = np.random.default_rng(58)
+    for kind in ("Q_open", "Q_closed", "relaxed_full"):
+        for _ in range(3):
+            theta = rng.uniform(0, 2 * math.pi, 14)
+            pts = np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0, 0.05, (14, 2))
+            m = from_points(pts)
+            ctx = WeightContext.build(m, 0.05)
+            alpha = float(rng.uniform(0.5, 1.5))
+            assert_matches_naive(static_complex(m, ctx, alpha, kind, 3))
+
+
+def test_integer_grid_rips_prefixes_match_naive_reduction():
+    # grid distances tie in large groups; a prefix is closed under faces
+    grid = from_points([[i, j] for i in range(4) for j in range(4)])
+    for k in (1, 2, 3):
+        full = full_rips(grid, 2.0, k)
+        for stop in np.linspace(len(full) // 4, len(full), 4).astype(int):
+            prefix = SparseFiltration(simplices=full.simplices[:stop], k=k,
+                                      kind=full.kind)
+            assert_matches_naive(prefix)
 
 
 def test_pairing_accounting():

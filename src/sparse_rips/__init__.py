@@ -16,15 +16,13 @@ from .metric import (EXPLICIT_MATRIX, MetricFormatError, MetricInput,
 from .greedy import (DeletionSchedule, GreedyPermutation, NetConditionReport,
                      check_net_conditions, deletion_times, greedy_permutation,
                      net_at, schedule_to_csv)
-from .relaxed import (WeightContext, birth_matrix, edge_birth, pair_birth,
-                      pair_birth_batch, pair_relaxed_distance, point_weight,
-                      relaxed_distance, weight, weight_batch)
-from .filtration import (FilteredSimplex, MalformedFiltrationError, SizeStats,
-                         SparseFiltration, build_sparse, build_sparse_from_context,
-                         charged_degrees, clique_expand, filtration_text, full_rips,
-                         max_edge_degree, read_filtration, relaxed_rips, sparse_edges,
-                         sparse_size_stats, static_complex, validate_filtration,
-                         write_filtration)
+from .relaxed import (WeightContext, birth_matrix, pair_birth, pair_birth_batch,
+                      pair_relaxed_distance, point_weight, weight_batch)
+from .filtration import (MalformedFiltrationError, SizeStats, SparseFiltration,
+                         build_sparse, build_sparse_from_context, charged_degrees,
+                         clique_expand, filtration_text, full_rips, max_edge_degree,
+                         read_filtration, relaxed_rips, sparse_edges, sparse_size_stats,
+                         static_complex, validate_filtration, write_filtration)
 from .persistence import (PersistenceDiagram, betti_numbers, compute_persistence,
                           diagram_from_csv, diagram_from_json, diagram_to_csv,
                           diagram_to_json)
@@ -42,14 +40,12 @@ __all__ = [
     "DeletionSchedule", "GreedyPermutation", "NetConditionReport",
     "check_net_conditions", "deletion_times", "greedy_permutation", "net_at",
     "schedule_to_csv",
-    "WeightContext", "birth_matrix", "edge_birth", "pair_birth",
-    "pair_birth_batch", "pair_relaxed_distance", "point_weight",
-    "relaxed_distance", "weight", "weight_batch",
-    "FilteredSimplex", "SizeStats", "SparseFiltration", "build_sparse",
-    "build_sparse_from_context", "charged_degrees", "clique_expand",
-    "filtration_text", "full_rips", "max_edge_degree", "read_filtration",
-    "relaxed_rips", "sparse_edges", "sparse_size_stats", "static_complex",
-    "validate_filtration", "write_filtration",
+    "WeightContext", "birth_matrix", "pair_birth", "pair_birth_batch",
+    "pair_relaxed_distance", "point_weight", "weight_batch",
+    "SizeStats", "SparseFiltration", "build_sparse", "build_sparse_from_context",
+    "charged_degrees", "clique_expand", "filtration_text", "full_rips",
+    "max_edge_degree", "read_filtration", "relaxed_rips", "sparse_edges",
+    "sparse_size_stats", "static_complex", "validate_filtration", "write_filtration",
     "MalformedFiltrationError", "PersistenceDiagram", "betti_numbers",
     "compute_persistence", "diagram_from_csv", "diagram_from_json",
     "diagram_to_csv", "diagram_to_json",

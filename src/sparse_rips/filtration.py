@@ -9,7 +9,6 @@ Static snapshots for rank comparisons are constant-0 filtrations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,40 +28,88 @@ class MalformedFiltrationError(ValueError):
     """A filtration breaks the order, value or face rules of its format."""
 
 
-@dataclass(frozen=True, slots=True)
-class FilteredSimplex:
-    """A simplex (strictly increasing vertex tuple) with its birth scale."""
-
-    vertices: tuple[int, ...]
-    value: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseFiltration:
-    """Simplices sorted by (value, dimension, vertex order).
+    """Simplices of dimension 0..k: ``vertices[d]``, an int64 (m_d, d + 1)
+    array of strictly increasing rows, and ``values[d]``, their float64
+    births.  Each dimension is sorted by (value, vertex order), which is
+    the global order (value, dimension, vertex order) restricted to it.
+    Vertices always have value 0."""
 
-    The sort key guarantees that every face appears before its cofaces,
-    even among simplices sharing a birth value.  Vertices always appear
-    with value 0.
-    """
-
-    simplices: list[FilteredSimplex]
+    vertices: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
     k: int
     kind: str
     alpha_max: float | None = None
 
+    @classmethod
+    def from_simplices(cls, pairs, k: int, kind: str,
+                       alpha_max: float | None = None) -> "SparseFiltration":
+        """Filtration of (vertex tuple, value) pairs listed in the global order;
+        MalformedFiltrationError at the first pair out of that order."""
+        pairs = list(pairs)
+        values = np.array([v for _, v in pairs], dtype=float)
+        dims = np.array([len(s) - 1 for s, _ in pairs], dtype=np.int64)
+        _reject(dims < 0, lambda i: f"empty simplex at position {i}")
+        try:
+            rows = [np.array([s for s, _ in pairs if len(s) == d + 1], dtype=np.int64)
+                    .reshape(-1, d + 1) for d in range(max(k, dims.max(initial=0)) + 1)]
+        except OverflowError:
+            raise MalformedFiltrationError("vertex label outside the int64 range") from None
+        where = [np.flatnonzero(dims == d) for d in range(len(rows))]
+        bad = np.r_[False, _order_breaks(dims[:, None], values)]   # by (value, dim)
+        for pos, r in zip(where, rows):   # then by vertices: the first True is the first break
+            bad[pos[1:]] |= _order_breaks(r, values[pos])
+        _reject(bad, lambda i: f"simplices out of order at position {i}")
+        return cls(tuple(rows), tuple(values[pos] for pos in where), k, kind, alpha_max)
+
+    def simplices(self) -> list[tuple[tuple[int, ...], float]]:
+        """(vertex tuple, value) pairs in the global order."""
+        rows = [r for v in self.vertices for r in map(tuple, v.tolist())]
+        values = np.concatenate(self.values).tolist()
+        return [(rows[i], values[i]) for i in self._merge_order()]
+
+    def _merge_order(self) -> list[int]:
+        """The global order: a stable merge of the dimensions on (value, dimension)."""
+        dims = np.repeat(np.arange(len(self.values)), self.counts_by_dim())
+        return np.lexsort((dims, np.concatenate(self.values))).tolist()
+
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(len(v) for v in self.values)
 
     def counts_by_dim(self) -> list[int]:
-        counts = [0] * (self.k + 1)
-        for s in self.simplices:
-            counts[s.dim] += 1
-        return counts
+        return [len(v) for v in self.values]
+
+
+def _reject(bad: np.ndarray, message, error=MalformedFiltrationError) -> None:
+    """Raise ``error(message(i))`` at the first True entry i of ``bad``."""
+    if bad.any():
+        raise error(message(int(np.argmax(bad))))
+
+
+def _order_breaks(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Entry j: simplex j + 1 sorts before simplex j by (value, vertex order)."""
+    a, b = rows[1:], rows[:-1]
+    first = (a != b).argmax(axis=1)[:, None]   # 0 for equal rows, which are not less
+    less = (np.take_along_axis(a, first, 1) < np.take_along_axis(b, first, 1))[:, 0]
+    return (values[1:] < values[:-1]) | ((values[1:] == values[:-1]) & less)
+
+
+def _find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in ``table`` of each row of ``queries``, -1 where absent.  Whole
+    rows are compared, so no label can overflow a packed key; the stable
+    sort puts a table row just before the queries equal to it."""
+    both = np.concatenate([table, queries])
+    order = np.lexsort(both.T[::-1])
+    in_table = order < len(table)
+    last = np.maximum.accumulate(np.where(in_table, np.arange(len(order)), -1))[~in_table]
+    cand, query = order[np.maximum(last, 0)], order[~in_table]
+    hit = last >= 0
+    for j in range(both.shape[1]):
+        hit &= both[cand, j] == both[query, j]
+    found = np.full(len(queries), -1, dtype=np.int64)
+    found[query[hit] - len(table)] = cand[hit]
+    return found
 
 
 def _edges_within(values: np.ndarray, cap) -> list[tuple[int, int, float]]:
@@ -91,58 +138,56 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
 
     Every clique of at most k + 1 vertices enters at the maximum of its
     edge births.  With ``vertex_caps`` a clique is admitted only while
-    all its vertices are alive: max edge birth <= min vertex cap.  The
-    admission test is monotone under taking cofaces, so rejected cliques
-    prune their entire extension subtree.
-    """
+    all its vertices are alive: max edge birth <= min vertex cap.  That
+    is monotone under taking cofaces, so a (d+1)-clique grows from an
+    admitted d-clique and an upper neighbour of its last vertex
+    (Zomorodian 2010); its other edges are found by binary search."""
     if k < 1:
         raise ValueError("dimension cap k must be >= 1")
-    verts = list(range(n)) if vertices is None else sorted(int(v) for v in vertices)
-    vset = set(verts)
+    verts = (np.arange(n, dtype=np.int64) if vertices is None
+             else np.unique(np.asarray(vertices, dtype=np.int64)))
+    ends = np.array([(p, q) for p, q, _ in edges], dtype=np.int64).reshape(-1, 2)
+    births = np.array([b for _, _, b in edges], dtype=float)
+    ends.sort(axis=1)
+    _reject(ends[:, 0] == ends[:, 1],
+            lambda i: f"degenerate edge {tuple(ends[i].tolist())}", ValueError)
+    inside = np.isin(ends, verts).all(axis=1)
+    nv = len(verts)   # dense vertex indices: a pair key a * nv + c is below nv**2
+    a, c = np.searchsorted(verts, ends[inside]).T
+    order = np.lexsort((c, a))
+    a, c, births = a[order], c[order], births[inside][order]
+    _reject((a[1:] == a[:-1]) & (c[1:] == c[:-1]),
+            lambda i: f"duplicate edge {tuple(verts[[a[i], c[i]]].tolist())}", ValueError)
+    caps = (np.full(nv, np.inf) if vertex_caps is None
+            else np.asarray(vertex_caps, dtype=float)[verts])
+    cap = np.minimum(caps[a], caps[c])
+    keep = ~(births > cap)
+    a, c, births, cap = a[keep], c[keep], births[keep], cap[keep]
+    start = np.searchsorted(a, np.arange(nv + 1))   # upper neighbours of a: c[start[a]:start[a+1]]
+    key = a * nv + c
 
-    birth: dict[tuple[int, int], float] = {}
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for p, q, b in edges:
-        if p == q:
-            raise ValueError(f"degenerate edge ({p}, {q})")
-        if p > q:
-            p, q = q, p
-        if p not in vset or q not in vset:
-            continue
-        if (p, q) in birth:
-            raise ValueError(f"duplicate edge ({p}, {q})")
-        birth[(p, q)] = float(b)
-        adj[p].add(q)
-        adj[q].add(p)
-
-    caps = None if vertex_caps is None else np.asarray(vertex_caps, dtype=float)
-    out = [FilteredSimplex((v,), 0.0) for v in verts]
-
-    def extend(clique: tuple[int, ...], value: float, cap: float, cands):
-        for i, u in enumerate(cands):
-            v = value
-            for w in clique:
-                b = birth[(w, u) if w < u else (u, w)]
-                if b > v:
-                    v = b
-            c = cap if caps is None else min(cap, caps[u])
-            if caps is not None and v > c:
-                continue
-            sigma = clique + (u,)
-            out.append(FilteredSimplex(sigma, v))
-            if len(sigma) <= k:
-                extend(sigma, v, c, [w for w in cands[i + 1:] if w in adj[u]])
-
-    for (p, q), b in sorted(birth.items()):
-        cap = math.inf if caps is None else min(caps[p], caps[q])
-        if caps is not None and b > cap:
-            continue
-        out.append(FilteredSimplex((p, q), b))
-        if k >= 2:
-            extend((p, q), b, cap, sorted(w for w in adj[p] & adj[q] if w > q))
-
-    out.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
-    return SparseFiltration(simplices=out, k=k, kind=kind, alpha_max=alpha_max)
+    rows, values = [np.arange(nv)[:, None], np.c_[a, c]], [np.zeros(nv), births]
+    for d in range(2, k + 1):
+        last = rows[-1][:, -1]
+        size = start[last + 1] - start[last]
+        src = np.repeat(np.arange(len(last)), size)
+        # candidate i: entry i - (its row's first candidate) of the neighbour row
+        slot = np.arange(len(src)) + np.repeat(start[last] - np.cumsum(size) + size, size)
+        u, value = c[slot], np.maximum(values[-1][src], births[slot])
+        for j in range(d - 1):   # the edges from the other vertices to u
+            want = rows[-1][src, j] * nv + u
+            at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+            hit = key[at] == want
+            src, u, at = src[hit], u[hit], at[hit]
+            value = np.maximum(value[hit], births[at])
+        cap = np.minimum(cap[src], caps[u])
+        keep = ~(value > cap)
+        src, u, value, cap = src[keep], u[keep], value[keep], cap[keep]
+        rows.append(np.c_[rows[-1][src], u])
+        values.append(value)
+    order = [np.lexsort((*r.T[::-1], v)) for r, v in zip(rows, values)]
+    return SparseFiltration(tuple(verts[r[o]] for r, o in zip(rows, order)),
+                            tuple(v[o] for v, o in zip(values, order)), k, kind, alpha_max)
 
 
 def build_sparse(m: MetricInput, epsilon: float, k: int,
@@ -202,50 +247,44 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
     return clique_expand(edges, m.n, k, kind=kind, vertices=vl)
 
 
-def validate_filtration(f: SparseFiltration) -> list[tuple[int, ...]]:
-    """Check a filtration and return the facet indices of each simplex.
+def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
+    """Check a filtration and return the facet positions of its simplices.
 
     Raises MalformedFiltrationError unless every simplex has strictly
-    increasing vertices, dimension <= k and a finite value >= 0; the
-    simplices are sorted by (value, dimension, vertex order) without
-    duplicates; vertices have value 0; and every facet of a simplex is
-    listed before it.  Entry i of the result holds the positions of the
-    facets of simplex i (empty for a vertex): the boundary column of
-    simplex i over GF(2).
-    """
-    index: dict[tuple[int, ...], int] = {}
-    facets: list[tuple[int, ...]] = []
-    prev_key = None
-    for i, s in enumerate(f.simplices):
-        verts = s.vertices
-        if list(verts) != sorted(set(verts)):
-            raise MalformedFiltrationError(
-                f"vertices not strictly increasing: {verts}")
-        if s.dim > f.k:
-            raise MalformedFiltrationError(
-                f"simplex {verts} exceeds dimension cap {f.k}")
-        if not (s.value >= 0 and math.isfinite(s.value)):
-            raise MalformedFiltrationError(f"bad value {s.value} for simplex {verts}")
-        key = (s.value, len(verts), verts)
-        if prev_key is not None and key < prev_key:
-            raise MalformedFiltrationError(f"simplices out of order at position {i}")
-        prev_key = key
-        if verts in index:
-            raise MalformedFiltrationError(f"duplicate simplex {verts}")
-        index[verts] = i
-        if len(verts) == 1 and s.value != 0.0:
-            raise MalformedFiltrationError(
-                f"vertex {verts} has nonzero value {s.value}")
-        # with the order above, a face listed before its coface is born no later
-        faces = []
-        for v in range(len(verts)) if len(verts) > 1 else ():
-            face = verts[:v] + verts[v + 1:]
-            j = index.get(face)
-            if j is None:
-                raise MalformedFiltrationError(
-                    f"missing face {face} before simplex {verts}")
-            faces.append(j)
-        facets.append(tuple(faces))  # smaller than a list: one per simplex
+    increasing vertices, dimension <= k and a finite value >= 0; each
+    dimension is sorted by (value, vertex order) without duplicates;
+    vertices have value 0; and every facet is present with a value at most
+    its coface's, so listed earlier.  Entry d of the result, (m_d, d + 1),
+    holds in column v the position of the facet without vertex v."""
+    if len(f.vertices) != len(f.values) or len(f.values) <= f.k or any(
+            r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(f.vertices, f.values))):
+        raise MalformedFiltrationError(
+            f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{f.k} or more")
+    facets = [np.zeros((len(f.values[0]), 0), dtype=np.int64)]
+    for d, (rows, values) in enumerate(zip(f.vertices, f.values)):
+        _reject(np.full(len(rows), d > f.k),
+                lambda i: f"simplex {tuple(rows[i].tolist())} exceeds dimension cap {f.k}")
+        _reject((rows[:, 1:] <= rows[:, :-1]).any(axis=1),
+                lambda i: f"vertices not strictly increasing: {tuple(rows[i].tolist())}")
+        _reject(~(np.isfinite(values) & (values >= 0)),
+                lambda i: f"bad value {values[i]} for simplex {tuple(rows[i].tolist())}")
+        _reject((values != 0.0) & (d == 0),
+                lambda i: f"vertex {tuple(rows[i].tolist())} has nonzero value {values[i]}")
+        _reject(_order_breaks(rows, values),
+                lambda i: f"simplices out of order at position {i + 1} of dimension {d}")
+        lex = np.lexsort(rows.T[::-1])
+        _reject((rows[lex[1:]] == rows[lex[:-1]]).all(axis=1),
+                lambda i: f"duplicate simplex {tuple(rows[lex[i]].tolist())}")
+        if d == 0:
+            continue
+        at = np.stack([_find_rows(f.vertices[d - 1], np.delete(rows, v, axis=1))
+                       for v in range(d + 1)], axis=1)
+        ok = at >= 0
+        ok[ok] = f.values[d - 1][at[ok]] <= np.broadcast_to(values[:, None], at.shape)[ok]
+        _reject(~ok.ravel(), lambda i: (
+            f"missing face {tuple(np.delete(rows[i // (d + 1)], i % (d + 1)).tolist())} "
+            f"before simplex {tuple(rows[i // (d + 1)].tolist())}"))
+        facets.append(at)
     return facets
 
 
@@ -333,9 +372,10 @@ def filtration_text(f: SparseFiltration) -> str:
     round-trips; readers that ignore comments still get valid data.
     """
     amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
-    lines = [f"# k={f.k} kind={f.kind} alpha_max={amax}"]
-    for s in f.simplices:
-        lines.append(" ".join([repr(float(s.value))] + [str(v) for v in s.vertices]))
+    lines = []   # formatted a dimension at a time: no tuple per simplex
+    for d, (rows, values) in enumerate(zip(f.vertices, f.values)):
+        lines += [("%r" + " %d" * (d + 1)) % x for x in zip(values.tolist(), *rows.T.tolist())]
+    lines = [f"# k={f.k} kind={f.kind} alpha_max={amax}"] + [lines[i] for i in f._merge_order()]
     return "\n".join(lines) + "\n"
 
 
@@ -346,37 +386,31 @@ def write_filtration(f: SparseFiltration, path) -> None:
 
 
 def read_filtration(path) -> SparseFiltration:
-    """Read the text format written by :func:`write_filtration`."""
-    k = None
-    kind = KIND_SPARSE
-    alpha_max = None
-    sims: list[FilteredSimplex] = []
+    """Read and check the text format written by :func:`write_filtration`:
+    ValueError for a line that does not parse, MalformedFiltrationError for
+    simplices out of order or against :func:`validate_filtration`."""
+    header: dict[str, str] = {}
+    sims: list[tuple[tuple[int, ...], float]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                for tok in line[1:].split():
-                    key, _, val = tok.partition("=")
-                    if key == "k":
-                        k = int(val)
-                    elif key == "kind":
-                        kind = val
-                    elif key == "alpha_max" and val != "none":
-                        alpha_max = float(val)
+                header.update(tok.partition("=")[::2] for tok in line[1:].split())
                 continue
             parts = line.split()
             if len(parts) < 2:
                 raise ValueError(f"{path}: malformed line {lineno}: {line!r}")
             try:
-                value = float(parts[0])
-                verts = tuple(int(v) for v in parts[1:])
+                sims.append((tuple(map(int, parts[1:])), float(parts[0])))
             except ValueError:
                 raise ValueError(f"{path}: malformed line {lineno}: {line!r}") from None
-            sims.append(FilteredSimplex(verts, value))
     if not sims:
         raise ValueError(f"{path}: empty filtration")
-    if k is None:
-        k = max(s.dim for s in sims)
-    return SparseFiltration(simplices=sims, k=k, kind=kind, alpha_max=alpha_max)
+    k = int(header["k"]) if "k" in header else max(len(v) for v, _ in sims) - 1
+    amax = header.get("alpha_max", "none")
+    f = SparseFiltration.from_simplices(sims, k, header.get("kind", KIND_SPARSE),
+                                        None if amax == "none" else float(amax))
+    validate_filtration(f)
+    return f

@@ -1,7 +1,7 @@
 """Persistent (co)homology over GF(2) by coboundary-matrix reduction.
 
 The column of a simplex is the list of its cofacets, taken by inverting
-the facet indices that ``validate_filtration`` returns; adding two
+the facet positions that ``validate_filtration`` returns; adding two
 columns is their symmetric difference and the pivot is the smallest
 index.  Each dimension is reduced in reverse filtration order, from low
 dimension to high, and clearing skips the simplices already known to
@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .filtration import MalformedFiltrationError  # noqa: F401  (re-exported)
 from .filtration import SparseFiltration, validate_filtration
@@ -58,39 +60,33 @@ def compute_persistence(f: SparseFiltration,
     creators of dimension < k give infinite bars.  Zero-persistence
     pairs are dropped unless ``keep_zero_pairs``.
     """
-    sims = f.simplices
     facets = validate_filtration(f)
-    by_dim: list[list[int]] = [[] for _ in range(f.k)]
-    cofacets: list[list[int] | None] = [None] * len(sims)   # ascending lists
-    for j, s in enumerate(sims):
-        if s.dim < f.k:
-            by_dim[s.dim].append(j)
-            cofacets[j] = []
-        for i in facets[j]:
-            cofacets[i].append(j)
-    del facets   # free it: the cofacet lists hold the same incidences
-
+    values = [v.tolist() for v in f.values]
     pairs: dict[int, list[tuple[float, float]]] = {d: [] for d in range(f.k)}
-    cleared: set[int] = set()
+    cleared: set[int] = set()   # the d-simplices that destroy a (d-1)-class
     for d in range(f.k):
+        # cofacets of d-simplex i: cofacets[start[i]:start[i + 1]], ascending
+        flat = facets[d + 1].ravel()
+        cofacets = np.argsort(flat, kind="stable") // (d + 2)
+        start = np.r_[0, np.cumsum(np.bincount(flat, minlength=len(values[d])))].tolist()
         pivot_col: dict[int, list[int] | set[int]] = {}
-        for i in reversed(by_dim[d]):
+        for i in reversed(range(len(values[d]))):
             if i in cleared:
                 continue
-            col = cofacets[i]
+            col = cofacets[start[i]:start[i + 1]].tolist()
             while col:
                 low = min(col)
                 other = pivot_col.get(low)
                 if other is None:
                     pivot_col[low] = col
-                    cleared.add(low)
-                    birth, death = sims[i].value, sims[low].value
+                    birth, death = values[d][i], values[d + 1][low]
                     if death != birth or keep_zero_pairs:
                         pairs[d].append((birth, death))
                     break
                 col = set(col).symmetric_difference(other)
             else:
-                pairs[d].append((sims[i].value, INF))
+                pairs[d].append((values[d][i], INF))
+        cleared = set(pivot_col)
     for d in pairs:
         pairs[d].sort()
     return PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)

@@ -150,33 +150,6 @@ class WeightContext:
         return cls(epsilon=float(epsilon), schedule=s, metric=m)
 
 
-def weight(ctx: WeightContext, p: int, alpha) -> float:
-    """Weight of point p at scale alpha."""
-    return point_weight(alpha, ctx.schedule.t[p], ctx.epsilon)
-
-
-def relaxed_distance(ctx: WeightContext, p: int, q: int, alpha) -> float:
-    """d(p, q) + w_p(alpha) + w_q(alpha); non-decreasing in alpha."""
-    return pair_relaxed_distance(ctx.metric.distance(p, q),
-                                 ctx.schedule.t[p], ctx.schedule.t[q],
-                                 ctx.epsilon, alpha)
-
-
-def edge_birth(ctx: WeightContext, p: int, q: int, cap: float | None = None):
-    """Earliest scale at which the relaxed edge condition holds for (p, q).
-
-    Returns None if a finite ``cap`` is given and the birth exceeds it;
-    without a cap a solution always exists.
-    """
-    if p == q:
-        raise ValueError("edge endpoints must be distinct")
-    alpha = pair_birth(ctx.metric.distance(p, q),
-                       ctx.schedule.t[p], ctx.schedule.t[q], ctx.epsilon)
-    if cap is not None and alpha > cap:
-        return None
-    return alpha
-
-
 def _births_exact_at_caps(d, tp, tq, eps):
     """``pair_birth_batch``, with each birth <= c = min(t_p, t_q) iff it is so exactly.
 

@@ -43,13 +43,13 @@ def oracle_relaxed(d, tp, tq, eps, alpha):
 
 def naive_diagram(f, keep_zero_pairs=False):
     """Dense GF(2) reduction, single pass in filtration order, no clearing."""
-    sims = f.simplices
+    sims = f.simplices()
     n = len(sims)
-    index = {s.vertices: i for i, s in enumerate(sims)}
+    index = {verts: i for i, (verts, _) in enumerate(sims)}
     R = np.zeros((n, n), dtype=np.uint8)
-    for j, s in enumerate(sims):
-        for v in range(len(s.vertices)) if s.dim > 0 else []:
-            face = s.vertices[:v] + s.vertices[v + 1:]
+    for j, (verts, _) in enumerate(sims):
+        for v in range(len(verts)) if len(verts) > 1 else []:
+            face = verts[:v] + verts[v + 1:]
             R[index[face], j] = 1
     pivot_of_row, pivots = {}, {}
     for j in range(n):
@@ -62,14 +62,14 @@ def naive_diagram(f, keep_zero_pairs=False):
             R[:, j] ^= R[:, pivot_of_row[low]]
     pairs = {d: [] for d in range(f.k)}
     for j, low in pivots.items():
-        d = sims[low].dim
+        d = len(sims[low][0]) - 1
         if d < f.k:
-            b, dth = sims[low].value, sims[j].value
+            b, dth = sims[low][1], sims[j][1]
             if b != dth or keep_zero_pairs:
                 pairs[d].append((b, dth))
     for j in range(n):
-        if j not in pivots and j not in pivot_of_row and sims[j].dim < f.k:
-            pairs[sims[j].dim].append((sims[j].value, INF))
+        if j not in pivots and j not in pivot_of_row and len(sims[j][0]) - 1 < f.k:
+            pairs[len(sims[j][0]) - 1].append((sims[j][1], INF))
     for d in pairs:
         pairs[d].sort()
     return sr.PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)
@@ -365,8 +365,8 @@ def test_criterion_9_persistence_engine_vs_naive():
         m = sr.from_points(pts)
         k = int(rng.integers(1, 4))
         f = sr.full_rips(m, float(rng.uniform(0.4, 1.8)), k)
-        f = sr.SparseFiltration(simplices=list(f.simplices[:40]), k=k,
-                                kind=f.kind, alpha_max=None)
+        f = sr.SparseFiltration.from_simplices(f.simplices()[:40], k,
+                                               f.kind, alpha_max=None)
         for keep in (False, True):
             got = sr.compute_persistence(f, keep_zero_pairs=keep)
             expect = naive_diagram(f, keep_zero_pairs=keep)

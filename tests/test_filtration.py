@@ -93,23 +93,23 @@ def test_sparse_edges_match_exact_rational_births():
 
 def test_clique_expand_triangle_value_is_max_edge():
     f = clique_expand([(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)], 3, 2)
-    tris = [s for s in f.simplices if s.dim == 2]
+    tris = [(verts, value) for verts, value in f.simplices() if len(verts) == 3]
     assert len(tris) == 1
-    assert tris[0].vertices == (0, 1, 2)
-    assert tris[0].value == 3.0
+    assert tris[0][0] == (0, 1, 2)
+    assert tris[0][1] == 3.0
 
 
 def test_clique_expand_path_has_no_triangles():
     f = clique_expand([(0, 1, 1.0), (1, 2, 1.0)], 3, 2)
-    assert all(s.dim < 2 for s in f.simplices)
+    assert all(len(verts) - 1 < 2 for verts, _ in f.simplices())
 
 
 def test_clique_expand_unit_square():
     m, ctx = manual_ctx(SQUARE, [INF] * 4, 1.0 / 3.0)
     f = clique_expand(sparse_edges(m, ctx), 4, 2)
     values = {}
-    for s in f.simplices:
-        values.setdefault(s.dim, []).append(round(s.value, 12))
+    for verts, value in f.simplices():
+        values.setdefault(len(verts) - 1, []).append(round(value, 12))
     assert values[0] == [0.0] * 4
     assert sorted(values[1]) == pytest.approx([1.0] * 4 + [SQ2] * 2)
     assert values[2] == pytest.approx([SQ2] * 4)
@@ -125,13 +125,59 @@ def test_clique_expand_matches_brute_force_enumeration():
             if rng.random() < 0.55:
                 edge_set[(a, b)] = float(rng.uniform(0.1, 2.0))
         f = clique_expand([(a, b, v) for (a, b), v in edge_set.items()], n, k)
-        got = {s.vertices for s in f.simplices}
+        got = {verts for verts, _ in f.simplices()}
         assert got == brute_cliques(set(edge_set), n, k)
-        for s in f.simplices:  # value = max over edges
-            if s.dim >= 1:
-                expect = max(edge_set[e] for e in combinations(s.vertices, 2))
-                assert s.value == expect
+        for verts, value in f.simplices():  # value = max over edges
+            if len(verts) >= 2:
+                expect = max(edge_set[e] for e in combinations(verts, 2))
+                assert value == expect
         validate_filtration(f)
+
+
+def brute_flag_filtration(edge_set, verts, k, caps):
+    """Every admitted clique on ``verts`` with its value (oracle).
+
+    A clique of two or more vertices enters at its largest edge birth
+    and is admitted iff that is at most every vertex cap.
+    """
+    out = {}
+    for size in range(1, k + 2):
+        for combo in combinations(sorted(verts), size):
+            pairs = list(combinations(combo, 2))
+            if not all(e in edge_set for e in pairs):
+                continue
+            value = max((edge_set[e] for e in pairs), default=0.0)
+            if size == 1 or caps is None or value <= min(caps[v] for v in combo):
+                out[combo] = value
+    return out
+
+
+def test_clique_expand_matches_brute_force_with_caps_ties_and_subsets():
+    rng = np.random.default_rng(48)
+    for trial in range(240):
+        n = int(rng.integers(1, 9))
+        k = 1 + trial % 3
+        ties = trial % 2 == 0  # integer births and caps tie with each other
+        draw = ((lambda: float(rng.integers(0, 4))) if ties
+                else (lambda: float(rng.uniform(0.1, 2.0))))
+        edge_set = {(a, b): draw() for a, b in combinations(range(n), 2)
+                    if rng.random() < 0.6}
+        edges = [(b, a, v) if rng.random() < 0.5 else (a, b, v)
+                 for (a, b), v in edge_set.items()]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        caps = None
+        if trial % 4 >= 2:
+            caps = np.array([INF if rng.random() < 0.2 else draw() for _ in range(n)])
+        verts = None
+        if trial % 3 == 0:  # the static_complex path: a vertex subset
+            verts = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+        f = clique_expand(edges, n, k, vertex_caps=caps, vertices=verts)
+        validate_filtration(f)
+        sims = f.simplices()
+        assert sims == sorted(sims, key=lambda s: (s[1], len(s[0]), s[0]))
+        expect = brute_flag_filtration(edge_set, range(n) if verts is None else verts,
+                                       k, caps)
+        assert dict(sims) == expect and len(sims) == len(expect)
 
 
 def test_clique_expand_vertex_caps_prune():
@@ -139,7 +185,7 @@ def test_clique_expand_vertex_caps_prune():
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 5.0)]
     caps = np.array([2.0, INF, INF])
     f = clique_expand(edges, 3, 2, vertex_caps=caps)
-    names = {s.vertices for s in f.simplices}
+    names = {verts for verts, _ in f.simplices()}
     assert (0, 1) in names and (0, 2) in names
     assert (1, 2) in names  # cap of its own endpoints allows it
     assert (0, 1, 2) not in names  # max edge 5 > min cap 2
@@ -158,16 +204,16 @@ def test_clique_expand_rejects_bad_edges():
 
 def test_build_sparse_single_point():
     f = build_sparse(from_points([[0.0]]), 0.1, 2)
-    assert len(f.simplices) == 1
-    assert f.simplices[0].vertices == (0,)
-    assert f.simplices[0].value == 0.0
+    assert len(f.simplices()) == 1
+    assert f.simplices()[0][0] == (0,)
+    assert f.simplices()[0][1] == 0.0
 
 
 def test_build_sparse_four_point_line():
     # hand-composed: t = [inf, 9, 18, 36] by point index, eps = 1/3
     m = from_points([[0.0], [1.0], [2.0], [4.0]])
     f = build_sparse(m, 1.0 / 3.0, 1)
-    edges = {s.vertices: s.value for s in f.simplices if s.dim == 1}
+    edges = {verts: value for verts, value in f.simplices() if len(verts) == 2}
     ctx = WeightContext.build(m, 1.0 / 3.0)
     t = ctx.schedule.t
     from sparse_rips import pair_birth
@@ -189,8 +235,7 @@ def test_build_sparse_tiny_epsilon_equals_full_rips():
     f = build_sparse(m, eps, 2)
     diam = float(m.distance_matrix().max())
     full = full_rips(m, diam * 1.01, 2)
-    assert [(s.vertices, s.value) for s in f.simplices] == \
-           [(s.vertices, s.value) for s in full.simplices]
+    assert f.simplices() == full.simplices()
 
 
 def test_build_sparse_subset_of_relaxed_with_same_values():
@@ -201,11 +246,11 @@ def test_build_sparse_subset_of_relaxed_with_same_values():
     f = build_sparse_from_context(m, ctx, 2)
     births = {}
     rel = relaxed_rips(m, ctx, 1e9, 2)
-    for s in rel.simplices:
-        births[s.vertices] = s.value
-    for s in f.simplices:
-        assert s.vertices in births
-        assert births[s.vertices] == s.value
+    for verts, value in rel.simplices():
+        births[verts] = value
+    for verts, value in f.simplices():
+        assert verts in births
+        assert births[verts] == value
 
 
 # --- full_rips ------------------------------------------------------------
@@ -215,7 +260,7 @@ def test_full_rips_unit_square():
     f = full_rips(m, 2.0, 2)
     counts = f.counts_by_dim()
     assert counts == [4, 6, 4]
-    values1 = sorted(round(s.value, 12) for s in f.simplices if s.dim == 1)
+    values1 = sorted(round(value, 12) for verts, value in f.simplices() if len(verts) == 2)
     assert values1 == pytest.approx([1.0] * 4 + [SQ2] * 2)
 
 
@@ -230,8 +275,8 @@ def test_full_rips_equilateral():
     m = from_points([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
     f = full_rips(m, 1.5, 2)
     assert f.counts_by_dim() == [3, 3, 1]
-    tri = [s for s in f.simplices if s.dim == 2][0]
-    assert tri.value == pytest.approx(1.0)
+    tri = [(verts, value) for verts, value in f.simplices() if len(verts) == 3][0]
+    assert tri[1] == pytest.approx(1.0)
 
 
 def test_full_rips_alpha_max_validation():
@@ -245,15 +290,14 @@ def test_relaxed_rips_all_infinite_equals_full():
     m, ctx = manual_ctx(SQUARE, [INF] * 4, 0.25)
     rel = relaxed_rips(m, ctx, 2.0, 2)
     full = full_rips(m, 2.0, 2)
-    assert [(s.vertices, s.value) for s in rel.simplices] == \
-           [(s.vertices, s.value) for s in full.simplices]
+    assert rel.simplices() == full.simplices()
 
 
 def test_relaxed_rips_two_points():
     m, ctx = manual_ctx([[0.0], [5.0]], [INF, 9.0], 1.0 / 3.0)
     rel = relaxed_rips(m, ctx, 50.0, 1)
-    edge = [s for s in rel.simplices if s.dim == 1][0]
-    assert edge.value == pytest.approx(7.0, abs=1e-12)
+    edge = [(verts, value) for verts, value in rel.simplices() if len(verts) == 2][0]
+    assert edge[1] == pytest.approx(7.0, abs=1e-12)
 
 
 def test_relaxed_edges_within_metric_interleaving():
@@ -266,14 +310,14 @@ def test_relaxed_edges_within_metric_interleaving():
     alpha_max = 1.0
     rel = relaxed_rips(m, ctx, alpha_max, 1)
     dmat = m.distance_matrix()
-    rel_edges = {s.vertices: s.value for s in rel.simplices if s.dim == 1}
+    rel_edges = {verts: value for verts, value in rel.simplices() if len(verts) == 2}
     for (p, q), v in rel_edges.items():
         assert dmat[p, q] <= v
     full = full_rips(m, alpha_max, 1)
-    for s in full.simplices:
-        if s.dim == 1 and s.value <= (1 - 2 * eps) * alpha_max:
-            assert s.vertices in rel_edges
-            assert rel_edges[s.vertices] <= s.value / (1 - 2 * eps) + 1e-12
+    for verts, value in full.simplices():
+        if len(verts) == 2 and value <= (1 - 2 * eps) * alpha_max:
+            assert verts in rel_edges
+            assert rel_edges[verts] <= value / (1 - 2 * eps) + 1e-12
 
 
 # --- static_complex -------------------------------------------------------
@@ -298,7 +342,7 @@ def test_static_complex_open_equals_closed_off_deletion_times():
             continue
         a = static_complex(m, ctx, alpha, "Q_open", 2)
         b = static_complex(m, ctx, alpha, "Q_closed", 2)
-        assert a.simplices == b.simplices
+        assert a.simplices() == b.simplices()
 
 
 def test_static_complex_boundary_at_deletion_time():
@@ -306,8 +350,8 @@ def test_static_complex_boundary_at_deletion_time():
     ctx = WeightContext.build(m, 1.0 / 3.0)  # t = [inf, 9, 18, 36]
     q_open = static_complex(m, ctx, 9.0, "Q_open", 2)
     q_closed = static_complex(m, ctx, 9.0, "Q_closed", 2)
-    open_verts = {s.vertices[0] for s in q_open.simplices if s.dim == 0}
-    closed_verts = {s.vertices[0] for s in q_closed.simplices if s.dim == 0}
+    open_verts = {verts[0] for verts, _ in q_open.simplices() if len(verts) == 1}
+    closed_verts = {verts[0] for verts, _ in q_closed.simplices() if len(verts) == 1}
     assert 1 not in open_verts
     assert 1 in closed_verts
 
@@ -322,8 +366,8 @@ def test_static_open_is_induced_subcomplex_of_relaxed():
         q = static_complex(m, ctx, alpha, "Q_open", 2)
         r = static_complex(m, ctx, alpha, "relaxed_full", 2)
         net = set(net_at(ctx.schedule, alpha).tolist())
-        induced = {s.vertices for s in r.simplices if set(s.vertices) <= net}
-        assert {s.vertices for s in q.simplices} == induced
+        induced = {verts for verts, _ in r.simplices() if set(verts) <= net}
+        assert {verts for verts, _ in q.simplices()} == induced
 
 
 def test_static_complex_is_a_constant_zero_filtration():
@@ -337,7 +381,7 @@ def test_static_complex_is_a_constant_zero_filtration():
             assert isinstance(c, SparseFiltration)
             assert c.kind == kind and c.k == 2
             validate_filtration(c)
-            assert {s.value for s in c.simplices} == {0.0}
+            assert {value for _, value in c.simplices()} == {0.0}
 
 
 def test_static_complex_kind_validation():
@@ -367,8 +411,8 @@ def test_admission_filter_invariant():
     from sparse_rips import build_sparse_from_context
     f = build_sparse_from_context(m, ctx, 3)
     t = ctx.schedule.t
-    for s in f.simplices:
-        assert s.value <= min(t[v] for v in s.vertices)
+    for verts, value in f.simplices():
+        assert value <= min(t[v] for v in verts)
 
 
 def test_size_stats_match_materialized_build():
@@ -423,8 +467,7 @@ def test_filtration_text_round_trip(tmp_path):
     write_filtration(f, path)
     g = read_filtration(path)
     assert g.k == f.k and g.kind == f.kind and g.alpha_max == f.alpha_max
-    assert [(s.vertices, s.value) for s in g.simplices] == \
-           [(s.vertices, s.value) for s in f.simplices]
+    assert g.simplices() == f.simplices()
 
 
 def test_read_filtration_infers_k_without_header(tmp_path):
@@ -432,7 +475,7 @@ def test_read_filtration_infers_k_without_header(tmp_path):
     path.write_text("0.0 0\n0.0 1\n1.0 0 1\n")
     f = read_filtration(path)
     assert f.k == 1
-    assert len(f.simplices) == 3
+    assert len(f.simplices()) == 3
 
 
 def test_degree_stays_bounded_as_n_grows():

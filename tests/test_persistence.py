@@ -4,11 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sparse_rips import (FilteredSimplex, MalformedFiltrationError,
-                         PersistenceDiagram, SparseFiltration, WeightContext,
-                         betti_numbers, build_sparse, compute_persistence,
-                         diagram_from_csv, diagram_from_json, diagram_to_csv,
-                         diagram_to_json, from_points, full_rips, static_complex)
+from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
+                         SparseFiltration, WeightContext, betti_numbers,
+                         build_sparse, compute_persistence, diagram_from_csv,
+                         diagram_from_json, diagram_to_csv, diagram_to_json,
+                         from_points, full_rips, read_filtration, static_complex)
 
 INF = math.inf
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -16,13 +16,13 @@ SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 def naive_diagram(f, keep_zero_pairs=False):
     """Dense GF(2) reduction, single left-to-right pass, no clearing (oracle)."""
-    sims = f.simplices
+    sims = f.simplices()
     n = len(sims)
-    index = {s.vertices: i for i, s in enumerate(sims)}
+    index = {verts: i for i, (verts, _) in enumerate(sims)}
     R = np.zeros((n, n), dtype=np.uint8)
-    for j, s in enumerate(sims):
-        for v in range(len(s.vertices)) if s.dim > 0 else []:
-            face = s.vertices[:v] + s.vertices[v + 1:]
+    for j, (verts, _) in enumerate(sims):
+        for v in range(len(verts)) if len(verts) > 1 else []:
+            face = verts[:v] + verts[v + 1:]
             R[index[face], j] = 1
     pivot_of_row = {}
     pivots = {}
@@ -37,23 +37,23 @@ def naive_diagram(f, keep_zero_pairs=False):
     pairs = {d: [] for d in range(f.k)}
     destroyed = set(pivot_of_row)
     for j, low in pivots.items():
-        d = sims[low].dim
+        d = len(sims[low][0]) - 1
         if d < f.k:
-            b, dth = sims[low].value, sims[j].value
+            b, dth = sims[low][1], sims[j][1]
             if b != dth or keep_zero_pairs:
                 pairs[d].append((b, dth))
     for j in range(n):
-        if j not in pivots and j not in destroyed and sims[j].dim < f.k:
-            pairs[sims[j].dim].append((sims[j].value, INF))
+        if j not in pivots and j not in destroyed and len(sims[j][0]) - 1 < f.k:
+            pairs[len(sims[j][0]) - 1].append((sims[j][1], INF))
     for d in pairs:
         pairs[d].sort()
     return PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)
 
 
 def filt(simplices, k):
-    sims = [FilteredSimplex(tuple(v), float(val)) for v, val in simplices]
-    sims.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
-    return SparseFiltration(simplices=sims, k=k, kind="sparse_S")
+    sims = [(tuple(v), float(val)) for v, val in simplices]
+    sims.sort(key=lambda s: (s[1], len(s[0]), s[0]))
+    return SparseFiltration.from_simplices(sims, k, "sparse_S")
 
 
 def random_filtration(rng, max_sims=40):
@@ -67,8 +67,8 @@ def random_filtration(rng, max_sims=40):
     m = from_points(pts)
     k = int(rng.integers(1, 4))
     f = full_rips(m, float(rng.uniform(0.4, 1.8)), k)
-    sims = list(f.simplices[:max_sims])  # a prefix is closed under faces
-    return SparseFiltration(simplices=sims, k=k, kind=f.kind, alpha_max=None)
+    sims = f.simplices()[:max_sims]  # a prefix is closed under faces
+    return SparseFiltration.from_simplices(sims, k, f.kind, alpha_max=None)
 
 
 # --- examples -------------------------------------------------------------
@@ -92,10 +92,9 @@ def test_single_vertex():
 
 
 def test_missing_face_reported():
-    sims = [FilteredSimplex((0,), 0.0), FilteredSimplex((1,), 0.0),
-            FilteredSimplex((2,), 0.0), FilteredSimplex((0, 1), 1.0),
-            FilteredSimplex((0, 1, 2), 2.0)]
-    f = SparseFiltration(simplices=sims, k=2, kind="sparse_S")
+    sims = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0),
+            ((0, 1, 2), 2.0)]
+    f = SparseFiltration.from_simplices(sims, 2, "sparse_S")
     with pytest.raises(MalformedFiltrationError, match=r"\(1, 2\)"):
         compute_persistence(f)
 
@@ -116,10 +115,65 @@ MALFORMED = {
 @pytest.mark.parametrize("shape", sorted(MALFORMED))
 def test_malformed_filtration_rejected(shape):
     simplices, k = MALFORMED[shape]
-    sims = [FilteredSimplex(tuple(v), float(val)) for v, val in simplices]
-    f = SparseFiltration(simplices=sims, k=k, kind="sparse_S")  # kept unsorted
+    sims = [(tuple(v), float(val)) for v, val in simplices]  # kept unsorted
     with pytest.raises(MalformedFiltrationError):
+        compute_persistence(SparseFiltration.from_simplices(sims, k, "sparse_S"))
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_filtration_file_rejected_on_read(shape, tmp_path):
+    simplices, k = MALFORMED[shape]
+    path = tmp_path / f"{shape}.txt"
+    path.write_text(f"# k={k} kind=sparse_S alpha_max=none\n" + "".join(
+        " ".join([repr(float(val))] + [str(v) for v in verts]) + "\n"
+        for verts, val in simplices))
+    with pytest.raises(MalformedFiltrationError):
+        read_filtration(path)
+
+
+@pytest.mark.parametrize("sims, position", [
+    ([((0,), 0), ((1,), 0), ((2,), 0), ((0, 2), 1), ((0, 1), 1)], 4),  # vertex order
+    ([((0,), 0), ((1,), 0), ((0, 1), 1), ((2,), 0)], 3),                # value
+    ([((0,), 0), ((1,), 0), ((0, 1), 0), ((2,), 0)], 3),                # dimension
+])
+def test_from_simplices_rejects_the_first_simplex_out_of_order(sims, position):
+    with pytest.raises(MalformedFiltrationError,
+                       match=f"out of order at position {position}$"):
+        SparseFiltration.from_simplices([(v, float(x)) for v, x in sims], 1, "sparse_S")
+
+
+def test_face_born_after_its_coface_rejected():
+    # each dimension is sorted, but the edges are born after their triangle
+    f = SparseFiltration(
+        vertices=(np.array([[0], [1], [2]]), np.array([[0, 1], [0, 2], [1, 2]]),
+                  np.array([[0, 1, 2]])),
+        values=(np.zeros(3), np.full(3, 5.0), np.array([1.0])), k=2, kind="sparse_S")
+    with pytest.raises(MalformedFiltrationError, match=r"missing face \(1, 2\)"):
         compute_persistence(f)
+
+
+def test_face_lookup_takes_labels_beyond_packed_keys(tmp_path):
+    # with labels near 2**40 a packed key such as v0 * n**2 + v1 * n + v2
+    # overflows int64; whole-row comparison gives the same diagram
+    f = full_rips(from_points([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9], [1.1, 1.3]]), 3.0, 3)
+
+    def write(name, relabel, drop=None):
+        sims = [(tuple(relabel[v] for v in verts), value)
+                for i, (verts, value) in enumerate(f.simplices()) if i != drop]
+        path = tmp_path / name
+        path.write_text("# k=3 kind=full_rips alpha_max=3.0\n" + "".join(
+            " ".join([repr(value)] + [str(v) for v in verts]) + "\n"
+            for verts, value in sims))
+        return path
+
+    big = {0: 0, 1: 1, 2: 2**40, 3: 2**40 + 1}
+    small = compute_persistence(read_filtration(write("small.txt", {v: v for v in big})))
+    large = compute_persistence(read_filtration(write("large.txt", big)))
+    assert diagram_to_json(large) == diagram_to_json(small)
+    assert small.pairs == compute_persistence(f).pairs
+    triangle = next(i for i, (verts, _) in enumerate(f.simplices()) if len(verts) == 3)
+    with pytest.raises(MalformedFiltrationError, match="missing face"):
+        read_filtration(write("holed.txt", big, drop=triangle))
 
 
 def test_zero_persistence_pairs_dropped_by_default():
@@ -136,8 +190,8 @@ def test_matches_naive_reduction_on_random_filtrations():
     cases = [random_filtration(rng) for _ in range(25)]
     for _ in range(4):  # k = 3 and >= 200 simplices: columns fill in
         full = full_rips(from_points(rng.random((10, 2))), 1.5, 3)
-        sims = full.simplices[: int(rng.integers(200, len(full) + 1))]
-        cases.append(SparseFiltration(simplices=sims, k=3, kind=full.kind))
+        sims = full.simplices()[: int(rng.integers(200, len(full) + 1))]
+        cases.append(SparseFiltration.from_simplices(sims, 3, full.kind))
     for f in cases:
         for keep in (False, True):
             got = compute_persistence(f, keep_zero_pairs=keep)
@@ -181,8 +235,8 @@ def test_integer_grid_rips_prefixes_match_naive_reduction():
     for k in (1, 2, 3):
         full = full_rips(grid, 2.0, k)
         for stop in np.linspace(len(full) // 4, len(full), 4).astype(int):
-            prefix = SparseFiltration(simplices=full.simplices[:stop], k=k,
-                                      kind=full.kind)
+            prefix = SparseFiltration.from_simplices(full.simplices()[:stop], k,
+                                                     full.kind)
             assert_matches_naive(prefix)
 
 
@@ -196,12 +250,12 @@ def test_pairing_accounting():
                      if not math.isinf(dth))
         infinite = dgm.total_points() - finite
         counts = [0] * (f.k + 1)
-        for s in f.simplices:
-            counts[s.dim] += 1
+        for verts, _ in f.simplices():
+            counts[len(verts) - 1] += 1
         killers_of_topm1 = sum(1 for _, dth in dgm.in_dim(f.k - 1)
                                if not math.isinf(dth))
         top_creators = counts[f.k] - killers_of_topm1
-        assert 2 * finite + infinite + top_creators == len(f.simplices)
+        assert 2 * finite + infinite + top_creators == len(f.simplices())
 
 
 def test_diagram_invariant_under_relabeling():
@@ -247,7 +301,7 @@ def test_betti_takes_a_constant_zero_filtration():
     c = static_complex(m, WeightContext.build(m, 0.01), 1.2, "relaxed_full", 2)
     square = [((v,), 0) for v in range(4)] + [((0, 1), 0), ((1, 2), 0),
                                                ((2, 3), 0), ((0, 3), 0)]
-    assert c.simplices == filt(square, 2).simplices
+    assert c.simplices() == filt(square, 2).simplices()
     assert betti_numbers(c) == betti_numbers(filt(square, 2)) == [1, 1]
 
 

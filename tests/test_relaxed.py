@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_rips import (WeightContext, deletion_times, edge_birth,
-                         from_points, greedy_permutation, pair_birth,
-                         pair_birth_batch, pair_relaxed_distance, point_weight,
-                         relaxed_distance, weight, weight_batch)
-from sparse_rips.greedy import DeletionSchedule
+from sparse_rips import (WeightContext, deletion_times, from_points,
+                         greedy_permutation, pair_birth, pair_birth_batch,
+                         pair_relaxed_distance, point_weight, weight_batch)
 
 INF = math.inf
 
@@ -37,24 +35,17 @@ def ctx_for(m, eps, seed=0):
     return WeightContext.build(m, eps, seed=seed)
 
 
-def manual_ctx(distances_points, t_values, eps):
-    m = from_points(distances_points)
-    s = DeletionSchedule(epsilon=eps, t=np.asarray(t_values, dtype=float))
-    return WeightContext(epsilon=eps, schedule=s, metric=m)
-
-
 # --- weight ---------------------------------------------------------------
 
 def test_weight_branch_values():
     eps = 1.0 / 3.0
-    ctx = manual_ctx([[0.0], [1.0]], [9.0, INF], eps)
-    assert weight(ctx, 0, 3.0) == 0.0
-    assert weight(ctx, 0, 6.0) == pytest.approx(1.5)
-    assert weight(ctx, 0, 9.0) == pytest.approx(3.0)
+    assert point_weight(3.0, 9.0, eps) == 0.0
+    assert point_weight(6.0, 9.0, eps) == pytest.approx(1.5)
+    assert point_weight(9.0, 9.0, eps) == pytest.approx(3.0)
     # middle branch limit at the breakpoint equals the third branch
-    assert weight(ctx, 0, 9.0 - 1e-12) == pytest.approx(3.0, abs=1e-9)
+    assert point_weight(9.0 - 1e-12, 9.0, eps) == pytest.approx(3.0, abs=1e-9)
     # infinite deletion time: weight identically 0
-    assert weight(ctx, 1, 1e12) == 0.0
+    assert point_weight(1e12, INF, eps) == 0.0
 
 
 @given(
@@ -86,11 +77,9 @@ def test_weight_continuous_at_breakpoints_exact(eps, t):
 
 def test_relaxed_distance_examples():
     eps = 1.0 / 3.0
-    ctx = manual_ctx([[0.0], [5.0]], [9.0, INF], eps)
-    assert relaxed_distance(ctx, 0, 1, 0.0) == pytest.approx(5.0)
-    assert relaxed_distance(ctx, 0, 1, 6.0) == pytest.approx(6.5)
-    ctx2 = manual_ctx([[0.0], [5.0]], [9.0, 9.0], eps)
-    assert relaxed_distance(ctx2, 0, 1, 12.0) == pytest.approx(5.0 + 4.0 + 4.0)
+    assert pair_relaxed_distance(5.0, 9.0, INF, eps, 0.0) == pytest.approx(5.0)
+    assert pair_relaxed_distance(5.0, 9.0, INF, eps, 6.0) == pytest.approx(6.5)
+    assert pair_relaxed_distance(5.0, 9.0, 9.0, eps, 12.0) == pytest.approx(5.0 + 4.0 + 4.0)
 
 
 @given(
@@ -134,14 +123,11 @@ def test_interleaving_edge_form_exact(eps, tp, tq, d, a):
 def test_edge_birth_examples():
     eps = 1.0 / 3.0
     # weights identically zero: birth equals the distance
-    ctx = manual_ctx([[0.0], [5.0]], [INF, INF], eps)
-    assert edge_birth(ctx, 0, 1) == pytest.approx(5.0)
+    assert pair_birth(5.0, INF, INF, eps) == pytest.approx(5.0)
     # one finite deletion time, middle-branch crossing
-    ctx = manual_ctx([[0.0], [5.0]], [9.0, INF], eps)
-    assert edge_birth(ctx, 0, 1) == pytest.approx(7.0, abs=1e-12)
+    assert pair_birth(5.0, 9.0, INF, eps) == pytest.approx(7.0, abs=1e-12)
     # crossing on the identity piece
-    ctx = manual_ctx([[0.0], [2.0]], [9.0, INF], eps)
-    assert edge_birth(ctx, 0, 1) == pytest.approx(2.0, abs=1e-12)
+    assert pair_birth(2.0, 9.0, INF, eps) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_edge_birth_exact_fraction():
@@ -162,12 +148,9 @@ def test_edge_birth_flat_piece_leftmost():
 
 
 def test_edge_birth_cap():
+    # the birth lies past the deletion time t_p = 9
     eps = 1.0 / 3.0
-    ctx = manual_ctx([[0.0], [20.0]], [9.0, INF], eps)
-    assert edge_birth(ctx, 0, 1) == pytest.approx(30.0)
-    assert edge_birth(ctx, 0, 1, cap=9.0) is None
-    with pytest.raises(ValueError):
-        edge_birth(ctx, 0, 0)
+    assert pair_birth(20.0, 9.0, INF, eps) == pytest.approx(30.0)
 
 
 def test_edge_birth_agrees_with_bisection_oracle():
@@ -236,4 +219,6 @@ def test_context_build_pipeline():
     for _ in range(20):
         i, j = (int(x) for x in rng.integers(0, m.n, 2))
         if i != j:
-            assert relaxed_distance(ctx, i, j, 0.0) == m.distance(i, j)
+            t = ctx.schedule.t
+            assert pair_relaxed_distance(m.distance(i, j), t[i], t[j],
+                                         ctx.epsilon, 0.0) == m.distance(i, j)

@@ -10,6 +10,8 @@ Static snapshots for rank comparisons are constant-0 filtrations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +36,8 @@ class SparseFiltration:
     array of strictly increasing rows, and ``values[d]``, their float64
     births.  Each dimension is sorted by (value, vertex order), which is
     the global order (value, dimension, vertex order) restricted to it.
-    Vertices always have value 0."""
+    Vertices always have value 0.  The arrays are made read-only on
+    construction, so the cached :attr:`facets` cannot go stale."""
 
     vertices: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
@@ -42,37 +45,58 @@ class SparseFiltration:
     kind: str
     alpha_max: float | None = None
 
+    def __post_init__(self):
+        for a in (*self.vertices, *self.values):
+            a.setflags(write=False)
+
     @classmethod
     def from_simplices(cls, pairs, k: int, kind: str,
                        alpha_max: float | None = None) -> "SparseFiltration":
         """Filtration of (vertex tuple, value) pairs listed in the global order;
         MalformedFiltrationError at the first pair out of that order."""
         pairs = list(pairs)
-        values = np.array([v for _, v in pairs], dtype=float)
-        dims = np.array([len(s) - 1 for s, _ in pairs], dtype=np.int64)
-        _reject(dims < 0, lambda i: f"empty simplex at position {i}")
+        return cls._from_flat(np.array([v for _, v in pairs], dtype=float),
+                              np.array([len(s) for s, _ in pairs], dtype=np.int64),
+                              list(chain.from_iterable(s for s, _ in pairs)),
+                              k, kind, alpha_max)
+
+    @classmethod
+    def _from_flat(cls, values: np.ndarray, sizes: np.ndarray, labels, k: int,
+                   kind: str, alpha_max: float | None) -> "SparseFiltration":
+        """Filtration of simplices listed in the global order: simplex i has
+        value ``values[i]`` and the next ``sizes[i]`` entries of ``labels``
+        as its vertices.  MalformedFiltrationError at the first simplex out
+        of that order."""
         try:
-            rows = [np.array([s for s, _ in pairs if len(s) == d + 1], dtype=np.int64)
-                    .reshape(-1, d + 1) for d in range(max(k, dims.max(initial=0)) + 1)]
+            labels = np.asarray(labels, dtype=np.int64)
         except OverflowError:
             raise MalformedFiltrationError("vertex label outside the int64 range") from None
-        where = [np.flatnonzero(dims == d) for d in range(len(rows))]
+        dims = sizes - 1
+        _reject(dims < 0, lambda i: f"empty simplex at position {i}")
+        first = np.cumsum(sizes) - sizes   # position in labels of each simplex's first vertex
+        where = [np.flatnonzero(dims == d) for d in range(max(k, dims.max(initial=0)) + 1)]
+        rows = [labels[first[pos, None] + np.arange(d + 1)] for d, pos in enumerate(where)]
         bad = np.r_[False, _order_breaks(dims[:, None], values)]   # by (value, dim)
         for pos, r in zip(where, rows):   # then by vertices: the first True is the first break
             bad[pos[1:]] |= _order_breaks(r, values[pos])
         _reject(bad, lambda i: f"simplices out of order at position {i}")
         return cls(tuple(rows), tuple(values[pos] for pos in where), k, kind, alpha_max)
 
+    @cached_property
+    def facets(self) -> list[np.ndarray]:
+        """The checks and the result of :func:`validate_filtration`, run once."""
+        return _facets(self)
+
     def simplices(self) -> list[tuple[tuple[int, ...], float]]:
         """(vertex tuple, value) pairs in the global order."""
         rows = [r for v in self.vertices for r in map(tuple, v.tolist())]
         values = np.concatenate(self.values).tolist()
-        return [(rows[i], values[i]) for i in self._merge_order()]
+        return [(rows[i], values[i]) for i in self._merge_order().tolist()]
 
-    def _merge_order(self) -> list[int]:
+    def _merge_order(self) -> np.ndarray:
         """The global order: a stable merge of the dimensions on (value, dimension)."""
         dims = np.repeat(np.arange(len(self.values)), self.counts_by_dim())
-        return np.lexsort((dims, np.concatenate(self.values))).tolist()
+        return np.lexsort((dims, np.concatenate(self.values)))
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.values)
@@ -255,7 +279,12 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     dimension is sorted by (value, vertex order) without duplicates;
     vertices have value 0; and every facet is present with a value at most
     its coface's, so listed earlier.  Entry d of the result, (m_d, d + 1),
-    holds in column v the position of the facet without vertex v."""
+    holds in column v the position of the facet without vertex v.  The
+    result is ``f.facets``: a filtration is checked once."""
+    return f.facets
+
+
+def _facets(f: SparseFiltration) -> list[np.ndarray]:
     if len(f.vertices) != len(f.values) or len(f.values) <= f.k or any(
             r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(f.vertices, f.values))):
         raise MalformedFiltrationError(
@@ -285,6 +314,8 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
             f"missing face {tuple(np.delete(rows[i // (d + 1)], i % (d + 1)).tolist())} "
             f"before simplex {tuple(rows[i // (d + 1)].tolist())}"))
         facets.append(at)
+    for a in facets:
+        a.setflags(write=False)
     return facets
 
 
@@ -372,11 +403,21 @@ def filtration_text(f: SparseFiltration) -> str:
     round-trips; readers that ignore comments still get valid data.
     """
     amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
-    lines = []   # formatted a dimension at a time: no tuple per simplex
-    for d, (rows, values) in enumerate(zip(f.vertices, f.values)):
-        lines += [("%r" + " %d" * (d + 1)) % x for x in zip(values.tolist(), *rows.T.tolist())]
-    lines = [f"# k={f.k} kind={f.kind} alpha_max={amax}"] + [lines[i] for i in f._merge_order()]
-    return "\n".join(lines) + "\n"
+    # each distinct value (told apart by its bits, so -0.0 keeps its sign)
+    # and each distinct label is formatted once; a line joins those tokens
+    bits, at = np.unique(np.concatenate(f.values, dtype=float).view(np.int64),
+                         return_inverse=True)
+    value_tokens = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[at]
+    labels = np.unique(np.concatenate([r.ravel() for r in f.vertices]))
+    label_tokens = np.array([" %d" % x for x in labels.tolist()], dtype=object)
+    lines, start = [], 0
+    for rows in f.vertices:
+        # searchsorted is faster column by column: a column mostly ascends
+        columns = label_tokens[np.searchsorted(labels, rows.T.copy())]
+        lines += map("".join, zip(value_tokens[start:start + len(rows)], *columns))
+        start += len(rows)
+    lines = np.array(lines, dtype=object)[f._merge_order()].tolist()
+    return "\n".join([f"# k={f.k} kind={f.kind} alpha_max={amax}", *lines]) + "\n"
 
 
 def write_filtration(f: SparseFiltration, path) -> None:
@@ -385,32 +426,96 @@ def write_filtration(f: SparseFiltration, path) -> None:
         fh.write(filtration_text(f))
 
 
+_BLOCK_CHARS = 1 << 20   # read_filtration parses about this much text at a time
+
+
 def read_filtration(path) -> SparseFiltration:
     """Read and check the text format written by :func:`write_filtration`:
-    ValueError for a line that does not parse, MalformedFiltrationError for
-    simplices out of order or against :func:`validate_filtration`."""
+    ValueError naming the line for a line that does not parse or a header
+    field that is not a number, MalformedFiltrationError for a label beyond
+    int64, simplices out of order or against :func:`validate_filtration`.
+    Comment lines (``#``) may appear anywhere; their ``key=value`` fields
+    form the header, the last value of a key winning."""
     header: dict[str, str] = {}
-    sims: list[tuple[tuple[int, ...], float]] = []
+    header_line: dict[str, int] = {}   # the line that set each header field
+    blocks = []   # (values, sizes, labels) of each block
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header.update(tok.partition("=")[::2] for tok in line[1:].split())
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}: malformed line {lineno}: {line!r}")
+        lineno = 0   # lines before the block
+        while lines := fh.readlines(_BLOCK_CHARS):
             try:
-                sims.append((tuple(map(int, parts[1:])), float(parts[0])))
-            except ValueError:
-                raise ValueError(f"{path}: malformed line {lineno}: {line!r}") from None
-    if not sims:
+                blocks.append(_parse_block(lines, lineno, header, header_line))
+            except (ValueError, OverflowError):
+                _raise_at_bad_line(path, lines, lineno)
+                raise
+            lineno += len(lines)
+    if not sum(len(values) for values, _, _ in blocks):
         raise ValueError(f"{path}: empty filtration")
-    k = int(header["k"]) if "k" in header else max(len(v) for v, _ in sims) - 1
-    amax = header.get("alpha_max", "none")
-    f = SparseFiltration.from_simplices(sims, k, header.get("kind", KIND_SPARSE),
-                                        None if amax == "none" else float(amax))
+    values, sizes, labels = map(np.concatenate, zip(*blocks))
+
+    def field(key, convert, what):
+        try:
+            return convert(header[key])
+        except ValueError:
+            raise ValueError(f"{path}: malformed header line {header_line[key]}: "
+                             f"{key}={header[key]!r} is not {what}") from None
+
+    k = field("k", int, "an integer") if "k" in header else int(sizes.max()) - 1
+    amax = (None if header.get("alpha_max", "none") == "none"
+            else field("alpha_max", float, "a number"))
+    f = SparseFiltration._from_flat(values, sizes, labels, k,
+                                    header.get("kind", KIND_SPARSE), amax)
     validate_filtration(f)
     return f
+
+
+def _parse_block(lines: list[str], lineno: int, header: dict, header_line: dict):
+    """Values, vertex counts and labels of the data lines of ``lines``, the
+    lines after the first ``lineno``; comment lines go into ``header``.
+    The block is split once, and each distinct token converted once.
+    ValueError or OverflowError if some data line does not parse."""
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    text = "".join(lines)
+    tokens = np.array(text.split(), dtype=object)
+    first = np.cumsum(counts) - counts   # index in tokens of each line's first token
+    data = counts > 0
+    if "#" in text:   # a comment line is one whose first token starts with '#'
+        comment = np.zeros_like(data)
+        comment[data] = [t[0] == "#" for t in tokens[first[data]].tolist()]
+        for i in np.flatnonzero(comment):
+            for item in lines[i].strip()[1:].split():
+                key, _, header[key] = item.partition("=")
+                header_line[key] = lineno + i + 1
+        data &= ~comment
+    if (counts[data] < 2).any():
+        raise ValueError("a data line needs a value and a vertex")
+    is_label = np.repeat(data, counts)
+    is_label[first[data]] = False
+    return (_convert(tokens[first[data]].tolist(), float, float), counts[data] - 1,
+            _convert(tokens[is_label].tolist(), int, np.int64))
+
+
+def _convert(tokens: list[str], convert, dtype) -> np.ndarray:
+    """``convert`` of each token as a ``dtype`` array, calling it once per
+    distinct token."""
+    table = {t: convert(t) for t in set(tokens)}
+    return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
+
+
+def _raise_at_bad_line(path, lines: list[str], lineno: int) -> None:
+    """Raise the error of the first data line of a block that does not
+    parse as a value and int64 labels; the lines follow line ``lineno``."""
+    for n, raw in enumerate(lines, start=lineno + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            float(parts[0])
+            vertices = [int(p) for p in parts[1:]]
+        except ValueError:
+            vertices = []   # malformed, as is a line without vertices
+        if not vertices:
+            raise ValueError(f"{path}: malformed line {n}: {line!r}")
+        if not all(-2**63 <= v < 2**63 for v in vertices):
+            raise MalformedFiltrationError(
+                f"{path}: vertex label outside the int64 range on line {n}: {line!r}")

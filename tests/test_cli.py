@@ -118,6 +118,24 @@ def test_persist_rejects_coface_born_before_its_faces(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# k=abc kind=sparse_S alpha_max=none\n0.0 0\n",
+     "malformed header line 1: k='abc' is not an integer"),
+    ("# k=1 kind=sparse_S\n0.0 0\n\n# alpha_max=xyz\n",
+     "malformed header line 4: alpha_max='xyz' is not a number"),
+    ("# k=1\n0.0 0\n0.0 9223372036854775807\n0.0 9223372036854775808\n",
+     "vertex label outside the int64 range on line 4: '0.0 9223372036854775808'"),
+    ("# k=1\n0.0 -9223372036854775809\n0.0 0\n",
+     "vertex label outside the int64 range on line 2: '0.0 -9223372036854775809'"),
+])
+def test_persist_names_the_line_of_a_bad_header_or_label(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code = main(["persist", "--filtration", str(bad), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_persist_csv_output(tmp_path):
     src = write_square(tmp_path)
     out = tmp_path / "dgm.csv"

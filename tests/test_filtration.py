@@ -7,10 +7,11 @@ import pytest
 
 from sparse_rips import (PersistenceDiagram, SparseFiltration, WeightContext,
                          birth_matrix, build_sparse, charged_degrees, clique_expand,
-                         compute_persistence, diagram_equal, from_points,
-                         full_rips, net_at, pair_birth, read_filtration,
+                         compute_persistence, diagram_equal, filtration_text,
+                         from_points, full_rips, net_at, pair_birth, read_filtration,
                          relaxed_rips, sparse_edges, sparse_size_stats,
                          static_complex, validate_filtration, write_filtration)
+from sparse_rips import filtration
 from sparse_rips.greedy import DeletionSchedule
 
 INF = math.inf
@@ -476,6 +477,203 @@ def test_read_filtration_infers_k_without_header(tmp_path):
     f = read_filtration(path)
     assert f.k == 1
     assert len(f.simplices()) == 3
+
+
+# --- text format: the block reader and the token writer --------------------
+
+def reference_read(path):
+    """The line-at-a-time reader that the block parser replaced: the oracle
+    for its arrays, header fields and malformed-line messages."""
+    header, sims = {}, []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                header.update(tok.partition("=")[::2] for tok in line[1:].split())
+                continue
+            parts = line.split()
+            try:
+                if len(parts) < 2:
+                    raise ValueError
+                sims.append((tuple(map(int, parts[1:])), float(parts[0])))
+            except ValueError:
+                raise ValueError(f"{path}: malformed line {lineno}: {line!r}") from None
+    if not sims:
+        raise ValueError(f"{path}: empty filtration")
+    k = int(header["k"]) if "k" in header else max(len(v) for v, _ in sims) - 1
+    amax = header.get("alpha_max", "none")
+    return SparseFiltration.from_simplices(sims, k, header.get("kind", "sparse_S"),
+                                           None if amax == "none" else float(amax))
+
+
+def reference_text(f):
+    """The one-format-per-line writer that the token writer replaced."""
+    amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
+    return "\n".join([f"# k={f.k} kind={f.kind} alpha_max={amax}"] + [
+        ("%r" + " %d" * len(verts)) % (value, *verts) for verts, value in f.simplices()]) + "\n"
+
+
+def assert_same_filtration(f, g):
+    assert (f.k, f.kind, f.alpha_max) == (g.k, g.kind, g.alpha_max)
+    assert len(f.vertices) == len(g.vertices) == len(f.values) == len(g.values)
+    for a, b in zip(f.vertices + f.values, g.vertices + g.values):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def relabelled(f, relabel, revalue=lambda v: v):
+    """f with vertex v renamed relabel[v] and value x replaced by revalue(x),
+    both monotone, put back into the global order."""
+    sims = sorted(((tuple(relabel[v] for v in verts), revalue(value))
+                   for verts, value in f.simplices()),
+                  key=lambda s: (s[1], len(s[0]), s[0]))
+    return SparseFiltration.from_simplices(sims, f.k, f.kind, f.alpha_max)
+
+
+def text_cases():
+    pts = np.random.default_rng(48).random((40, 2))
+    m = from_points(pts)
+    circle = from_points(np.c_[np.cos(np.arange(24)), np.sin(np.arange(24))])
+    grid = full_rips(from_points([[i, j] for i in range(4) for j in range(4)]), 2.0, 3)
+    cases = {f"sparse_k{k}": build_sparse(m, 1 / 3, k) for k in (1, 2, 3)}
+    cases["full_rips"] = full_rips(from_points(pts[:12]), 0.5, 2)
+    cases["q_closed"] = static_complex(circle, WeightContext.build(circle, 0.1), 0.8,
+                                       "Q_closed", 2)
+    cases["labels_near_2**62"] = relabelled(grid, {v: 2**62 + 3 * v for v in range(16)})
+    cases["empty_upper_dims"] = full_rips(from_points(pts[:5]), 1e-3, 3)
+    return cases
+
+
+TEXT_CASES = text_cases()
+
+REFORMAT = {
+    "as_written": lambda text: text,
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "spaces": lambda text: "".join("  " + line.replace(" ", " \t  ")
+                                   for line in text.splitlines(keepends=True)),
+    "blank_lines": lambda text: text.replace("\n", "\n\n \t\n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "mid_comments": lambda text: "".join(
+        line + ("# comment line\n#note=mid\n" if i % 7 == 3 else "")
+        for i, line in enumerate(text.splitlines(keepends=True))),
+    "no_header": lambda text: text.split("\n", 1)[1],
+}
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("fmt", sorted(REFORMAT))
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
+def test_read_filtration_matches_the_line_reader(case, fmt, block, tmp_path, monkeypatch):
+    # block=64 puts a block boundary every few lines
+    if block is not None:
+        monkeypatch.setattr(filtration, "_BLOCK_CHARS", block)
+    f = TEXT_CASES[case]
+    path = tmp_path / "filt.txt"
+    path.write_bytes(REFORMAT[fmt](filtration_text(f)).encode())
+    g = read_filtration(path)
+    assert_same_filtration(g, reference_read(path))
+    if fmt != "no_header":
+        assert_same_filtration(g, f)
+
+
+BAD_LINES = ["1.0", "abc 0 1", "1.0 0 1.5", "1.0 0 1 # note", "-nan0 1 2"]
+
+
+@pytest.mark.parametrize("bad, lines_before, block", [
+    *[(bad, 3, None) for bad in BAD_LINES], *[(bad, 40, 64) for bad in BAD_LINES],
+    ("1.0 0 1.5", 130_000, None)])
+def test_malformed_line_is_named_as_the_line_reader_names_it(bad, lines_before, block,
+                                                             tmp_path, monkeypatch):
+    # the bad line is in the first block, or follows several blocks of 64
+    # characters, or follows more than one default block (2**20 characters)
+    if block is not None:
+        monkeypatch.setattr(filtration, "_BLOCK_CHARS", block)
+    head = "# k=2 kind=sparse_S alpha_max=none\r\n\r\n# note\n"
+    body = "".join(f"0.0 {i}\n" for i in range(lines_before))
+    path = tmp_path / "bad.txt"
+    path.write_bytes((head + body + "\t" + bad + " \n" + "0.0 1\n").encode())
+    message = f"{path}: malformed line {4 + lines_before}: {bad!r}"
+    with pytest.raises(ValueError) as ours:
+        read_filtration(path)
+    with pytest.raises(ValueError) as theirs:
+        reference_read(path)
+    assert str(ours.value) == str(theirs.value) == message
+
+
+def test_first_of_two_malformed_lines_in_different_blocks_is_named(tmp_path, monkeypatch):
+    monkeypatch.setattr(filtration, "_BLOCK_CHARS", 16)
+    path = tmp_path / "bad.txt"
+    path.write_text("0.0 0\n0.0 1\n0.0 2\n0.0 3\n1.0 x\n0.0 5\n0.0 6\n1.0\n")
+    with pytest.raises(ValueError, match=r"malformed line 5: '1.0 x'$"):
+        read_filtration(path)
+
+
+@pytest.mark.parametrize("text", ["", "# k=2 kind=sparse_S alpha_max=none\n\n#\n  \n"])
+def test_read_filtration_rejects_an_empty_filtration(text, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_filtration(path)
+    assert str(exc.value) == f"{path}: empty filtration"
+
+
+def adversarial_filtration():
+    # tie groups of every size, floats whose repr is short, long, subnormal,
+    # or has an exponent, and labels up to 2**62
+    f = full_rips(from_points(np.random.default_rng(49).random((9, 2))), 2.0, 3)
+    distinct = sorted({v for _, v in f.simplices() if v > 0})
+    specials = [-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1 / 3, 1.0, 1e16, 1e16 + 2, 2.5e300]
+    bucket = {v: specials[i * len(specials) // len(distinct)] for i, v in enumerate(distinct)}
+    labels = {v: 2**62 - 9 + v if v > 4 else 10**v for v in range(9)}
+    return relabelled(f, labels, lambda v: bucket.get(v, 0.0))
+
+
+@pytest.mark.parametrize("f", [
+    adversarial_filtration(), TEXT_CASES["q_closed"], TEXT_CASES["labels_near_2**62"],
+    TEXT_CASES["empty_upper_dims"],
+    SparseFiltration.from_simplices([((7,), 0.0)], 1, "sparse_S"),
+], ids=["adversarial", "q_closed", "labels_near_2**62", "empty_upper_dims", "one_vertex"])
+def test_filtration_text_matches_the_line_formatter(f, tmp_path):
+    text = filtration_text(f)
+    assert text == reference_text(f)
+    path = tmp_path / "filt.txt"
+    path.write_text(text)
+    assert_same_filtration(read_filtration(path), f)
+
+
+def test_adversarial_filtration_has_the_cases_it_claims():
+    f = adversarial_filtration()
+    values = np.concatenate(f.values)
+    assert {5e-324, 1e-05, 0.1 + 0.2, 1e16}.issubset(values.tolist())
+    assert np.signbit(values).any() and np.unique(values, return_counts=True)[1].max() > 20
+    assert np.concatenate([v.ravel() for v in f.vertices]).max() == 2**62 - 1
+
+
+def test_read_and_persistence_check_the_filtration_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return facets(f)
+
+    facets = filtration._facets
+    monkeypatch.setattr(filtration, "_facets", counted)
+    path = tmp_path / "filt.txt"
+    write_filtration(TEXT_CASES["sparse_k2"], path)
+    g = read_filtration(path)
+    assert compute_persistence(g).pairs == compute_persistence(TEXT_CASES["sparse_k2"]).pairs
+    assert calls.count(g) == 1 and validate_filtration(g) is g.facets
+
+
+def test_filtration_arrays_are_read_only():
+    f = TEXT_CASES["sparse_k2"]
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[1][0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.vertices[1][0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        f.facets[1][0, 0] = 0
 
 
 def test_degree_stays_bounded_as_n_grows():

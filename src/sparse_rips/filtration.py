@@ -14,10 +14,11 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .greedy import net_at
-from .metric import MetricInput
-from .relaxed import WeightContext, birth_matrix, weight_batch
+from .metric import EXPLICIT_MATRIX, MetricInput
+from .relaxed import WeightContext, _births_within_caps, birth_matrix, weight_batch
 
 KIND_SPARSE = "sparse_S"
 KIND_FULL = "full_rips"
@@ -148,11 +149,56 @@ def sparse_edges(m: MetricInput, ctx: WeightContext) -> list[tuple[int, int, flo
 
     A pair (p, q) is kept iff its relaxed birth scale is at most
     min(t_p, t_q), i.e. the edge condition is met while both endpoints
-    are still present.  Brute force over all pairs.
+    are still present.  Births are computed only for the pairs of
+    :func:`_candidate_pairs` that can meet it, lower index first, as in
+    :func:`birth_matrix`.
     """
-    births = birth_matrix(m, ctx, within_deletion_caps=True)
     t = ctx.schedule.t
-    return _edges_within(births, np.minimum(t[:, None], t[None, :]))
+    a, b, d = _candidate_pairs(m, t)
+    at, births = _births_within_caps(d, t[a], t[b], ctx.epsilon)
+    return list(zip(a[at].tolist(), b[at].tolist(), births.tolist()))
+
+
+#: Minkowski p of the KD-tree for each point kernel
+_TREE_P = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
+
+
+def _candidate_pairs(m: MetricInput, t: np.ndarray):
+    """Pairs a < b with d(a, b) <= min(t_a, t_b), in row-major order, and
+    their distances.  A sparse edge is one of them, since its birth is >= d.
+
+    An explicit matrix is masked whole.  Points are grouped into levels by
+    the binary exponent of t (exact and monotone; t = inf on top, t = 0 at
+    the bottom).  Each level is queried, at its largest t, against itself
+    and against a KD-tree of the points above it, so each pair is found
+    once, from its endpoint of lower level.  For deletion times of a greedy
+    permutation the points at or above a level are a packing at about its
+    radius, so each query returns O(1) points for a fixed eps.  The tree
+    only proposes pairs; the exact kernel decides."""
+    n = m.n
+    if m.metric_kind == EXPLICIT_MATRIX:
+        a, b = np.nonzero(np.triu(m.matrix <= np.minimum.outer(t, t), k=1))
+        return a, b, m.matrix[a, b]
+    level = np.where(t > 0, np.frexp(t)[1], -1100)   # frexp gives -1073..1024
+    level[np.isinf(t)] = 1100
+    by_level = np.argsort(-level, kind="stable")
+    ends = np.flatnonzero(np.diff(level[by_level])) + 1
+    p_norm = _TREE_P[m.metric_kind]
+    found = []
+    for lo, hi in zip(np.r_[0, ends], np.r_[ends, n]):
+        query, above = by_level[lo:hi], by_level[:lo]
+        radius = t[query].max() * (1 + 1e-9)   # slack: the tree sums in its own order
+        tree = cKDTree(m.points[query])
+        found.append(query[tree.query_pairs(radius, p=p_norm, output_type="ndarray")])
+        if lo:
+            pairs = tree.sparse_distance_matrix(cKDTree(m.points[above]), radius,
+                                                p=p_norm, output_type="ndarray")
+            found.append(np.c_[query[pairs["i"]], above[pairs["j"]]])
+    p, q = np.concatenate(found).T
+    a, b = np.divmod(np.sort(np.minimum(p, q) * n + np.maximum(p, q)), n)
+    d = m.distances(a, b)
+    keep = d <= np.minimum(t[a], t[b])
+    return a[keep], b[keep], d[keep]
 
 
 def clique_expand(edges, n: int, k: int, vertex_caps=None,

@@ -57,32 +57,32 @@ def greedy_permutation(m: MetricInput, seed: int = 0) -> GreedyPermutation:
     """Compute the farthest-point permutation starting from ``seed``.
 
     Ties in the farthest-point selection break toward the smallest point
-    index, so the output is fully deterministic.  O(n^2) time, O(n) extra
-    space on top of the cached distance matrix.
+    index, so the output is fully deterministic.  Each new centre's distance
+    row comes from :meth:`MetricInput.distances`, so no distance matrix is
+    built: O(n^2) time and O(n) space.
     """
     n = m.n
     if not (0 <= seed < n):
         raise IndexError(f"seed {seed} out of range for n={n}")
-    dmat = m.distance_matrix()
     order = np.empty(n, dtype=int)
     radius = np.empty(n, dtype=float)
     pred = np.empty(n, dtype=int)
     order[0], radius[0], pred[0] = seed, math.inf, -1
 
-    dist = dmat[seed].copy()       # distance to current prefix
+    # distance to the current prefix, -1 for chosen points: rows are >= 0,
+    # so the minimum keeps them out of the argmax
+    dist = np.array(m.distances(seed), dtype=float)
+    dist[seed] = -1.0
     nearest = np.full(n, seed)     # witness for that distance
-    chosen = np.zeros(n, dtype=bool)
-    chosen[seed] = True
     for i in range(1, n):
-        masked = np.where(chosen, -1.0, dist)
-        idx = int(np.argmax(masked))  # first occurrence = smallest index
+        idx = int(dist.argmax())  # first occurrence = smallest index
         order[i] = idx
         radius[i] = dist[idx]
         pred[i] = nearest[idx]
-        chosen[idx] = True
-        improved = dmat[idx] < dist
-        nearest[improved] = idx
-        np.minimum(dist, dmat[idx], out=dist)
+        dist[idx] = -1.0
+        row = m.distances(idx)
+        np.putmask(nearest, row < dist, idx)
+        np.minimum(dist, row, out=dist)
 
     for a in (order, radius, pred):
         a.setflags(write=False)

@@ -14,6 +14,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 EXPLICIT_MATRIX = "explicit_matrix"
@@ -55,26 +56,56 @@ class MetricInput:
             return self.matrix
         return cdist(self.points, self.points, metric=_KERNELS[self.metric_kind])
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        return np.ascontiguousarray(self.points.T)
+
     def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix (cached, do not mutate)."""
+        """Full pairwise distance matrix (cached, do not mutate).  For point
+        input it takes O(n^2) memory; the sparse build does not call it."""
         return self._dmat
+
+    def distances(self, p, q=None) -> np.ndarray:
+        """Distances d(p, q) of index arrays that broadcast together, or the
+        row d(p, .) of one index p when ``q`` is omitted.
+
+        Explicit matrices are indexed.  For point kernels each value is
+        bit-identical to the ``cdist`` entry: the coordinates are accumulated
+        one at a time, in order, as scipy does (a numpy ``sum`` would add
+        them pairwise and change the last bit)."""
+        if self.metric_kind == EXPLICIT_MATRIX:
+            return self.matrix[p] if q is None else self.matrix[p, q]
+        cols = self._columns
+        if q is None:
+            diff = cols[:, p, None] - cols
+        else:   # np.take gathers faster than cols[:, p]
+            diff = np.take(cols, p, axis=1) - np.take(cols, q, axis=1)
+        if self.metric_kind == "chebyshev":
+            return np.abs(diff).max(axis=0)
+        if self.metric_kind == "euclidean":
+            diff *= diff
+        else:
+            np.abs(diff, out=diff)
+        acc = diff[0]
+        for row in diff[1:]:
+            acc += row
+        return np.sqrt(acc) if self.metric_kind == "euclidean" else acc
 
     def distance(self, i: int, j: int) -> float:
         """Distance between points ``i`` and ``j``."""
         n = self.n
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"point index out of range: ({i}, {j}) with n={n}")
-        return float(self._dmat[i, j])
+        return float(self.distances(i, j))
 
     @property
     def dim(self) -> int | None:
         return None if self.points is None else int(self.points.shape[1])
 
 
-def _deduplicate(dmat: np.ndarray):
-    """Return (keep_indices, dedup_map) merging indices at distance exactly 0."""
-    n = dmat.shape[0]
-    iu, ju = np.nonzero(np.triu(dmat == 0.0, k=1))
+def _deduplicate(n: int, iu, ju):
+    """Return (keep_indices, dedup_map) merging the pairs (iu, ju), which are
+    at distance exactly 0, transitively."""
     if len(iu) == 0:
         return list(range(n)), tuple(range(n))
     # union-find keeping the smallest index of each duplicate group as root
@@ -97,6 +128,12 @@ def _deduplicate(dmat: np.ndarray):
     return keep, tuple(pos[r] for r in roots)
 
 
+#: chebyshev radius of the duplicate candidates: every kernel is exactly 0
+#: only for coordinates closer than this (a euclidean square underflows to 0
+#: below about 1.5e-162), so the exact kernel decides among the candidates
+_DUPLICATE_RADIUS = 1e-150
+
+
 def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
     """Build a MetricInput from an (n, D) coordinate array."""
     if metric_kind not in _KERNELS:
@@ -104,24 +141,23 @@ def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[0] < 1:
+    if pts.ndim != 2 or pts.size < 1:
         raise MetricFormatError("points must form a non-empty 2d array")
     if not np.all(np.isfinite(pts)):
         raise MetricFormatError("points contain non-finite coordinates")
-    dmat = cdist(pts, pts, metric=_KERNELS[metric_kind])
-    keep, remap = _deduplicate(dmat)
-    if len(keep) < pts.shape[0]:
+    raw = MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts)
+    pairs = cKDTree(pts).query_pairs(_DUPLICATE_RADIUS, p=np.inf, output_type="ndarray")
+    iu, ju = pairs[raw.distances(pairs[:, 0], pairs[:, 1]) == 0.0].T
+    keep, remap = _deduplicate(raw.n, iu, ju)
+    if len(keep) < raw.n:
         warnings.warn(
-            f"removed {pts.shape[0] - len(keep)} duplicate point(s); "
+            f"removed {raw.n - len(keep)} duplicate point(s); "
             "indices remapped (see dedup_map)"
         )
         pts = pts[keep]
     pts.setflags(write=False)
-    m = MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts,
-                    dedup_map=remap)
-    if m.n == dmat.shape[0]:   # nothing removed: dmat is already the metric
-        m.__dict__["_dmat"] = dmat
-    return m
+    return MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts,
+                       dedup_map=remap)
 
 
 def from_matrix(matrix) -> MetricInput:
@@ -152,7 +188,7 @@ def from_matrix(matrix) -> MetricInput:
         i, j = np.unravel_index(np.argmin(mat), mat.shape)
         raise MetricFormatError(f"negative distance {mat[i, j]:g} at entry ({i}, {j})")
 
-    keep, remap = _deduplicate(mat)
+    keep, remap = _deduplicate(mat.shape[0], *np.nonzero(np.triu(mat == 0.0, k=1)))
     if len(keep) < mat.shape[0]:
         warnings.warn(
             f"removed {mat.shape[0] - len(keep)} duplicate point(s); "

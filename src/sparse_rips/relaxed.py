@@ -150,23 +150,45 @@ class WeightContext:
         return cls(epsilon=float(epsilon), schedule=s, metric=m)
 
 
+#: relative band around g(c) = d in which a float birth may fall on the
+#: wrong side of its cap c, and is settled in exact arithmetic
+_CAP_BAND = 1e-9
+
+
+def _g_at_caps(tp, tq, eps):
+    """c = min(t_p, t_q) and g(c) = c - w_p(c) - w_q(c): birth <= c iff g(c) >= d."""
+    c = np.minimum(tp, tq)
+    with np.errstate(invalid="ignore"):  # c = inf when neither point is deleted
+        return c, c - weight_batch(c, tp, eps) - weight_batch(c, tq, eps)
+
+
 def _births_exact_at_caps(d, tp, tq, eps):
     """``pair_birth_batch``, with each birth <= c = min(t_p, t_q) iff it is so exactly.
 
-    birth <= c iff g(c) = c - w_p(c) - w_q(c) >= d.  Where the float g(c) is
-    within rounding of d, the float birth can land on the wrong side of c
-    (g may be flat up to c), so those pairs are solved in Fraction arithmetic.
+    Where the float g(c) (:func:`_g_at_caps`) is within rounding of d, the
+    float birth can land
+    on the wrong side of c (g may be flat up to c), so those pairs are
+    solved in Fraction arithmetic.
     """
     births = pair_birth_batch(d, tp, tq, eps)
-    c = np.minimum(tp, tq)
-    with np.errstate(invalid="ignore"):  # c = inf when neither point is deleted
-        g = c - weight_batch(c, tp, eps) - weight_batch(c, tq, eps)
-    for i in np.flatnonzero(np.isfinite(c) & (np.abs(g - d) <= 1e-9 * c)).tolist():
+    c, g = _g_at_caps(tp, tq, eps)
+    for i in np.flatnonzero(np.isfinite(c) & (np.abs(g - d) <= _CAP_BAND * c)).tolist():
         exact = pair_birth(*(x if x == _INF else Fraction(x)
                              for x in (d[i], tp[i], tq[i], eps)))
         births[i] = (float(exact) if exact <= c[i]
                      else max(float(exact), np.nextafter(c[i], _INF)))
     return births
+
+
+def _births_within_caps(d, tp, tq, eps):
+    """Positions of the pairs with birth <= min(t_p, t_q), and those births,
+    as :func:`_births_exact_at_caps` gives them.  Births are computed only
+    where g(c) >= d up to the band: elsewhere the birth is surely above c."""
+    c, g = _g_at_caps(tp, tq, eps)
+    near = np.flatnonzero(g >= d - _CAP_BAND * c)
+    births = _births_exact_at_caps(d[near], tp[near], tq[near], eps)
+    keep = births <= c[near]
+    return near[keep], births[keep]
 
 
 def birth_matrix(m: MetricInput, ctx: WeightContext,

@@ -8,11 +8,13 @@ import pytest
 from sparse_rips import (PersistenceDiagram, SparseFiltration, WeightContext,
                          birth_matrix, build_sparse, charged_degrees, clique_expand,
                          compute_persistence, diagram_equal, filtration_text,
-                         from_points, full_rips, net_at, pair_birth, read_filtration,
-                         relaxed_rips, sparse_edges, sparse_size_stats,
-                         static_complex, validate_filtration, write_filtration)
+                         from_matrix, from_points, full_rips, net_at, pair_birth,
+                         point_weight, read_filtration, relaxed_rips, sparse_edges,
+                         sparse_size_stats, static_complex, validate_filtration,
+                         write_filtration, weight_batch)
 from sparse_rips import filtration
 from sparse_rips.greedy import DeletionSchedule
+from sparse_rips.metric import MetricInput
 
 INF = math.inf
 SQ2 = math.sqrt(2.0)
@@ -88,6 +90,119 @@ def test_sparse_edges_match_exact_rational_births():
                 assert abs(Fraction(got[pq]) - b) <= b * Fraction(1, 10**12)
             cases += 1
     assert cases == 48
+
+
+KERNELS = ("euclidean", "manhattan", "chebyshev")
+
+
+def dense_edges(m, ctx):
+    """sparse_edges by the dense n x n birth matrix (oracle)."""
+    t = ctx.schedule.t
+    return filtration._edges_within(birth_matrix(m, ctx, within_deletion_caps=True),
+                                    np.minimum.outer(t, t))
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_sparse_edges_match_dense_oracle_random(kind):
+    rng = np.random.default_rng(100 + KERNELS.index(kind))
+    for _ in range(100):
+        dim, n = int(rng.integers(1, 11)), int(rng.integers(2, 40))
+        m = from_points(rng.normal(size=(n, dim)) * 10.0 ** int(rng.integers(-3, 4)), kind)
+        eps = float(rng.choice([0.05, 0.1, 0.25, 1.0 / 3.0]))
+        ctx = WeightContext.build(m, eps, seed=int(rng.integers(0, m.n)))
+        assert sparse_edges(m, ctx) == dense_edges(m, ctx), (dim, n, eps)
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_sparse_edges_match_dense_oracle_on_tie_grids_and_extreme_scales(kind):
+    grids = [[(x, y) for x in range(w) for y in range(h)] for w, h in ((5, 5), (8, 3))]
+    grids += [[(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+              [(3 * x,) for x in range(20)]]
+    rng = np.random.default_rng(7)
+    # squared distances subnormal (euclidean) or near overflow
+    scaled = [rng.random((25, 2)) * 1e-160, rng.random((25, 3)) * 1e150]
+    for pts in [np.asarray(g, dtype=float) for g in grids] + scaled:
+        m = from_points(pts, kind)
+        for eps in (0.1, 0.2, 0.25, 1.0 / 3.0):
+            for seed in (0, m.n - 1):
+                ctx = WeightContext.build(m, eps, seed=seed)
+                assert sparse_edges(m, ctx) == dense_edges(m, ctx), (m.n, eps, seed)
+
+
+def test_sparse_edges_match_dense_oracle_on_hand_schedules():
+    # several t = inf points, ties in t, and t = 0
+    rng = np.random.default_rng(9)
+    for i in range(40):
+        n = int(rng.integers(1, 25))
+        pts = rng.random((n, int(rng.integers(1, 4)))) * 4
+        t = rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, INF, INF], size=n)
+        m, ctx = manual_ctx(pts, t, float(rng.choice([0.1, 1.0 / 3.0])))
+        assert sparse_edges(m, ctx) == dense_edges(m, ctx), i
+
+
+def test_sparse_edges_match_dense_oracle_on_one_and_two_points():
+    for pts, t in [([[0.0]], [INF]), ([[2.0, 1.0]], [0.0]), ([[0.0], [3.0]], [INF, INF]),
+                   ([[0.0], [3.0]], [1.0, INF]), ([[0.0], [3.0]], [5.0, 5.0]),
+                   ([[0.0], [3.0]], [4.5, INF]), ([[0.0], [3.0]], [0.0, 0.0])]:
+        m, ctx = manual_ctx(pts, t, 1.0 / 3.0)
+        assert sparse_edges(m, ctx) == dense_edges(m, ctx), (pts, t)
+        greedy = WeightContext.build(m, 0.25, seed=m.n - 1)
+        assert sparse_edges(m, greedy) == dense_edges(m, greedy), pts
+    # a hand-made input may keep duplicates: t = 0 still admits d = 0
+    m = MetricInput("euclidean", 3, points=np.array([[1.0], [1.0], [2.0]]))
+    ctx = WeightContext(1.0 / 3.0, DeletionSchedule(1.0 / 3.0, np.array([0.25, 0.0, INF])), m)
+    assert sparse_edges(m, ctx) == dense_edges(m, ctx) == [(0, 1, 0.0)]
+
+
+@pytest.mark.filterwarnings("ignore:removed .* duplicate point")
+@pytest.mark.parametrize("kind", KERNELS)
+def test_candidate_pairs_match_dense_mask_with_distance_ties(kind):
+    # every t is the distance of some pair, so pairs lie exactly on the
+    # query radius; the tree's own rounding must not lose them, also where
+    # the squared distances are subnormal
+    rng = np.random.default_rng(200 + KERNELS.index(kind))
+    for i in range(400):
+        n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 11))
+        m = from_points(rng.normal(size=(n, dim)) * [1e-160, 1e-3, 1.0, 1e150][i % 4], kind)
+        dmat = m.distance_matrix()
+        t = dmat[np.arange(m.n), (np.arange(m.n) + 1 + rng.integers(0, m.n, m.n)) % m.n]
+        t[rng.integers(0, m.n)] = INF
+        a, b, d = filtration._candidate_pairs(m, t)
+        iu, ju = np.nonzero(np.triu(dmat <= np.minimum.outer(t, t), k=1))
+        assert (a.tolist(), b.tolist(), d.tolist()) == (iu.tolist(), ju.tolist(),
+                                                         dmat[iu, ju].tolist()), i
+
+
+def test_sparse_edges_keep_exact_ties_whose_float_slack_is_negative():
+    # d equal to the exact g(c) = c - w_p(c) - w_q(c) at c = min(t_p, t_q),
+    # where the float g(c) rounds below d: the exact birth is c, an edge
+    rng = np.random.default_rng(12)
+    cases = 0
+    while cases < 40:
+        eps = float(rng.choice([0.1, 0.2, 0.25, 0.3, 1.0 / 3.0]))
+        tp = float(rng.integers(1, 1000)) / float(rng.integers(1, 50))
+        tq = tp * float(rng.uniform(1.0, 1.5)) if rng.random() < 0.5 else tp
+        c, t_p, t_q, e = map(Fraction, (tp, tp, tq, eps))
+        exact = c - point_weight(c, t_p, e) - point_weight(c, t_q, e)
+        d = float(exact)
+        if Fraction(d) > exact:
+            d = float(np.nextafter(d, 0.0))
+        if not tp - weight_batch(tp, tp, eps) - weight_batch(tp, tq, eps) < d:
+            continue
+        m, ctx = manual_ctx([[0.0], [d]], [tp, tq], eps)
+        assert sparse_edges(m, ctx) == dense_edges(m, ctx), (eps, tp, tq, d)
+        assert [(p, q) for p, q, _ in sparse_edges(m, ctx)] == [(0, 1)]
+        cases += 1
+
+
+def test_sparse_edges_of_an_explicit_matrix_match_dense_oracle():
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        pts = np.unique(rng.integers(0, 4, size=(int(rng.integers(2, 20)), 2)), axis=0)
+        pts = pts.astype(float)
+        m = from_matrix(np.abs(pts[:, None] - pts[None, :]).max(axis=2))
+        ctx = WeightContext.build(m, 0.2)
+        assert sparse_edges(m, ctx) == dense_edges(m, ctx)
 
 
 # --- clique_expand --------------------------------------------------------
@@ -432,7 +547,8 @@ def test_size_stats_match_materialized_build():
 
 
 def test_size_stats_build_one_birth_matrix(monkeypatch):
-    # every k: one n x n birth matrix, shared by the counts and the degrees
+    # k <= 2: one n x n birth matrix, shared by the counts and the degrees;
+    # k > 2 expands the sparse edges, which build none
     import sparse_rips.filtration as filtration
     calls = []
 
@@ -446,7 +562,7 @@ def test_size_stats_build_one_birth_matrix(monkeypatch):
     for k in (1, 2, 3):
         calls.clear()
         sparse_size_stats(m, ctx, k)
-        assert len(calls) == 1, k
+        assert len(calls) == (1 if k <= 2 else 0), k
 
 
 def test_edge_degree_definition():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparse_rips import (DeletionSchedule, check_net_conditions, deletion_times,
-                         from_points, greedy_permutation, net_at,
+                         from_matrix, from_points, greedy_permutation, net_at,
                          schedule_to_csv)
 
 
@@ -65,6 +65,34 @@ def test_matches_brute_force_oracle():
         assert gp.order.tolist() == order
         assert gp.insertion_radius.tolist() == pytest.approx(radii)
         assert gp.predecessor.tolist() == preds
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "chebyshev"])
+def test_matches_brute_force_oracle_every_kernel_and_tie_grids(kind):
+    rng = np.random.default_rng(["euclidean", "manhattan", "chebyshev"].index(kind))
+    grids = [np.array([(x, y) for x in range(4) for y in range(4)], dtype=float),
+             np.array([(x, y, z) for x in range(3) for y in range(2) for z in range(3)],
+                      dtype=float),
+             np.arange(9, dtype=float).reshape(-1, 1)]
+    randoms = [rng.normal(size=(int(rng.integers(2, 20)), int(rng.integers(1, 6))))
+               for _ in range(10)]
+    for pts in grids + randoms:
+        m = from_points(pts, metric_kind=kind)
+        for seed in sorted({0, m.n // 2, m.n - 1}):
+            gp = greedy_permutation(m, seed=seed)
+            order, radii, preds = brute_greedy(m.distance_matrix(), seed)
+            assert gp.order.tolist() == order
+            assert gp.insertion_radius.tolist() == radii
+            assert gp.predecessor.tolist() == preds
+
+
+def test_matches_brute_force_oracle_on_an_explicit_matrix():
+    pts = np.array([(x, y) for x in range(3) for y in range(3)], dtype=float)
+    m = from_matrix(np.abs(pts[:, None] - pts[None, :]).sum(axis=2))
+    gp = greedy_permutation(m, seed=4)
+    order, radii, preds = brute_greedy(m.distance_matrix(), 4)
+    assert (gp.order.tolist(), gp.insertion_radius.tolist(),
+            gp.predecessor.tolist()) == (order, radii, preds)
 
 
 def test_radii_non_increasing_and_covering():

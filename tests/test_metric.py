@@ -1,11 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import sparse_rips.filtration as filtration
 import sparse_rips.metric as metric
-from sparse_rips import (MetricFormatError, build_sparse, from_matrix, from_points,
-                         lint_triangle_inequality, load_matrix, load_points)
+from sparse_rips import (MetricFormatError, WeightContext, build_sparse, from_matrix,
+                         from_points, lint_triangle_inequality, load_matrix, load_points,
+                         max_edge_degree)
+from sparse_rips.cli import main
+
+KERNELS = ("euclidean", "manhattan", "chebyshev")
 
 
 def test_load_points_csv(tmp_path):
@@ -137,6 +144,12 @@ def test_symmetry_and_zero_diagonal_random():
         assert m.distance(i, i) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0,)])
+def test_points_without_points_or_coordinates_rejected(shape):
+    with pytest.raises(MetricFormatError, match="non-empty"):
+        from_points(np.zeros(shape))
+
+
 def test_duplicates_removed_with_warning():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
     with pytest.warns(UserWarning, match="duplicate"):
@@ -145,20 +158,100 @@ def test_duplicates_removed_with_warning():
     assert m.dedup_map == (0, 1, 0, 2, 1)
 
 
-def test_distances_computed_once_without_duplicates(monkeypatch):
-    real_cdist = metric.cdist
-    calls = []
+@pytest.mark.parametrize("kind", KERNELS)
+def test_pairwise_kernel_bit_identical_to_cdist(kind):
+    # catches a scipy whose cdist stops accumulating coordinates in order
+    rng = np.random.default_rng(KERNELS.index(kind))
+    i, j = np.triu_indices(40, k=1)
+    for dim in range(1, 17):
+        pts = rng.normal(size=(40, dim)) * 10.0 ** int(rng.integers(-3, 4))
+        m = from_points(pts, metric_kind=kind)
+        ref = cdist(pts, pts, metric=metric._KERNELS[kind])
+        assert np.array_equal(m.distances(i, j), ref[i, j]), dim
+        assert np.array_equal(m.distances(j, i), ref[j, i]), dim
+        for p in (0, 17, 39):
+            assert np.array_equal(m.distances(p), ref[p]), dim
+        got = m.distance(3, 5)
+        assert type(got) is float and got == ref[3, 5]
 
-    def counting_cdist(*args, **kwargs):
-        calls.append(1)
-        return real_cdist(*args, **kwargs)
 
-    monkeypatch.setattr(metric, "cdist", counting_cdist)
+def test_distance_of_an_explicit_matrix_indexes_it():
+    mat = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]])
+    m = from_matrix(mat)
+    assert m.distances(1).tolist() == [2.0, 0.0, 4.0]
+    assert m.distances(np.array([0, 2]), np.array([1, 1])).tolist() == [2.0, 4.0]
+    assert type(m.distance(0, 2)) is float and m.distance(0, 2) == 3.0
+
+
+def test_point_build_path_builds_no_matrix(monkeypatch, tmp_path, capsys):
+    # the sparse build of point input is O(n) memory: no cdist, no n x n
+    # distance or birth matrix, in the library or in CLI build
     pts = np.random.default_rng(7).random((30, 2))
-    m = from_points(pts)
-    build_sparse(m, 1 / 3, 2)
-    assert len(calls) == 1
-    assert np.array_equal(m.distance_matrix(), real_cdist(pts, pts))
+    csv = tmp_path / "pts.csv"
+    csv.write_text("\n".join(f"{x!r},{y!r}" for x, y in pts.tolist()) + "\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x n matrix was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metric, "cdist", refuse)
+        patch.setattr(metric.MetricInput, "distance_matrix", refuse)
+        patch.setattr(filtration, "birth_matrix", refuse)
+        for kind in KERNELS:
+            m = from_points(pts, metric_kind=kind)
+            build_sparse(m, 1 / 3, 2)
+            max_edge_degree(m, WeightContext.build(m, 0.25, seed=3))
+            assert main(["build", "--input", str(csv), "--metric", kind, "--epsilon",
+                         "0.2", "--k", "2", "--out", str(tmp_path / "f.txt")]) == 0
+    assert np.array_equal(m.distance_matrix(), cdist(pts, pts, metric="chebyshev"))
+
+
+def dense_dedup_map(pts, kind):
+    """dedup_map from the components of the graph cdist == 0 (oracle)."""
+    reach = (cdist(pts, pts, metric=metric._KERNELS[kind]) == 0.0).astype(int)
+    while True:
+        closed = (reach @ reach > 0).astype(int)
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    roots = reach.argmax(axis=1)   # the smallest index of each component
+    return tuple(np.searchsorted(np.unique(roots), roots).tolist())
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+    # a chain: neighbours underflow to 0 in euclidean, the ends do not
+    [[0.0], [1.5e-162], [3e-162], [4.5e-162], [1.0]],
+    [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [5.0, -0.0]],
+    [[1e-170, 0.0], [0.0, 0.0], [0.0, 1e-170], [2e-170, 5.0], [0.0, 5.0]],
+    [[3.0, 1.0, 2.0]] * 4 + [[3.0, 1.0, 2.5]],
+], ids=["exact", "chain", "signed_zero", "underflow", "all_but_one"])
+def test_dedup_map_matches_dense_union_find(kind, pts):
+    pts = np.array(pts)
+    expect = dense_dedup_map(pts, kind)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = from_points(pts, metric_kind=kind)
+    assert m.dedup_map == expect
+    keep = sorted(set(expect))
+    assert m.n == len(keep)
+    assert np.array_equal(m.points, pts[[expect.index(r) for r in keep]])
+    removed = len(pts) - m.n
+    assert [str(w.message) for w in caught] == (
+        [f"removed {removed} duplicate point(s); indices remapped (see dedup_map)"]
+        if removed else [])
+
+
+def test_dedup_map_matches_dense_union_find_random():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        base = rng.integers(0, 3, size=(int(rng.integers(2, 12)), 2)).astype(float)
+        pts = base[rng.integers(0, len(base), size=int(rng.integers(1, 25)))]
+        for kind in KERNELS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert from_points(pts, metric_kind=kind).dedup_map == dense_dedup_map(pts, kind)
 
 
 def test_duplicate_matrix_entries_merged():

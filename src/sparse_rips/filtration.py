@@ -201,6 +201,22 @@ def _candidate_pairs(m: MetricInput, t: np.ndarray):
     return a[keep], b[keep], d[keep]
 
 
+def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints, int64 (m, 2), and the births of an edge list."""
+    ends = np.fromiter(chain.from_iterable((p, q) for p, q, _ in edges), np.int64, 2 * len(edges))
+    return ends.reshape(-1, 2), np.fromiter((b for _, _, b in edges), float, len(edges))
+
+
+def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of CSR rows ``rows`` (row r holds ``start[r]:start[r + 1]``),
+    concatenated: ``slot`` is each entry's position, ``src`` its index in ``rows``."""
+    size = start[rows + 1] - start[rows]
+    src = np.repeat(np.arange(len(rows)), size)
+    # entry i is entry i - (its row's first entry) of its row
+    slot = np.arange(len(src)) + np.repeat(start[rows] - np.cumsum(size) + size, size)
+    return src, slot
+
+
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
                   kind: str = KIND_SPARSE, alpha_max: float | None = None,
                   vertices=None) -> SparseFiltration:
@@ -216,8 +232,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
         raise ValueError("dimension cap k must be >= 1")
     verts = (np.arange(n, dtype=np.int64) if vertices is None
              else np.unique(np.asarray(vertices, dtype=np.int64)))
-    ends = np.array([(p, q) for p, q, _ in edges], dtype=np.int64).reshape(-1, 2)
-    births = np.array([b for _, _, b in edges], dtype=float)
+    ends, births = _edge_arrays(edges)
     ends.sort(axis=1)
     _reject(ends[:, 0] == ends[:, 1],
             lambda i: f"degenerate edge {tuple(ends[i].tolist())}", ValueError)
@@ -238,11 +253,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
 
     rows, values = [np.arange(nv)[:, None], np.c_[a, c]], [np.zeros(nv), births]
     for d in range(2, k + 1):
-        last = rows[-1][:, -1]
-        size = start[last + 1] - start[last]
-        src = np.repeat(np.arange(len(last)), size)
-        # candidate i: entry i - (its row's first candidate) of the neighbour row
-        slot = np.arange(len(src)) + np.repeat(start[last] - np.cumsum(size) + size, size)
+        src, slot = _row_slots(start, rows[-1][:, -1])
         u, value = c[slot], np.maximum(values[-1][src], births[slot])
         for j in range(d - 1):   # the edges from the other vertices to u
             want = rows[-1][src, j] * nv + u
@@ -287,7 +298,7 @@ def relaxed_rips(m: MetricInput, ctx: WeightContext, alpha_max: float,
     """
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    edges = _edges_within(birth_matrix(m, ctx, within_deletion_caps=False), alpha_max)
+    edges = _edges_within(birth_matrix(m, ctx), alpha_max)
     return clique_expand(edges, m.n, k, kind=KIND_RELAXED, alpha_max=float(alpha_max))
 
 
@@ -368,22 +379,22 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
 # --- degree and size accounting -----------------------------------------
 
 def charged_degrees(edges, t: np.ndarray) -> np.ndarray:
-    """Per-point count of the sparse edges charged to it.
+    """Per-point count of the sparse edges charged to it.  An edge counts for
+    its endpoint with the smaller deletion time, and for both on a tie:
+    degrees[p] = #{q : t_p <= t_q and birth(p, q) <= t_p}, since a sparse
+    edge has birth <= min(t_p, t_q)."""
+    return _charged_degrees(_edge_arrays(edges)[0], t)
 
-    An edge counts for its endpoint with the smaller deletion time, and
-    for both endpoints on a tie: degrees[p] = #{q : t_p <= t_q and
-    birth(p, q) <= t_p}, since a sparse edge has birth <= min(t_p, t_q).
-    """
-    deg = np.zeros(len(t), dtype=np.int64)
-    if edges:
-        p, q = np.array([(p, q) for p, q, _ in edges]).T
-        np.add.at(deg, p, t[p] <= t[q])
-        np.add.at(deg, q, t[q] <= t[p])
-    return deg
+
+def _charged_degrees(ends: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`charged_degrees` of the edges with endpoints ``ends`` (m, 2)."""
+    p, q = ends.T
+    return (np.bincount(p[t[p] <= t[q]], minlength=len(t))
+            + np.bincount(q[t[q] <= t[p]], minlength=len(t)))
 
 
 def max_edge_degree(m: MetricInput, ctx: WeightContext) -> int:
-    return int(charged_degrees(sparse_edges(m, ctx), ctx.schedule.t).max()) if m.n else 0
+    return int(charged_degrees(sparse_edges(m, ctx), ctx.schedule.t).max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -397,40 +408,40 @@ class SizeStats:
 
 
 def sparse_size_stats(m: MetricInput, ctx: WeightContext, k: int) -> SizeStats:
-    """Simplex counts of the sparse filtration without materializing it.
-
-    Counts each simplex at its vertex of minimum deletion time (smallest
-    index on ties); a simplex rooted at p consists of later points q, r,
-    ... whose pairwise births are all <= t_p.  Fast paths cover k <= 2;
-    larger k expands the sparse edges, which also give the degrees.
-    """
-    n = m.n
+    """Simplex counts and largest charged degree of the sparse filtration,
+    from :func:`sparse_edges`; only k > 2 materializes the filtration."""
     t = ctx.schedule.t
+    edges = sparse_edges(m, ctx)
     if k > 2:
-        edges = sparse_edges(m, ctx)
-        filt = clique_expand(edges, n, k, vertex_caps=t)
-        return SizeStats(counts_by_dim=tuple(filt.counts_by_dim()),
-                         max_degree=int(charged_degrees(edges, t).max()) if n else 0)
-    births = birth_matrix(m, ctx, within_deletion_caps=True)
-    order = np.arange(n)
-    # strict "later than p" relation with index tie-break
-    later = (t[None, :] > t[:, None]) | ((t[None, :] == t[:, None])
-                                         & (order[None, :] > order[:, None]))
-    rooted = (births <= t[:, None]) & later
-    n_edges = int(rooted.sum())
-    counts = [n, n_edges]
-    if k >= 2:
-        n_tri = 0
-        for p in range(n):
-            nb = np.flatnonzero(rooted[p])
-            if len(nb) >= 2:
-                sub = births[np.ix_(nb, nb)] <= t[p]
-                n_tri += int(np.triu(sub, k=1).sum())
-        counts.append(n_tri)
-    keep = (births <= t[:, None]) & (t[None, :] >= t[:, None])
-    np.fill_diagonal(keep, False)
-    return SizeStats(counts_by_dim=tuple(counts),
-                     max_degree=int(keep.sum(axis=1).max()) if n else 0)
+        filt = clique_expand(edges, m.n, k, vertex_caps=t)
+        # every sparse edge has birth <= min(t_p, t_q), so all are kept
+        counts, ends = filt.counts_by_dim(), filt.vertices[1]
+    else:
+        ends, births = _edge_arrays(edges)
+        counts = [m.n, len(edges)] + ([_count_triangles(ends, births, t)] if k == 2 else [])
+    return SizeStats(tuple(counts), int(_charged_degrees(ends, t).max(initial=0)))
+
+
+def _count_triangles(ends: np.ndarray, births: np.ndarray, t: np.ndarray) -> int:
+    """Triangles of the sparse filtration with edges ``ends`` born at ``births``.
+    A simplex is rooted at its vertex r of least (t, index); a triangle
+    rooted at r is an edge (q, s) inside out(r), the far ends of the edges
+    rooted at r, with birth(q, s) <= t_r, so each is found once."""
+    p, q = ends.T   # lower index first
+    flip = t[q] < t[p]
+    root, other = np.where(flip, q, p), np.where(flip, p, q)
+    order = np.argsort(root, kind="stable")
+    other, births = other[order], births[order]
+    start = np.searchsorted(root[order], np.arange(len(t) + 1))
+    cap = np.full(len(t), -np.inf)   # t_r on out(r) while r is scanned
+    count = 0
+    for r in np.flatnonzero(np.diff(start) >= 2).tolist():
+        out = other[start[r]:start[r + 1]]
+        cap[out] = t[r]
+        slot = _row_slots(start, out)[1]
+        count += int(np.count_nonzero(births[slot] <= cap[other[slot]]))
+        cap[out] = -np.inf
+    return count
 
 
 def build_sparse_from_context(m: MetricInput, ctx: WeightContext,

@@ -138,7 +138,7 @@ def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
     """Build a MetricInput from an (n, D) coordinate array."""
     if metric_kind not in _KERNELS:
         raise MetricFormatError(f"unknown metric kind: {metric_kind!r}")
-    pts = np.asarray(points, dtype=float)
+    pts = np.array(points, dtype=float)   # a copy: it is frozen below
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.size < 1:

@@ -191,23 +191,12 @@ def _births_within_caps(d, tp, tq, eps):
     return near[keep], births[keep]
 
 
-def birth_matrix(m: MetricInput, ctx: WeightContext,
-                 within_deletion_caps: bool = False) -> np.ndarray:
-    """Full n x n matrix of edge birth scales (diagonal and masked pairs +inf).
-
-    With ``within_deletion_caps`` the computation is restricted to the
-    pairs that can possibly satisfy birth <= min(t_p, t_q); all other
-    entries are +inf.  Every returned finite entry is an exact birth, and
-    is <= min(t_p, t_q) iff it is so in exact arithmetic on the same floats.
-    """
-    n = m.n
-    dmat = m.distance_matrix()
+def birth_matrix(m: MetricInput, ctx: WeightContext) -> np.ndarray:
+    """Full n x n matrix of edge birth scales, diagonal +inf: the dense
+    reference.  An entry is <= min(t_p, t_q) iff it is so in exact
+    arithmetic on the same floats."""
     t = ctx.schedule.t
-    out = np.full((n, n), _INF)
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    if within_deletion_caps:
-        # birth <= min t forces d <= min t, since the birth is >= d
-        mask &= dmat <= np.minimum(t[:, None], t[None, :])
-    idx = np.nonzero(mask)
-    out[idx] = _births_exact_at_caps(dmat[idx], t[idx[0]], t[idx[1]], ctx.epsilon)
+    p, q = np.triu_indices(m.n, k=1)
+    out = np.full((m.n, m.n), _INF)
+    out[p, q] = _births_exact_at_caps(m.distance_matrix()[p, q], t[p], t[q], ctx.epsilon)
     return np.minimum(out, out.T)

@@ -68,13 +68,12 @@ def check_interleaving(m: MetricInput, ctx: WeightContext,
     eps = _exact_eps(ctx.epsilon)
     one_minus = 1 - 2 * eps
     t = ctx.schedule.t
-    dmat = m.distance_matrix()
     checked = 0
     for _ in range(n_pairs):
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n - 1))
         j = j + 1 if j >= i else j
-        d = Fraction(float(dmat[i, j]))
+        d = Fraction(m.distance(i, j))
         ti = math.inf if math.isinf(t[i]) else Fraction(float(t[i]))
         tj = math.inf if math.isinf(t[j]) else Fraction(float(t[j]))
 

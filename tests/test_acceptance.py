@@ -300,9 +300,8 @@ def test_criterion_7_linear_size_scaling():
                 # negative control: without the deletion-time caps every
                 # later-deleted point is a neighbor, and the bound breaks
                 t = ctx.schedule.t
-                capped = sr.birth_matrix(m, ctx, within_deletion_caps=True)
-                assert charged_degree(capped, t, t) == st.max_degree
-                births = sr.birth_matrix(m, ctx, within_deletion_caps=False)
+                births = sr.birth_matrix(m, ctx)
+                assert charged_degree(births, t, t) == st.max_degree
                 uncapped[n] = charged_degree(births, t, np.full(n, INF))
                 assert uncapped[n] > degree_bound, (
                     f"n={n}: uncapped charged degree {uncapped[n]} does not "

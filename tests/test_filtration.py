@@ -98,8 +98,7 @@ KERNELS = ("euclidean", "manhattan", "chebyshev")
 def dense_edges(m, ctx):
     """sparse_edges by the dense n x n birth matrix (oracle)."""
     t = ctx.schedule.t
-    return filtration._edges_within(birth_matrix(m, ctx, within_deletion_caps=True),
-                                    np.minimum.outer(t, t))
+    return filtration._edges_within(birth_matrix(m, ctx), np.minimum.outer(t, t))
 
 
 @pytest.mark.parametrize("kind", KERNELS)
@@ -532,23 +531,56 @@ def test_admission_filter_invariant():
 
 
 def test_size_stats_match_materialized_build():
+    # counts against the materialized filtration; the degree also against
+    # the dense birth matrix: max_p #{q != p : t_q >= t_p, birth <= t_p}
+    from sparse_rips import build_sparse_from_context, max_edge_degree
     rng = np.random.default_rng(39)
+    contexts = []
     for _ in range(6):
         n = int(rng.integers(3, 35))
         m = from_points(rng.random((n, 2)))
-        eps = float(rng.choice([0.1, 0.25, 1 / 3]))
-        ctx = WeightContext.build(m, eps)
-        from sparse_rips import build_sparse_from_context, max_edge_degree
+        contexts.append(WeightContext.build(m, float(rng.choice([0.1, 0.25, 1 / 3]))))
+    # integer tie grids
+    grids = [[(x, y) for x in range(w) for y in range(h)] for w, h in ((5, 5), (8, 3))]
+    grids += [[(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+              [(3 * x,) for x in range(20)]]
+    for pts in grids:
+        m = from_points(np.asarray(pts, dtype=float))
+        contexts += [WeightContext.build(m, eps, seed=seed)
+                     for eps in (0.1, 0.25, 1.0 / 3.0) for seed in (0, m.n - 1)]
+    # hand schedules: several t = inf, ties in t (an edge's root is then its
+    # lower index) and t = 0; then n = 1 and 2
+    hand = np.random.default_rng(10)
+    for _ in range(40):
+        n = int(hand.integers(1, 25))
+        pts = hand.random((n, int(hand.integers(1, 4)))) * 4
+        t = hand.choice([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, INF, INF], size=n)
+        contexts.append(manual_ctx(pts, t, float(hand.choice([0.1, 1.0 / 3.0])))[1])
+    for pts, t in [([[0.0]], [INF]), ([[2.0, 1.0]], [0.0]), ([[0.0], [3.0]], [INF, INF]),
+                   ([[0.0], [3.0]], [1.0, INF]), ([[0.0], [3.0]], [5.0, 5.0]),
+                   ([[0.0], [3.0]], [4.5, INF]), ([[0.0], [1.0], [0.5]], [INF, INF, INF]),
+                   ([[0.0], [1.0], [0.5]], [2.0, 2.0, 2.0])]:
+        m, ctx = manual_ctx(pts, t, 1.0 / 3.0)
+        contexts += [ctx, WeightContext.build(m, 0.25, seed=m.n - 1)]
+    # explicit matrices: a line of integers (ties), random points, one point
+    x, pts = np.arange(12.0), rng.random((20, 2))
+    for mat in (np.abs(np.subtract.outer(x, x)), np.hypot(*(pts[:, None] - pts).T), [[0.0]]):
+        m = from_matrix(mat)
+        contexts += [WeightContext.build(m, eps) for eps in (0.1, 1.0 / 3.0)]
+    for i, ctx in enumerate(contexts):
+        m, t = ctx.metric, ctx.schedule.t
+        keep = (birth_matrix(m, ctx) <= t[:, None]) & (t[None, :] >= t[:, None])
+        np.fill_diagonal(keep, False)
         for k in (1, 2, 3):
             st = sparse_size_stats(m, ctx, k)
             f = build_sparse_from_context(m, ctx, k)
-            assert st.counts_by_dim == tuple(f.counts_by_dim())
-            assert st.max_degree == max_edge_degree(m, ctx)
+            assert st.counts_by_dim == tuple(f.counts_by_dim()), (i, k)
+            assert st.max_degree == max_edge_degree(m, ctx), (i, k)
+            assert st.max_degree == int(keep.sum(axis=1).max()), (i, k)
 
 
 def test_size_stats_build_one_birth_matrix(monkeypatch):
-    # k <= 2: one n x n birth matrix, shared by the counts and the degrees;
-    # k > 2 expands the sparse edges, which build none
+    # the stats count on the sparse edge list: no n x n birth matrix for any k
     import sparse_rips.filtration as filtration
     calls = []
 
@@ -562,7 +594,7 @@ def test_size_stats_build_one_birth_matrix(monkeypatch):
     for k in (1, 2, 3):
         calls.clear()
         sparse_size_stats(m, ctx, k)
-        assert len(calls) == (1 if k <= 2 else 0), k
+        assert len(calls) == 0, k
 
 
 def test_edge_degree_definition():

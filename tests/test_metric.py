@@ -9,7 +9,7 @@ import sparse_rips.filtration as filtration
 import sparse_rips.metric as metric
 from sparse_rips import (MetricFormatError, WeightContext, build_sparse, from_matrix,
                          from_points, lint_triangle_inequality, load_matrix, load_points,
-                         max_edge_degree)
+                         max_edge_degree, sparse_size_stats)
 from sparse_rips.cli import main
 
 KERNELS = ("euclidean", "manhattan", "chebyshev")
@@ -184,8 +184,9 @@ def test_distance_of_an_explicit_matrix_indexes_it():
 
 
 def test_point_build_path_builds_no_matrix(monkeypatch, tmp_path, capsys):
-    # the sparse build of point input is O(n) memory: no cdist, no n x n
-    # distance or birth matrix, in the library or in CLI build
+    # the sparse build and the size stats of point input are O(n) memory: no
+    # cdist, no n x n distance or birth matrix, in the library or in CLI
+    # build and stats
     pts = np.random.default_rng(7).random((30, 2))
     csv = tmp_path / "pts.csv"
     csv.write_text("\n".join(f"{x!r},{y!r}" for x, y in pts.tolist()) + "\n")
@@ -201,8 +202,13 @@ def test_point_build_path_builds_no_matrix(monkeypatch, tmp_path, capsys):
             m = from_points(pts, metric_kind=kind)
             build_sparse(m, 1 / 3, 2)
             max_edge_degree(m, WeightContext.build(m, 0.25, seed=3))
+            for k in (1, 2, 3):
+                sparse_size_stats(m, WeightContext.build(m, 0.1, seed=5), k)
             assert main(["build", "--input", str(csv), "--metric", kind, "--epsilon",
                          "0.2", "--k", "2", "--out", str(tmp_path / "f.txt")]) == 0
+        for k in ("1", "2", "3"):
+            assert main(["stats", "--generator", "uniform2d", "--n", "30,40", "--epsilon",
+                         "0.1", "--k", k, "--out", str(tmp_path / "s.csv")]) == 0
     assert np.array_equal(m.distance_matrix(), cdist(pts, pts, metric="chebyshev"))
 
 
@@ -268,6 +274,18 @@ def test_triangle_inequality_lint_warns():
         assert not lint_triangle_inequality(bad)
     good = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
     assert lint_triangle_inequality(good)
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (6,)])
+def test_from_points_leaves_the_callers_array_alone(shape):
+    a = np.random.default_rng(9).random(shape)
+    pts = a.reshape(6, -1).copy()
+    m = from_points(a)
+    assert a.flags.writeable
+    a[...] = 0.0
+    assert np.array_equal(m.points, pts)
+    i, j = np.triu_indices(6, k=1)
+    assert np.array_equal(m.distances(i, j), cdist(pts, pts)[i, j])
 
 
 def test_matrix_input_is_immutable():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from sparse_rips import (OracleSizeError, WeightContext, from_points,
+from sparse_rips import (OracleSizeError, WeightContext, from_matrix, from_points,
                          run_battery)
-from sparse_rips.verify import (check_betti, check_c_approximation,
+from sparse_rips.metric import MetricInput
+from sparse_rips.verify import (CheckResult, check_betti, check_c_approximation,
                                 check_diagram_equality, check_interleaving,
                                 check_nets)
 
@@ -52,3 +54,33 @@ def test_failing_check_reports_witness():
     assert not r.ok
     assert "FAIL" in r.line()
     assert "point" in r.detail or "pair" in r.detail
+
+
+def test_interleaving_reads_sampled_distances_without_a_matrix(monkeypatch):
+    # each sampled pair reads one distance, equal to the cdist entry, and the
+    # result is the one the dense matrix gave
+    pts = np.random.default_rng(75).random((30, 3))
+    cases = [(from_points(pts, kind), cdist(pts, pts, metric=metric))
+             for kind, metric in (("euclidean", "euclidean"), ("manhattan", "cityblock"),
+                                  ("chebyshev", "chebyshev"))]
+    cases.append((from_matrix(cdist(pts, pts)), cdist(pts, pts)))
+    contexts = [(WeightContext.build(m, eps), dense) for m, dense in cases
+                for eps in (0.1, 1.0 / 3.0)]
+    read = []
+
+    def refuse(self):
+        raise AssertionError("an n x n matrix was built")
+
+    def recorded(self, i, j):
+        read.append((i, j, distance(self, i, j)))
+        return read[-1][2]
+
+    distance = MetricInput.distance
+    monkeypatch.setattr(MetricInput, "distance_matrix", refuse)
+    monkeypatch.setattr(MetricInput, "distance", recorded)
+    for ctx, dense in contexts:
+        read.clear()
+        got = check_interleaving(ctx.metric, ctx, rng=np.random.default_rng(6))
+        assert got == CheckResult("interleaving", True, "100 pairs, exact rational arithmetic")
+        assert len(read) == 100
+        assert all(i != j and d == dense[i, j] for i, j, d in read)

@@ -64,9 +64,9 @@ def _check_epsilon(parser, epsilon: float) -> None:
         parser.error(f"--epsilon must be in (0, 1/3], got {epsilon}")
 
 
-def _check_k(parser, k: int) -> None:
-    if k < 1:
-        parser.error(f"--k must be >= 1, got {k}")
+def _check_count(parser, option: str, value: int) -> None:
+    if value < 1:
+        parser.error(f"{option} must be >= 1, got {value}")
 
 
 def _check_seed(m: met.MetricInput, seed: int) -> None:
@@ -77,7 +77,7 @@ def _check_seed(m: met.MetricInput, seed: int) -> None:
 
 def cmd_build(parser, args) -> int:
     _check_epsilon(parser, args.epsilon)
-    _check_k(parser, args.k)
+    _check_count(parser, "--k", args.k)
     m = _load_input(args)
     _check_seed(m, args.seed)
     t0 = time.perf_counter()
@@ -85,8 +85,7 @@ def cmd_build(parser, args) -> int:
     schedule = deletion_times(gp, args.epsilon)
     ctx = WeightContext(epsilon=args.epsilon, schedule=schedule, metric=m)
     edges = filt.sparse_edges(m, ctx)
-    f = filt.clique_expand(edges, m.n, args.k, vertex_caps=schedule.t,
-                           kind=filt.KIND_SPARSE)
+    f = filt.clique_expand(edges, m.n, args.k, vertex_caps=schedule.t)
     elapsed = time.perf_counter() - t0
 
     _atomic_write(args.out, filt.filtration_text(f))
@@ -114,13 +113,13 @@ def cmd_persist(parser, args) -> int:
         if args.full:
             if args.alpha_max is None or args.alpha_max <= 0:
                 parser.error("--full requires a positive --alpha-max")
-            _check_k(parser, args.k)
+            _check_count(parser, "--k", args.k)
             f = filt.full_rips(m, args.alpha_max, args.k)
         else:
             if args.epsilon is None:
                 parser.error("building in-process requires --epsilon")
             _check_epsilon(parser, args.epsilon)
-            _check_k(parser, args.k)
+            _check_count(parser, "--k", args.k)
             _check_seed(m, args.seed)
             f = filt.build_sparse(m, args.epsilon, args.k, seed=args.seed)
     dgm = compute_persistence(f, keep_zero_pairs=args.keep_zero_pairs)
@@ -134,7 +133,8 @@ def cmd_persist(parser, args) -> int:
 
 def cmd_verify(parser, args) -> int:
     _check_epsilon(parser, args.epsilon)
-    _check_k(parser, args.k)
+    _check_count(parser, "--k", args.k)
+    _check_count(parser, "--samples", args.samples)
     m = _load_input(args)
     _check_seed(m, args.seed)
     try:
@@ -152,7 +152,8 @@ def cmd_verify(parser, args) -> int:
 
 def cmd_stats(parser, args) -> int:
     _check_epsilon(parser, args.epsilon)
-    _check_k(parser, args.k)
+    _check_count(parser, "--k", args.k)
+    _check_count(parser, "--trials", args.trials)
     if args.generator not in GENERATORS:
         parser.error(f"unknown generator {args.generator!r}; "
                      f"choose from {sorted(GENERATORS)}")

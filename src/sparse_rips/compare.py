@@ -101,22 +101,23 @@ def _diagonal_ok(p, c, rtol) -> bool:
 
 
 def _max_bipartite(n_left: int, adj: list[list[int]], n_right: int):
-    """Kuhn's augmenting-path maximum matching; returns match arrays."""
+    """Kuhn's maximum matching; its path search is iterative, so no path overflows the stack."""
     match_l = [-1] * n_left
     match_r = [-1] * n_right
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
+    for root in range(n_left):
+        seen = [False] * n_right
+        path = [(root, iter(adj[root]))]   # left vertices, each with its untried edges
+        while path:
+            v = next((v for v in path[-1][1] if not seen[v]), -1)
+            if v == -1:   # no augmenting path on from path[-1]: back up
+                path.pop()
+            elif match_r[v] != -1:   # go on from v's partner
                 seen[v] = True
-                if match_r[v] == -1 or try_augment(match_r[v], seen):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-        return False
-
-    for u in range(n_left):
-        try_augment(u, [False] * n_right)
+                path.append((match_r[v], iter(adj[match_r[v]])))
+            else:   # v is free: flip the matching along the path
+                for u, _ in reversed(path):
+                    match_l[u], match_r[v], v = v, u, match_l[u]
+                break
     return match_l, match_r
 
 

@@ -137,15 +137,34 @@ def _find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return found
 
 
-def _edges_within(values: np.ndarray, cap) -> list[tuple[int, int, float]]:
-    """Pairs p < q with values[p, q] <= cap (a scalar or broadcast array),
-    in row-major order, as Python (int, int, float) tuples."""
+#: an edge list: one record per edge, lower endpoint first, in row-major order
+EDGE_DTYPE = np.dtype([("p", np.int64), ("q", np.int64), ("birth", np.float64)])
+
+
+def _edge_list(p, q, birth) -> np.ndarray:
+    edges = np.empty(len(p), EDGE_DTYPE)
+    edges["p"], edges["q"], edges["birth"] = p, q, birth
+    return edges
+
+
+def _as_edges(edges) -> np.ndarray:
+    """An edge list, records ``p``, ``q``, ``birth``: an EDGE_DTYPE array as it is, or
+    (p, q, birth) tuples as one.  ValueError otherwise (a list of 3-lists is 2-D)."""
+    edges = np.asarray(edges, EDGE_DTYPE)
+    if edges.ndim != 1:
+        raise ValueError(f"edges must be (p, q, birth) tuples, got shape {edges.shape}")
+    return edges
+
+
+def _edges_within(values: np.ndarray, cap) -> np.ndarray:
+    """Edge list, records ``p`` < ``q`` and ``birth`` = values[p, q], of the
+    pairs with values[p, q] <= cap (a scalar or broadcast array)."""
     iu, ju = np.nonzero(np.triu(values <= cap, k=1))
-    return list(zip(iu.tolist(), ju.tolist(), values[iu, ju].tolist()))
+    return _edge_list(iu, ju, values[iu, ju])
 
 
-def sparse_edges(m: MetricInput, ctx: WeightContext) -> list[tuple[int, int, float]]:
-    """Edges of the sparse filtration with their birth scales.
+def sparse_edges(m: MetricInput, ctx: WeightContext) -> np.ndarray:
+    """Edge list of the sparse filtration: records ``p`` < ``q`` and ``birth``.
 
     A pair (p, q) is kept iff its relaxed birth scale is at most
     min(t_p, t_q), i.e. the edge condition is met while both endpoints
@@ -156,7 +175,7 @@ def sparse_edges(m: MetricInput, ctx: WeightContext) -> list[tuple[int, int, flo
     t = ctx.schedule.t
     a, b, d = _candidate_pairs(m, t)
     at, births = _births_within_caps(d, t[a], t[b], ctx.epsilon)
-    return list(zip(a[at].tolist(), b[at].tolist(), births.tolist()))
+    return _edge_list(a[at], b[at], births)
 
 
 #: Minkowski p of the KD-tree for each point kernel
@@ -177,8 +196,8 @@ def _candidate_pairs(m: MetricInput, t: np.ndarray):
     only proposes pairs; the exact kernel decides."""
     n = m.n
     if m.metric_kind == EXPLICIT_MATRIX:
-        a, b = np.nonzero(np.triu(m.matrix <= np.minimum.outer(t, t), k=1))
-        return a, b, m.matrix[a, b]
+        pairs = _edges_within(m.matrix, np.minimum.outer(t, t))
+        return pairs["p"], pairs["q"], pairs["birth"]
     level = np.where(t > 0, np.frexp(t)[1], -1100)   # frexp gives -1073..1024
     level[np.isinf(t)] = 1100
     by_level = np.argsort(-level, kind="stable")
@@ -201,12 +220,6 @@ def _candidate_pairs(m: MetricInput, t: np.ndarray):
     return a[keep], b[keep], d[keep]
 
 
-def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoints, int64 (m, 2), and the births of an edge list."""
-    ends = np.fromiter(chain.from_iterable((p, q) for p, q, _ in edges), np.int64, 2 * len(edges))
-    return ends.reshape(-1, 2), np.fromiter((b for _, _, b in edges), float, len(edges))
-
-
 def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of CSR rows ``rows`` (row r holds ``start[r]:start[r + 1]``),
     concatenated: ``slot`` is each entry's position, ``src`` its index in ``rows``."""
@@ -220,7 +233,7 @@ def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
                   kind: str = KIND_SPARSE, alpha_max: float | None = None,
                   vertices=None) -> SparseFiltration:
-    """Clique (flag) filtration of an edge list with birth scales.
+    """Clique (flag) filtration of an edge list (:func:`_as_edges`), in any order.
 
     Every clique of at most k + 1 vertices enters at the maximum of its
     edge births.  With ``vertex_caps`` a clique is admitted only while
@@ -232,7 +245,8 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
         raise ValueError("dimension cap k must be >= 1")
     verts = (np.arange(n, dtype=np.int64) if vertices is None
              else np.unique(np.asarray(vertices, dtype=np.int64)))
-    ends, births = _edge_arrays(edges)
+    edges = _as_edges(edges)
+    ends, births = np.c_[edges["p"], edges["q"]], edges["birth"]
     ends.sort(axis=1)
     _reject(ends[:, 0] == ends[:, 1],
             lambda i: f"degenerate edge {tuple(ends[i].tolist())}", ValueError)
@@ -285,8 +299,8 @@ def full_rips(m: MetricInput, alpha_max: float, k: int) -> SparseFiltration:
     """
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    edges = _edges_within(m.distance_matrix(), alpha_max)
-    return clique_expand(edges, m.n, k, kind=KIND_FULL, alpha_max=float(alpha_max))
+    return clique_expand(_edges_within(m.distance_matrix(), alpha_max), m.n, k,
+                         kind=KIND_FULL, alpha_max=float(alpha_max))
 
 
 def relaxed_rips(m: MetricInput, ctx: WeightContext, alpha_max: float,
@@ -298,8 +312,8 @@ def relaxed_rips(m: MetricInput, ctx: WeightContext, alpha_max: float,
     """
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    edges = _edges_within(birth_matrix(m, ctx), alpha_max)
-    return clique_expand(edges, m.n, k, kind=KIND_RELAXED, alpha_max=float(alpha_max))
+    return clique_expand(_edges_within(birth_matrix(m, ctx), alpha_max), m.n, k,
+                         kind=KIND_RELAXED, alpha_max=float(alpha_max))
 
 
 def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
@@ -315,17 +329,13 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
         raise ValueError("alpha must be nonnegative")
     if kind not in STATIC_KINDS:
         raise ValueError(f"kind must be one of {STATIC_KINDS}, got {kind!r}")
-    if kind == "relaxed_full":
-        verts = np.arange(m.n)
-    else:
-        verts = net_at(ctx.schedule, alpha, closed=(kind == "Q_closed"))
+    verts = (None if kind == "relaxed_full"
+             else net_at(ctx.schedule, alpha, closed=(kind == "Q_closed")))
 
-    dmat = m.distance_matrix()
     w = weight_batch(alpha, ctx.schedule.t, ctx.epsilon)
-    rel = dmat[np.ix_(verts, verts)] + w[verts, None] + w[None, verts]
-    vl = verts.tolist()
-    edges = [(vl[i], vl[j], 0.0) for i, j, _ in _edges_within(rel, alpha)]
-    return clique_expand(edges, m.n, k, kind=kind, vertices=vl)
+    edges = _edges_within(m.distance_matrix() + w[:, None] + w[None, :], alpha)
+    edges["birth"] = 0.0
+    return clique_expand(edges, m.n, k, kind=kind, vertices=verts)
 
 
 def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
@@ -379,16 +389,12 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
 # --- degree and size accounting -----------------------------------------
 
 def charged_degrees(edges, t: np.ndarray) -> np.ndarray:
-    """Per-point count of the sparse edges charged to it.  An edge counts for
-    its endpoint with the smaller deletion time, and for both on a tie:
-    degrees[p] = #{q : t_p <= t_q and birth(p, q) <= t_p}, since a sparse
-    edge has birth <= min(t_p, t_q)."""
-    return _charged_degrees(_edge_arrays(edges)[0], t)
-
-
-def _charged_degrees(ends: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`charged_degrees` of the edges with endpoints ``ends`` (m, 2)."""
-    p, q = ends.T
+    """Per-point count of the edges of an edge list (:func:`_as_edges`)
+    charged to it.  An edge counts for its endpoint with the smaller
+    deletion time, and for both on a tie: degrees[p] = #{q : t_p <= t_q
+    and birth(p, q) <= t_p}, since a sparse edge has birth <= min(t_p, t_q)."""
+    edges = _as_edges(edges)
+    p, q = edges["p"], edges["q"]
     return (np.bincount(p[t[p] <= t[q]], minlength=len(t))
             + np.bincount(q[t[q] <= t[p]], minlength=len(t)))
 
@@ -412,22 +418,19 @@ def sparse_size_stats(m: MetricInput, ctx: WeightContext, k: int) -> SizeStats:
     from :func:`sparse_edges`; only k > 2 materializes the filtration."""
     t = ctx.schedule.t
     edges = sparse_edges(m, ctx)
-    if k > 2:
-        filt = clique_expand(edges, m.n, k, vertex_caps=t)
-        # every sparse edge has birth <= min(t_p, t_q), so all are kept
-        counts, ends = filt.counts_by_dim(), filt.vertices[1]
+    if k > 2:   # every sparse edge has birth <= min(t_p, t_q), so all are kept
+        counts = clique_expand(edges, m.n, k, vertex_caps=t).counts_by_dim()
     else:
-        ends, births = _edge_arrays(edges)
-        counts = [m.n, len(edges)] + ([_count_triangles(ends, births, t)] if k == 2 else [])
-    return SizeStats(tuple(counts), int(_charged_degrees(ends, t).max(initial=0)))
+        counts = [m.n, len(edges)] + ([_count_triangles(edges, t)] if k == 2 else [])
+    return SizeStats(tuple(counts), int(charged_degrees(edges, t).max(initial=0)))
 
 
-def _count_triangles(ends: np.ndarray, births: np.ndarray, t: np.ndarray) -> int:
-    """Triangles of the sparse filtration with edges ``ends`` born at ``births``.
+def _count_triangles(edges: np.ndarray, t: np.ndarray) -> int:
+    """Triangles of the sparse filtration with edge list ``edges``.
     A simplex is rooted at its vertex r of least (t, index); a triangle
     rooted at r is an edge (q, s) inside out(r), the far ends of the edges
     rooted at r, with birth(q, s) <= t_r, so each is found once."""
-    p, q = ends.T   # lower index first
+    p, q, births = edges["p"], edges["q"], edges["birth"]   # p < q
     flip = t[q] < t[p]
     root, other = np.where(flip, q, p), np.where(flip, p, q)
     order = np.argsort(root, kind="stable")
@@ -447,8 +450,7 @@ def _count_triangles(ends: np.ndarray, births: np.ndarray, t: np.ndarray) -> int
 def build_sparse_from_context(m: MetricInput, ctx: WeightContext,
                               k: int) -> SparseFiltration:
     """build_sparse variant reusing an existing WeightContext."""
-    edges = sparse_edges(m, ctx)
-    return clique_expand(edges, m.n, k, vertex_caps=ctx.schedule.t, kind=KIND_SPARSE)
+    return clique_expand(sparse_edges(m, ctx), m.n, k, vertex_caps=ctx.schedule.t)
 
 
 # --- text format ---------------------------------------------------------

@@ -105,7 +105,7 @@ class MetricInput:
 
 def _deduplicate(n: int, iu, ju):
     """Return (keep_indices, dedup_map) merging the pairs (iu, ju), which are
-    at distance exactly 0, transitively."""
+    at distance exactly 0, transitively; warn if any point is removed."""
     if len(iu) == 0:
         return list(range(n)), tuple(range(n))
     # union-find keeping the smallest index of each duplicate group as root
@@ -124,6 +124,7 @@ def _deduplicate(n: int, iu, ju):
             parent[hi] = lo
     roots = [find(i) for i in range(n)]
     keep = sorted(set(roots))
+    warnings.warn(f"removed {n - len(keep)} duplicate point(s); indices remapped (see dedup_map)")
     pos = {r: k for k, r in enumerate(keep)}
     return keep, tuple(pos[r] for r in roots)
 
@@ -150,10 +151,6 @@ def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
     iu, ju = pairs[raw.distances(pairs[:, 0], pairs[:, 1]) == 0.0].T
     keep, remap = _deduplicate(raw.n, iu, ju)
     if len(keep) < raw.n:
-        warnings.warn(
-            f"removed {raw.n - len(keep)} duplicate point(s); "
-            "indices remapped (see dedup_map)"
-        )
         pts = pts[keep]
     pts.setflags(write=False)
     return MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts,
@@ -190,10 +187,6 @@ def from_matrix(matrix) -> MetricInput:
 
     keep, remap = _deduplicate(mat.shape[0], *np.nonzero(np.triu(mat == 0.0, k=1)))
     if len(keep) < mat.shape[0]:
-        warnings.warn(
-            f"removed {mat.shape[0] - len(keep)} duplicate point(s); "
-            "indices remapped (see dedup_map)"
-        )
         mat = mat[np.ix_(keep, keep)]
     lint_triangle_inequality(mat)
     mat.setflags(write=False)
@@ -238,9 +231,7 @@ def _parse_rows(path, fmt: str, header: bool,
         raise MetricFormatError(f"unknown format: {fmt!r}")
     rows: list[list[float]] = []
     width = None
-    lineno = 0
-    for raw in text.splitlines():
-        lineno += 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if header and lineno == 1:
             continue
         line = raw.strip()

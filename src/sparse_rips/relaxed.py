@@ -129,7 +129,8 @@ def pair_birth_batch(d, tp, tq, eps):
 
 @dataclass(frozen=True)
 class WeightContext:
-    """Bundle of metric, deletion schedule, and approximation parameter.
+    """Bundle of metric, deletion schedule, and approximation parameter;
+    the schedule must be built for that epsilon and the metric's points.
 
     Immutable; all evaluations are pure functions of it, so unrestricted
     concurrent use is safe.
@@ -142,6 +143,9 @@ class WeightContext:
     def __post_init__(self):
         if not (0 < self.epsilon <= 1 / 3):
             raise ValueError(f"epsilon must satisfy 0 < epsilon <= 1/3, got {self.epsilon}")
+        if self.schedule.epsilon != self.epsilon or self.schedule.n != self.metric.n:
+            raise ValueError(f"schedule for epsilon={self.schedule.epsilon}, n={self.schedule.n} "
+                             f"does not fit epsilon={self.epsilon}, n={self.metric.n}")
 
     @classmethod
     def build(cls, m: MetricInput, epsilon: float, seed: int = 0) -> "WeightContext":

@@ -179,6 +179,20 @@ def test_seed_out_of_range_is_data_error(tmp_path, capsys, command, seed):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, option", [("verify", "--samples"), ("stats", "--trials")])
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, option, value):
+    out = tmp_path / "s.csv"
+    argv = {"verify": ["verify", "--input", str(write_square(tmp_path)), "--epsilon", "0.3"],
+            "stats": ["stats", "--generator", "uniform2d", "--n", "10", "--epsilon", "0.1",
+                      "--out", str(out)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    assert f"{option} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_guard_refusal(tmp_path, capsys):
     src = write_random(tmp_path, 200, seed=12)
     code = main(["verify", "--input", str(src), "--epsilon", "0.25"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ def test_match_symmetric():
         for c in (1.1, 1.8, 3.0):
             assert multiplicative_match(a, b, c).ok == \
                    multiplicative_match(b, a, c).ok
+
+
+def test_match_long_augmenting_paths_need_no_deep_recursion():
+    # on this geometric chain the augmenting paths grow with the diagram,
+    # about one step per point; the search must not recurse once per step
+    n = 300
+    a = dgm({0: [(1.2 ** i, 1.2 ** i * 1e6) for i in range(n)]}, k=1)
+    b = dgm({0: [(1.1 * 1.2 ** i, 1.2 ** i * 1e6) for i in range(n)]}, k=1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        r = multiplicative_match(a, b, 1.5)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.ok
+    assert sorted(j for _, i, j in r.matching) == list(range(n))
+    for _, i, j in r.matching:
+        assert max(b.in_dim(0)[j][0] / a.in_dim(0)[i][0],
+                   a.in_dim(0)[i][0] / b.in_dim(0)[j][0]) <= 1.5
 
 
 def test_match_censored_deaths():

@@ -53,9 +53,9 @@ def test_sparse_edges_all_infinite_times_is_full_graph():
 def test_sparse_edges_inclusion_by_deletion_time():
     eps = 1.0 / 3.0
     m, ctx = manual_ctx([[0.0], [5.0]], [9.0, INF], eps)
-    assert sparse_edges(m, ctx) == [(0, 1, 7.0)]
+    assert sparse_edges(m, ctx).tolist() == [(0, 1, 7.0)]
     m2, ctx2 = manual_ctx([[0.0], [20.0]], [9.0, INF], eps)
-    assert sparse_edges(m2, ctx2) == []  # birth 30 exceeds t = 9
+    assert sparse_edges(m2, ctx2).tolist() == []  # birth 30 exceeds t = 9
 
 
 def test_sparse_edges_match_exact_rational_births():
@@ -109,7 +109,7 @@ def test_sparse_edges_match_dense_oracle_random(kind):
         m = from_points(rng.normal(size=(n, dim)) * 10.0 ** int(rng.integers(-3, 4)), kind)
         eps = float(rng.choice([0.05, 0.1, 0.25, 1.0 / 3.0]))
         ctx = WeightContext.build(m, eps, seed=int(rng.integers(0, m.n)))
-        assert sparse_edges(m, ctx) == dense_edges(m, ctx), (dim, n, eps)
+        assert sparse_edges(m, ctx).tolist() == dense_edges(m, ctx).tolist(), (dim, n, eps)
 
 
 @pytest.mark.parametrize("kind", KERNELS)
@@ -125,7 +125,8 @@ def test_sparse_edges_match_dense_oracle_on_tie_grids_and_extreme_scales(kind):
         for eps in (0.1, 0.2, 0.25, 1.0 / 3.0):
             for seed in (0, m.n - 1):
                 ctx = WeightContext.build(m, eps, seed=seed)
-                assert sparse_edges(m, ctx) == dense_edges(m, ctx), (m.n, eps, seed)
+                assert (sparse_edges(m, ctx).tolist()
+                        == dense_edges(m, ctx).tolist()), (m.n, eps, seed)
 
 
 def test_sparse_edges_match_dense_oracle_on_hand_schedules():
@@ -136,7 +137,7 @@ def test_sparse_edges_match_dense_oracle_on_hand_schedules():
         pts = rng.random((n, int(rng.integers(1, 4)))) * 4
         t = rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, INF, INF], size=n)
         m, ctx = manual_ctx(pts, t, float(rng.choice([0.1, 1.0 / 3.0])))
-        assert sparse_edges(m, ctx) == dense_edges(m, ctx), i
+        assert sparse_edges(m, ctx).tolist() == dense_edges(m, ctx).tolist(), i
 
 
 def test_sparse_edges_match_dense_oracle_on_one_and_two_points():
@@ -144,13 +145,13 @@ def test_sparse_edges_match_dense_oracle_on_one_and_two_points():
                    ([[0.0], [3.0]], [1.0, INF]), ([[0.0], [3.0]], [5.0, 5.0]),
                    ([[0.0], [3.0]], [4.5, INF]), ([[0.0], [3.0]], [0.0, 0.0])]:
         m, ctx = manual_ctx(pts, t, 1.0 / 3.0)
-        assert sparse_edges(m, ctx) == dense_edges(m, ctx), (pts, t)
+        assert sparse_edges(m, ctx).tolist() == dense_edges(m, ctx).tolist(), (pts, t)
         greedy = WeightContext.build(m, 0.25, seed=m.n - 1)
-        assert sparse_edges(m, greedy) == dense_edges(m, greedy), pts
+        assert sparse_edges(m, greedy).tolist() == dense_edges(m, greedy).tolist(), pts
     # a hand-made input may keep duplicates: t = 0 still admits d = 0
     m = MetricInput("euclidean", 3, points=np.array([[1.0], [1.0], [2.0]]))
     ctx = WeightContext(1.0 / 3.0, DeletionSchedule(1.0 / 3.0, np.array([0.25, 0.0, INF])), m)
-    assert sparse_edges(m, ctx) == dense_edges(m, ctx) == [(0, 1, 0.0)]
+    assert sparse_edges(m, ctx).tolist() == dense_edges(m, ctx).tolist() == [(0, 1, 0.0)]
 
 
 @pytest.mark.filterwarnings("ignore:removed .* duplicate point")
@@ -189,7 +190,7 @@ def test_sparse_edges_keep_exact_ties_whose_float_slack_is_negative():
         if not tp - weight_batch(tp, tp, eps) - weight_batch(tp, tq, eps) < d:
             continue
         m, ctx = manual_ctx([[0.0], [d]], [tp, tq], eps)
-        assert sparse_edges(m, ctx) == dense_edges(m, ctx), (eps, tp, tq, d)
+        assert sparse_edges(m, ctx).tolist() == dense_edges(m, ctx).tolist(), (eps, tp, tq, d)
         assert [(p, q) for p, q, _ in sparse_edges(m, ctx)] == [(0, 1)]
         cases += 1
 
@@ -201,7 +202,7 @@ def test_sparse_edges_of_an_explicit_matrix_match_dense_oracle():
         pts = pts.astype(float)
         m = from_matrix(np.abs(pts[:, None] - pts[None, :]).max(axis=2))
         ctx = WeightContext.build(m, 0.2)
-        assert sparse_edges(m, ctx) == dense_edges(m, ctx)
+        assert sparse_edges(m, ctx).tolist() == dense_edges(m, ctx).tolist()
 
 
 # --- clique_expand --------------------------------------------------------
@@ -313,6 +314,27 @@ def test_clique_expand_rejects_bad_edges():
         clique_expand([(0, 1, 1.0), (1, 0, 2.0)], 2, 2)
     with pytest.raises(ValueError):
         clique_expand([(0, 1, 1.0)], 2, 0)
+
+
+def test_edge_list_forms():
+    # tuples and the EDGE_DTYPE array give one filtration; the array is read
+    # as it is; 3-lists (which numpy reads as 2-D records) and 2-tuples are refused
+    tuples = [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 0.5)]
+    array = np.array(tuples, dtype=filtration.EDGE_DTYPE)
+    assert filtration._as_edges(array) is array
+    t = np.array([1.0, 2.0, 2.0, INF])
+    want = clique_expand(tuples, 4, 2).simplices()
+    assert want[-1] == ((0, 1, 2), 3.0)
+    assert clique_expand(array, 4, 2).simplices() == want
+    # (1, 2) is a tie in t, so it counts for both ends
+    assert charged_degrees(array, t).tolist() == charged_degrees(tuples, t).tolist() == [2, 1, 2, 0]
+    assert clique_expand([], 4, 2).simplices() == [((v,), 0.0) for v in range(4)]
+    assert charged_degrees([], t).tolist() == [0, 0, 0, 0]
+    for bad in ([list(e) for e in tuples], [(p, q) for p, q, _ in tuples], [[0, 1, 1.0]]):
+        with pytest.raises(ValueError):
+            clique_expand(bad, 4, 2)
+        with pytest.raises(ValueError):
+            charged_degrees(bad, t)
 
 
 # --- build_sparse ---------------------------------------------------------

@@ -211,6 +211,17 @@ def test_weight_context_validation():
         WeightContext(epsilon=0.5, schedule=s, metric=m)
 
 
+def test_weight_context_rejects_a_schedule_for_another_epsilon_or_n():
+    m = from_points([[0.0], [1.0], [3.0]])
+    gp = greedy_permutation(m)
+    with pytest.raises(ValueError, match=r"epsilon=0\.05, n=3 does not fit epsilon=0\.2, n=3"):
+        WeightContext(epsilon=0.2, schedule=deletion_times(gp, 0.05), metric=m)
+    other = from_points([[0.0], [1.0]])
+    with pytest.raises(ValueError, match=r"epsilon=0\.2, n=3 does not fit epsilon=0\.2, n=2"):
+        WeightContext(epsilon=0.2, schedule=deletion_times(gp, 0.2), metric=other)
+    WeightContext(epsilon=0.2, schedule=deletion_times(gp, 0.2), metric=m)
+
+
 def test_context_build_pipeline():
     rng = np.random.default_rng(25)
     m = from_points(rng.random((10, 2)))

@@ -13,37 +13,52 @@ import json
 import math
 from dataclasses import dataclass
 
-from .persistence import PersistenceDiagram
+import numpy as np
 
-INF = math.inf
+from .persistence import PersistenceDiagram
 
 #: relative slack on factor comparisons; absorbs float rounding in values
 #: that sit exactly on the guaranteed bound, nothing more.
 DEFAULT_RTOL = 1e-12
 
 
+def _max_matching(graph: np.ndarray) -> np.ndarray:
+    """Maximum matching of a dense boolean bipartite graph: the column
+    matched to each row, or -1 (Hopcroft-Karp, in scipy's compiled code)."""
+    # imported here: the package import does not pay for csgraph
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+    return maximum_bipartite_matching(csr_array(graph), perm_type="column")
+
+
+def _points(dgm: PersistenceDiagram, d: int) -> np.ndarray:
+    return np.array(dgm.in_dim(d), dtype=float).reshape(-1, 2)
+
+
 def diagram_equal(a: PersistenceDiagram, b: PersistenceDiagram,
                   tol: float = 1e-9) -> bool:
     """Multiset equality up to relative ``tol`` per coordinate.
 
-    Sorted pairwise comparison: x and y agree when |x - y| <= tol *
-    max(|x|, |y|), so the test does not depend on the scale of the
-    data; an infinite death agrees only with an infinite death.
+    x and y agree when |x - y| <= tol * max(|x|, |y|), so the test does
+    not depend on the scale of the data; an infinite death agrees only
+    with an infinite death.  Per dimension the diagrams are equal when
+    the pairs that agree in both coordinates have a perfect matching, so
+    near-ties sorted differently on the two sides do not matter.
     """
     if a.k != b.k:
         raise ValueError(f"dimension caps differ: {a.k} vs {b.k}")
 
-    def close(x: float, y: float) -> bool:
-        if math.isinf(x) or math.isinf(y):
-            return x == y
-        return abs(x - y) <= tol * max(abs(x), abs(y))
+    def close(x, y):
+        with np.errstate(invalid="ignore"):   # inf - inf, masked below
+            near = np.abs(x - y) <= tol * np.maximum(np.abs(x), np.abs(y))
+        return np.where(np.isinf(x) | np.isinf(y), x == y, near)
 
     for d in range(a.k):
-        pa, pb = sorted(a.in_dim(d)), sorted(b.in_dim(d))
+        pa, pb = _points(a, d), _points(b, d)
         if len(pa) != len(pb):
             return False
-        if not all(close(b1, b2) and close(d1, d2)
-                   for (b1, d1), (b2, d2) in zip(pa, pb)):
+        agree = close(pa[:, None, 0], pb[:, 0]) & close(pa[:, None, 1], pb[:, 1])
+        if (_max_matching(agree) == -1).any():
             return False
     return True
 
@@ -55,7 +70,7 @@ class MatchResult:
     When ok, ``matching`` lists (dim, index_in_a, index_in_b) for matched
     pairs and (dim, index_in_a, None) / (dim, None, index_in_b) for points
     matched to the diagonal.  When not ok, ``witness`` is (dim, side,
-    index, (birth, death)) for a point with no feasible partner.
+    index, (birth, death)) for a point a maximum matching leaves unmatched.
     """
 
     ok: bool
@@ -64,61 +79,33 @@ class MatchResult:
     witness: tuple | None
 
 
-def _within_factor(x: float, y: float, c: float, rtol: float) -> bool:
-    if x == 0.0 or y == 0.0:
-        return x == y
-    lo, hi = (x, y) if x <= y else (y, x)
-    return hi <= c * lo * (1.0 + rtol)
+def _within_factor(x, y, c, rtol):
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    return np.where((x == 0.0) | (y == 0.0), x == y, hi <= c * lo * (1.0 + rtol))
 
 
-def _deaths_compatible(pa, pb, c, rtol, amax_a, amax_b) -> bool:
-    da, db = pa[1], pb[1]
-    cens_a = amax_a is not None and da == amax_a
-    cens_b = amax_b is not None and db == amax_b
-    if cens_a or cens_b:
-        # censored deaths only witness "death >= alpha_max"
-        ok = True
-        if cens_a:
-            ok &= db >= amax_a / c * (1.0 - rtol)
-        if cens_b:
-            ok &= da >= amax_b / c * (1.0 - rtol)
-        return ok
-    if math.isinf(da) or math.isinf(db):
-        return math.isinf(da) and math.isinf(db)
-    return _within_factor(da, db, c, rtol)
+def _deaths_compatible(da, db, c, rtol, amax_a, amax_b):
+    censored, censored_ok = False, True
+    for mine, other, amax in ((da, db, amax_a), (db, da, amax_b)):
+        if amax is not None:
+            # censored deaths only witness "death >= alpha_max"
+            cens = mine == amax
+            censored = censored | cens
+            censored_ok = censored_ok & (~cens | (other >= amax / c * (1.0 - rtol)))
+    inf_a, inf_b = np.isinf(da), np.isinf(db)
+    plain = np.where(inf_a | inf_b, inf_a & inf_b, _within_factor(da, db, c, rtol))
+    return np.where(censored, censored_ok, plain)
 
 
-def _compatible(pa, pb, c, rtol, amax_a, amax_b) -> bool:
-    return (_within_factor(pa[0], pb[0], c, rtol)
-            and _deaths_compatible(pa, pb, c, rtol, amax_a, amax_b))
+def _compatible(pa, pb, c, rtol, amax_a, amax_b):
+    """Feasible (len(pa), len(pb)) pairs of (birth, death) rows."""
+    return (_within_factor(pa[:, None, 0], pb[:, 0], c, rtol)
+            & _deaths_compatible(pa[:, None, 1], pb[:, 1], c, rtol, amax_a, amax_b))
 
 
-def _diagonal_ok(p, c, rtol) -> bool:
-    birth, death = p
-    if math.isinf(death) or birth <= 0.0:
-        return False
-    return death <= c * c * birth * (1.0 + rtol)
-
-
-def _max_bipartite(n_left: int, adj: list[list[int]], n_right: int):
-    """Kuhn's maximum matching; its path search is iterative, so no path overflows the stack."""
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    for root in range(n_left):
-        seen = [False] * n_right
-        path = [(root, iter(adj[root]))]   # left vertices, each with its untried edges
-        while path:
-            v = next((v for v in path[-1][1] if not seen[v]), -1)
-            if v == -1:   # no augmenting path on from path[-1]: back up
-                path.pop()
-            elif match_r[v] != -1:   # go on from v's partner
-                seen[v] = True
-                path.append((match_r[v], iter(adj[match_r[v]])))
-            else:   # v is free: flip the matching along the path
-                for u, _ in reversed(path):
-                    match_l[u], match_r[v], v = v, u, match_l[u]
-                break
-    return match_l, match_r
+def _diagonal_ok(p, c, rtol):
+    birth, death = p[:, 0], p[:, 1]
+    return ~np.isinf(death) & (birth > 0.0) & (death <= c * c * birth * (1.0 + rtol))
 
 
 def multiplicative_match(a: PersistenceDiagram, b: PersistenceDiagram,
@@ -138,38 +125,29 @@ def multiplicative_match(a: PersistenceDiagram, b: PersistenceDiagram,
 
     matching: list[tuple] = []
     for d in range(a.k):
-        pa, pb = a.in_dim(d), b.in_dim(d)
+        pa, pb = _points(a, d), _points(b, d)
         na, nb = len(pa), len(pb)
-        # left: a-points then b-diagonal slots; right: b-points then a-diagonal slots
-        adj: list[list[int]] = []
-        for i, p in enumerate(pa):
-            row = [j for j, q in enumerate(pb)
-                   if _compatible(p, q, c, rtol, a.alpha_max, b.alpha_max)]
-            if _diagonal_ok(p, c, rtol):
-                row.append(nb + i)
-            adj.append(row)
-        for j, q in enumerate(pb):
-            row = list(range(nb, nb + na))  # diagonal slots pair off freely
-            if _diagonal_ok(q, c, rtol):
-                row.append(j)  # last resort: send q itself to the diagonal
-            adj.append(row)
-
-        match_l, match_r = _max_bipartite(na + nb, adj, nb + na)
-        if any(v == -1 for v in match_l):
-            u = next(u for u, v in enumerate(match_l) if v == -1)
-            if u < na:
-                witness = (d, "a", u, pa[u])
+        # rows: a-points then b-diagonal slots; columns: b-points then
+        # a-diagonal slots, where the diagonal slots pair off freely
+        graph = np.block([
+            [_compatible(pa, pb, c, rtol, a.alpha_max, b.alpha_max),
+             np.diag(_diagonal_ok(pa, c, rtol))],
+            [np.diag(_diagonal_ok(pb, c, rtol)), np.ones((nb, na), bool)]])
+        match = _max_matching(graph)
+        free = np.flatnonzero(match == -1)
+        if len(free):
+            if free[0] < na:
+                witness = (d, "a", int(free[0]), a.in_dim(d)[free[0]])
             else:
-                # an unmatched b-slot implies some b-point has no partner
-                j = next(j for j in range(nb) if match_r[j] == -1)
-                witness = (d, "b", j, pb[j])
+                # a free b-slot could take any a-diagonal column, so all of
+                # those are matched and some b-point is not
+                j = int(np.setdiff1d(np.arange(nb), match)[0])
+                witness = (d, "b", j, b.in_dim(d)[j])
             return MatchResult(ok=False, factor=float(c), matching=None,
                                witness=witness)
-        for u, v in enumerate(match_l):
-            if u < na:
-                matching.append((d, u, v) if v < nb else (d, u, None))
-            elif v < nb:
-                matching.append((d, None, v))
+        match = match.tolist()
+        matching += [(d, u, v if v < nb else None) for u, v in enumerate(match[:na])]
+        matching += [(d, None, v) for v in match[na:] if v < nb]
     return MatchResult(ok=True, factor=float(c), matching=matching, witness=None)
 
 

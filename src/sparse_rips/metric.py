@@ -108,25 +108,15 @@ def _deduplicate(n: int, iu, ju):
     at distance exactly 0, transitively; warn if any point is removed."""
     if len(iu) == 0:
         return list(range(n)), tuple(range(n))
-    # union-find keeping the smallest index of each duplicate group as root
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            lo, hi = (ri, rj) if ri < rj else (rj, ri)
-            parent[hi] = lo
-    roots = [find(i) for i in range(n)]
-    keep = sorted(set(roots))
+    # imported here: the package import does not pay for csgraph
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+    _, group = connected_components(
+        coo_array((np.ones(len(iu), bool), (iu, ju)), shape=(n, n)), directed=False)
+    _, first = np.unique(group, return_index=True)   # smallest index per group
+    keep, remap = np.unique(first[group], return_inverse=True)
     warnings.warn(f"removed {n - len(keep)} duplicate point(s); indices remapped (see dedup_map)")
-    pos = {r: k for k, r in enumerate(keep)}
-    return keep, tuple(pos[r] for r in roots)
+    return keep, tuple(remap.tolist())
 
 
 #: chebyshev radius of the duplicate candidates: every kernel is exactly 0

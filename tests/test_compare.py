@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -61,6 +62,14 @@ def test_equal_infinity_only_matches_infinity():
     assert not diagram_equal(a, b, tol=1e-9)
 
 
+def test_equal_pairs_near_ties_that_sort_differently():
+    # sorted, a pairs (1, 2) with (1, 1.5); as multisets the diagrams agree
+    a = dgm({1: [(1, 2), (1 + 1e-13, 1.5)]})
+    b = dgm({1: [(1 + 2e-13, 2), (1, 1.5)]})
+    assert diagram_equal(a, b, tol=1e-9)
+    assert diagram_equal(b, a, tol=1e-9)
+
+
 def test_equal_count_mismatch():
     assert not diagram_equal(dgm({0: [(0, 1)]}), dgm({0: []}), tol=1e-9)
 
@@ -79,11 +88,12 @@ def test_match_identity():
 
 
 def test_match_within_ratio():
-    a = dgm({1: [(1, 2)]})
-    b = dgm({1: [(1.2, 1.9)]})
+    # neither point may go to the diagonal (3 > 1.5^2 * 1, 2.9 > 1.5^2 * 1.2)
+    a = dgm({1: [(1, 3)]})
+    b = dgm({1: [(1.2, 2.9)]})
     res = multiplicative_match(a, b, 1.5)
     assert res.ok
-    assert (1, 0, 0) in res.matching
+    assert res.matching == [(1, 0, 0)]
 
 
 def test_match_via_diagonal():
@@ -157,7 +167,7 @@ def test_match_symmetric():
 def test_match_long_augmenting_paths_need_no_deep_recursion():
     # on this geometric chain the augmenting paths grow with the diagram,
     # about one step per point; the search must not recurse once per step
-    n = 300
+    n = 2000
     a = dgm({0: [(1.2 ** i, 1.2 ** i * 1e6) for i in range(n)]}, k=1)
     b = dgm({0: [(1.1 * 1.2 ** i, 1.2 ** i * 1e6) for i in range(n)]}, k=1)
     limit = sys.getrecursionlimit()
@@ -188,3 +198,130 @@ def test_match_report_json():
     bad = multiplicative_match(dgm({1: [(1, 9)]}), dgm({1: []}), 1.5)
     doc = match_report_json(bad)
     assert '"ok": false' in doc and '"witness"' in doc
+
+
+# --- brute-force oracle -----------------------------------------------------
+# the scalar predicates below are the reference for the array ones in compare.py
+
+def within_factor(x, y, c, rtol):
+    if x == 0.0 or y == 0.0:
+        return x == y
+    lo, hi = (x, y) if x <= y else (y, x)
+    return hi <= c * lo * (1.0 + rtol)
+
+
+def deaths_compatible(pa, pb, c, rtol, amax_a, amax_b):
+    da, db = pa[1], pb[1]
+    cens_a = amax_a is not None and da == amax_a
+    cens_b = amax_b is not None and db == amax_b
+    if cens_a or cens_b:
+        ok = True
+        if cens_a:
+            ok &= db >= amax_a / c * (1.0 - rtol)
+        if cens_b:
+            ok &= da >= amax_b / c * (1.0 - rtol)
+        return ok
+    if math.isinf(da) or math.isinf(db):
+        return math.isinf(da) and math.isinf(db)
+    return within_factor(da, db, c, rtol)
+
+
+def compatible(pa, pb, c, rtol, amax_a, amax_b):
+    return (within_factor(pa[0], pb[0], c, rtol)
+            and deaths_compatible(pa, pb, c, rtol, amax_a, amax_b))
+
+
+def diagonal_ok(p, c, rtol):
+    birth, death = p
+    if math.isinf(death) or birth <= 0.0:
+        return False
+    return death <= c * c * birth * (1.0 + rtol)
+
+
+def brute_match(a, b, c, rtol=1e-12):
+    """Try every injective partial map from a to b, the rest to the diagonal."""
+    def feasible(pa, pb, image):
+        used = [j for j in image if j is not None]
+        return (len(set(used)) == len(used)
+                and all(diagonal_ok(p, c, rtol) if j is None
+                        else compatible(p, pb[j], c, rtol, a.alpha_max, b.alpha_max)
+                        for p, j in zip(pa, image))
+                and all(diagonal_ok(q, c, rtol) for j, q in enumerate(pb) if j not in used))
+
+    for d in range(a.k):
+        pa, pb = a.in_dim(d), b.in_dim(d)
+        images = itertools.product([None, *range(len(pb))], repeat=len(pa))
+        if not any(feasible(pa, pb, image) for image in images):
+            return False
+    return True
+
+
+def brute_equal(a, b, tol):
+    def close(x, y):
+        if math.isinf(x) or math.isinf(y):
+            return x == y
+        return abs(x - y) <= tol * max(abs(x), abs(y))
+    for d in range(a.k):
+        pa, pb = a.in_dim(d), b.in_dim(d)
+        if len(pa) != len(pb) or not any(
+                all(close(p[0], q[0]) and close(p[1], q[1]) for p, q in zip(pa, perm))
+                for perm in itertools.permutations(pb)):
+            return False
+    return True
+
+
+def random_diagram(rng, k, alpha_max):
+    """Up to 3 points per dimension with zero births, zero persistence, ties,
+    infinite and censored deaths."""
+    pairs = {}
+    for d in range(k):
+        pairs[d] = []
+        for _ in range(int(rng.integers(0, 4))):
+            birth = float(rng.choice([0.0, 1.0, 1.5, 2.0, rng.uniform(0.5, 3)]))
+            r = rng.random()
+            if r < 0.2:
+                death = INF
+            elif r < 0.4 and alpha_max is not None:
+                death = alpha_max
+            else:
+                death = birth + float(rng.choice([0.0, 0.5, 1.0, 1.25, rng.uniform(0.01, 4)]))
+            pairs[d].append((birth, death))
+    return dgm(pairs, k=k, alpha_max=alpha_max)
+
+
+def test_match_and_equal_agree_with_brute_force():
+    rng = np.random.default_rng(11)
+    decided = set()
+    for _ in range(400):
+        k = int(rng.integers(1, 3))
+        a = random_diagram(rng, k, rng.choice([None, 4.0, INF]))
+        b = random_diagram(rng, k, rng.choice([None, 4.0, 2.5]))
+        c = float(rng.choice([1.0, 1.25, 1.5, 2.0, 3.0, rng.uniform(1, 3)]))
+        res = multiplicative_match(a, b, c)
+        assert res.ok == brute_match(a, b, c)
+        decided.add(res.ok)
+        if res.ok:
+            for d, i, j in res.matching:
+                if i is None:
+                    assert diagonal_ok(b.in_dim(d)[j], c, 1e-12)
+                elif j is None:
+                    assert diagonal_ok(a.in_dim(d)[i], c, 1e-12)
+                else:
+                    assert compatible(a.in_dim(d)[i], b.in_dim(d)[j], c, 1e-12,
+                                      a.alpha_max, b.alpha_max)
+            for d in range(k):
+                entries = [e for e in res.matching if e[0] == d]
+                assert sorted(i for _, i, _ in entries if i is not None) == \
+                    list(range(len(a.in_dim(d))))
+                assert sorted(j for _, _, j in entries if j is not None) == \
+                    list(range(len(b.in_dim(d))))
+        else:
+            d, side, index, pair = res.witness
+            assert (a if side == "a" else b).in_dim(d)[index] == pair
+        # equality: a against a jittered copy of itself, and against b
+        jitter = dgm({d: [(x * (1 + 1e-13 * rng.random()), y)
+                          for x, y in a.in_dim(d)] for d in range(k)}, k=k)
+        for tol in (1e-9, 0.0):
+            assert diagram_equal(a, jitter, tol) == brute_equal(a, jitter, tol)
+            assert diagram_equal(a, b, tol) == brute_equal(a, b, tol)
+    assert decided == {True, False}

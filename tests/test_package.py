@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import subprocess
+import sys
 import types
 
 import sparse_rips as sr
@@ -29,3 +31,10 @@ def test_exports_have_no_duplicates():
 
 def test_exports_are_the_names_bound_in_init():
     assert set(sr.__all__) == names_bound_in_init()
+
+
+def test_import_leaves_the_graph_routines_unloaded():
+    # compare.py and metric.py import scipy.sparse.csgraph where they call it
+    code = ("import sys, sparse_rips, sparse_rips.cli; "
+            "assert 'scipy.sparse.csgraph' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True)

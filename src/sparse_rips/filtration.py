@@ -120,21 +120,12 @@ def _order_breaks(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (values[1:] < values[:-1]) | ((values[1:] == values[:-1]) & less)
 
 
-def _find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index in ``table`` of each row of ``queries``, -1 where absent.  Whole
-    rows are compared, so no label can overflow a packed key; the stable
-    sort puts a table row just before the queries equal to it."""
-    both = np.concatenate([table, queries])
-    order = np.lexsort(both.T[::-1])
-    in_table = order < len(table)
-    last = np.maximum.accumulate(np.where(in_table, np.arange(len(order)), -1))[~in_table]
-    cand, query = order[np.maximum(last, 0)], order[~in_table]
-    hit = last >= 0
-    for j in range(both.shape[1]):
-        hit &= both[cand, j] == both[query, j]
-    found = np.full(len(queries), -1, dtype=np.int64)
-    found[query[hit] - len(table)] = cand[hit]
-    return found
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in the ascending array ``keys`` of each query, -1 where absent."""
+    at = np.searchsorted(keys, queries)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == queries[found]
+    return np.where(found, at, -1)
 
 
 #: an edge list: one record per edge, lower endpoint first, in row-major order
@@ -271,8 +262,8 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
         u, value = c[slot], np.maximum(values[-1][src], births[slot])
         for j in range(d - 1):   # the edges from the other vertices to u
             want = rows[-1][src, j] * nv + u
-            at = np.minimum(np.searchsorted(key, want), len(key) - 1)
-            hit = key[at] == want
+            at = _lookup(key, want)
+            hit = at >= 0
             src, u, at = src[hit], u[hit], at[hit]
             value = np.maximum(value[hit], births[at])
         cap = np.minimum(cap[src], caps[u])
@@ -347,8 +338,22 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     vertices have value 0; and every facet is present with a value at most
     its coface's, so listed earlier.  Entry d of the result, (m_d, d + 1),
     holds in column v the position of the facet without vertex v.  The
-    result is ``f.facets``: a filtration is checked once."""
+    result is ``f.facets``: a filtration is checked once.
+
+    Faces are indexed by one sorted int64 key per simplex and dimension:
+    the key of a d-simplex is the position of its prefix facet (all
+    vertices but the last) among the sorted keys of dimension d - 1, times
+    the number of vertices nv, plus the rank of its last label among the
+    sorted vertex labels (found by ``searchsorted``).  Key order is vertex
+    order, so equal keys are duplicates, and an e-simplex is found by a
+    chain of e ``searchsorted`` calls into the sorted keys of dimensions
+    1 .. e.  A filtration with m_{d-1} * nv >= 2**63 is refused, so no key
+    overflows."""
     return f.facets
+
+
+#: a facet key is an int64 below this
+_KEY_LIMIT = 2**63
 
 
 def _facets(f: SparseFiltration) -> list[np.ndarray]:
@@ -357,6 +362,8 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
         raise MalformedFiltrationError(
             f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{f.k} or more")
     facets = [np.zeros((len(f.values[0]), 0), dtype=np.int64)]
+    keys = [None]   # keys[d]: the keys of dimension d, ascending
+    lex = None      # lex[s]: the position of the s-th key one dimension down; lex[-1] = -1
     for d, (rows, values) in enumerate(zip(f.vertices, f.values)):
         _reject(np.full(len(rows), d > f.k),
                 lambda i: f"simplex {tuple(rows[i].tolist())} exceeds dimension cap {f.k}")
@@ -368,22 +375,55 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
                 lambda i: f"vertex {tuple(rows[i].tolist())} has nonzero value {values[i]}")
         _reject(_order_breaks(rows, values),
                 lambda i: f"simplices out of order at position {i + 1} of dimension {d}")
-        lex = np.lexsort(rows.T[::-1])
-        _reject((rows[lex[1:]] == rows[lex[:-1]]).all(axis=1),
-                lambda i: f"duplicate simplex {tuple(rows[lex[i]].tolist())}")
-        if d == 0:
+        if d == 0:   # at value 0 the order is the label order
+            labels, lex = rows[:, 0], np.append(np.arange(len(rows)), -1)
+            _reject(labels[1:] == labels[:-1],
+                    lambda i: f"duplicate simplex {tuple(rows[i].tolist())}")
             continue
-        at = np.stack([_find_rows(f.vertices[d - 1], np.delete(rows, v, axis=1))
-                       for v in range(d + 1)], axis=1)
-        ok = at >= 0
-        ok[ok] = f.values[d - 1][at[ok]] <= np.broadcast_to(values[:, None], at.shape)[ok]
+        nv = len(labels)
+        if len(f.values[d - 1]) * nv >= _KEY_LIMIT:
+            raise MalformedFiltrationError(
+                f"{len(f.values[d - 1])} simplices of dimension {d - 1} on {nv} vertices "
+                f"are too many to index")
+        # the rank of each label in column j, -1 for a label that is not a vertex
+        rank = [_lookup(labels, rows[:, j]) for j in range(d + 1)]
+        below = np.append(f.values[d - 1], np.inf)   # below[-1]: a missing face
+        at = np.empty(rows.shape, dtype=np.int64)
+        ok = np.empty(rows.shape, dtype=bool)
+        for v in reversed(range(d + 1)):   # the prefix facet, v = d, gives the keys
+            s = _key_position(keys, nv, rank[:v] + rank[v + 1:])
+            at[:, v] = lex[s]
+            ok[:, v] = below[at[:, v]] <= values
+            if v == d:
+                key = np.where((s >= 0) & (rank[d] >= 0), s * nv + rank[d], -1)
+                order = np.argsort(key)
+                key = key[order]
+                if not len(key) or key[0] >= 0:   # else a face is missing, reported below
+                    _reject(key[1:] == key[:-1],
+                            lambda i: f"duplicate simplex {tuple(rows[order[i]].tolist())}")
+        del rank, below, s
         _reject(~ok.ravel(), lambda i: (
             f"missing face {tuple(np.delete(rows[i // (d + 1)], i % (d + 1)).tolist())} "
             f"before simplex {tuple(rows[i // (d + 1)].tolist())}"))
         facets.append(at)
+        keys.append(key)
+        lex = np.append(order, -1)
+        del ok, order
     for a in facets:
         a.setflags(write=False)
     return facets
+
+
+def _key_position(keys: list, nv: int, rank: list[np.ndarray]) -> np.ndarray:
+    """Position among the sorted keys of dimension e of the e-simplices whose
+    vertices have the ranks ``rank[0] .. rank[e]``, -1 where absent or a rank is -1.  The
+    key of a simplex is the position of its prefix facet (all vertices but
+    the last) among the keys one dimension down, times nv, plus the rank of
+    its last vertex; a vertex's position is its rank."""
+    s = rank[0]
+    for e, r in enumerate(rank[1:], start=1):
+        s = _lookup(keys[e], np.where((s >= 0) & (r >= 0), s * nv + r, -1))
+    return s
 
 
 # --- degree and size accounting -----------------------------------------

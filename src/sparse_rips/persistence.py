@@ -1,16 +1,23 @@
-"""Persistent (co)homology over GF(2) by coboundary-matrix reduction.
+"""Persistent (co)homology over GF(2): union-find in dimension 0 and
+coboundary-matrix reduction above it.
 
-The column of a simplex is the list of its cofacets, taken by inverting
-the facet positions that ``validate_filtration`` returns; adding two
-columns is their symmetric difference and the pivot is the smallest
-index.  Each dimension is reduced in reverse filtration order, from low
-dimension to high, and clearing skips the simplices already known to
-destroy a class one dimension down.  For a fixed total order the
-persistence pairing is unique and cohomology has the same pairs as
-homology (de Silva, Morozov and Vejdemo-Johansson, 2011), so the output
-equals the plain boundary reduction; the coboundary columns need far
-fewer additions (Bauer, Ripser, 2021).  Betti numbers of a snapshot (a
-constant-0 filtration) are its infinite bars.
+All vertices have value 0, so the classes of dimension 0 are the
+components: a union-find over the edges in filtration order pairs each
+merging edge with the later of the two roots (the elder rule), and the
+merging edges are exactly the edges that destroy a class.  Above
+dimension 0 the column of a simplex is the set of its cofacets, taken by
+inverting the facet positions that ``validate_filtration`` returns;
+adding two columns is their symmetric difference and the pivot is the
+smallest index.  Each dimension is reduced in reverse filtration order,
+and clearing skips the simplices already known to destroy a class one
+dimension down.  Apparent pairs, a simplex whose earliest cofacet has it
+as its latest facet, are found with array operations and need no
+reduction; only the other columns go through the Python loop.  For a
+fixed total order the persistence pairing is unique and cohomology has
+the same pairs as homology (de Silva, Morozov and Vejdemo-Johansson,
+2011), so the output equals the plain boundary reduction; the shortcuts
+are Ripser's (Bauer, 2021).  Betti numbers of a snapshot (a constant-0
+filtration) are its infinite bars.
 """
 
 from __future__ import annotations
@@ -51,42 +58,86 @@ def compute_persistence(f: SparseFiltration,
                         keep_zero_pairs: bool = False) -> PersistenceDiagram:
     """Persistent cohomology with clearing, GF(2) coefficients.
 
-    For d = 0 .. k-1 the d-simplices are visited in reverse filtration
-    order; the column of one is its list of cofacets and its pivot the
-    earliest of them.  A new pivot pairs the simplex with that
-    (d+1)-simplex, which then needs no column of its own (clearing); a
-    column that empties is an infinite bar.  Pairs (value of creating
-    simplex, value of destroying simplex) per finite class; unpaired
-    creators of dimension < k give infinite bars.  Zero-persistence
-    pairs are dropped unless ``keep_zero_pairs``.
+    Dimension 0 is a union-find over the edges in filtration order: an
+    edge that joins two components pairs the later of their earliest
+    vertices with the edge, and these edges are cleared in dimension 1.
+    For d = 1 .. k-1 each d-simplex s whose earliest cofacet c has s as
+    its latest facet is paired with c at once (an apparent pair: no
+    column reaches c before s does).  The other d-simplices are visited
+    in reverse filtration order; the column of one is its set of
+    cofacets and its pivot the earliest of them.  A new pivot pairs the
+    simplex with that (d+1)-simplex, which then needs no column of its
+    own (clearing); a column that empties is an infinite bar.  Pairs
+    (value of creating simplex, value of destroying simplex) per finite
+    class; unpaired creators of dimension < k give infinite bars.
+    Zero-persistence pairs are dropped unless ``keep_zero_pairs``.
     """
     facets = validate_filtration(f)
-    values = [v.tolist() for v in f.values]
     pairs: dict[int, list[tuple[float, float]]] = {d: [] for d in range(f.k)}
-    cleared: set[int] = set()   # the d-simplices that destroy a (d-1)-class
-    for d in range(f.k):
-        # cofacets of d-simplex i: cofacets[start[i]:start[i + 1]], ascending
+    if f.k == 0:   # vertices only: no dimension is reported
+        return PersistenceDiagram(pairs=pairs, k=0, alpha_max=f.alpha_max)
+
+    def pair(d, i, j):   # d-simplices i with (d+1)-simplices j, or with inf for j = None
+        birth = f.values[d][i]
+        death = np.full(len(birth), INF) if j is None else f.values[d + 1][j]
+        keep = (death != birth) | keep_zero_pairs
+        pairs[d] += zip(birth[keep].tolist(), death[keep].tolist())
+
+    # dimension 0: union-find over the edges in filtration order, each class
+    # rooted at its earliest vertex; a merging edge kills the later root
+    root = list(range(len(f.values[0])))
+    later, cleared = [], []   # cleared: the merging edges
+    for e, (u, v) in enumerate(facets[1].tolist()):
+        while u != root[u]:   # path halving
+            root[u] = u = root[root[u]]
+        while v != root[v]:
+            root[v] = v = root[root[v]]
+        if u != v:
+            u, v = max(u, v), min(u, v)
+            root[u] = v
+            later.append(u)
+            cleared.append(e)
+            if len(later) == len(root) - 1:
+                break   # one component left
+    pair(0, later, cleared)
+    pair(0, [u for u, r in enumerate(root) if u == r], None)
+
+    for d in range(1, f.k):
+        # cofacets of d-simplex i: cofacets[start[i]:start[i + 1]], in any order
         flat = facets[d + 1].ravel()
-        cofacets = np.argsort(flat, kind="stable") // (d + 2)
-        start = np.r_[0, np.cumsum(np.bincount(flat, minlength=len(values[d])))].tolist()
-        pivot_col: dict[int, list[int] | set[int]] = {}
-        for i in reversed(range(len(values[d]))):
-            if i in cleared:
-                continue
-            col = cofacets[start[i]:start[i + 1]].tolist()
+        cofacets = np.argsort(flat) // (d + 2)
+        start = np.r_[0, np.cumsum(np.bincount(flat, minlength=len(f.values[d])))]
+        # apparent pairs (s, c): c is the earliest cofacet of s, and s the
+        # latest facet of c; no column reaches c before s, so s keeps its
+        # column, built only if a later column reaches c
+        s = np.flatnonzero(start[:-1] < start[1:])
+        c = np.minimum.reduceat(cofacets, start[s])
+        apparent = facets[d + 1][c].max(axis=1) == s
+        s, c = s[apparent], c[apparent]
+        pair(d, s, c)
+        pivot_col: dict[int, int | set[int]] = dict(zip(c.tolist(), s.tolist()))
+        todo = np.ones(len(f.values[d]), dtype=bool)
+        todo[cleared] = todo[s] = False
+        start = start.tolist()
+        creators, destroyers, essential = [], [], []
+        for i in np.flatnonzero(todo)[::-1].tolist():
+            col = set(cofacets[start[i]:start[i + 1]].tolist())
             while col:
                 low = min(col)
                 other = pivot_col.get(low)
                 if other is None:
                     pivot_col[low] = col
-                    birth, death = values[d][i], values[d + 1][low]
-                    if death != birth or keep_zero_pairs:
-                        pairs[d].append((birth, death))
+                    creators.append(i)
+                    destroyers.append(low)
                     break
-                col = set(col).symmetric_difference(other)
+                if isinstance(other, int):   # the column of an apparent pair
+                    other = cofacets[start[other]:start[other + 1]].tolist()
+                col.symmetric_difference_update(other)
             else:
-                pairs[d].append((values[d][i], INF))
-        cleared = set(pivot_col)
+                essential.append(i)
+        pair(d, creators, destroyers)
+        pair(d, essential, None)
+        cleared = list(pivot_col)
     for d in pairs:
         pairs[d].sort()
     return PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)

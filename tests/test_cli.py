@@ -96,6 +96,16 @@ def test_persist_round_trip_through_filtration_file(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+@pytest.mark.parametrize("text", ["0.0 0\n0.0 1\n0.0 5\n",
+                                  "# k=0 kind=sparse_S alpha_max=none\n0.0 3\n"])
+def test_persist_vertex_only_filtration_file(tmp_path, text):
+    src = tmp_path / "vertices.txt"
+    src.write_text(text)
+    out = tmp_path / "dgm.json"
+    assert main(["persist", "--filtration", str(src), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"alpha_max": None, "diagrams": [], "k": 0}
+
+
 def test_persist_missing_face_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# k=2 kind=sparse_S alpha_max=none\n"

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sparse_rips import (PersistenceDiagram, SparseFiltration, WeightContext,
+from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
+                         SparseFiltration, WeightContext,
                          birth_matrix, build_sparse, charged_degrees, clique_expand,
                          compute_persistence, diagram_equal, filtration_text,
                          from_matrix, from_points, full_rips, net_at, pair_birth,
@@ -693,9 +694,9 @@ def assert_same_filtration(f, g):
 
 
 def relabelled(f, relabel, revalue=lambda v: v):
-    """f with vertex v renamed relabel[v] and value x replaced by revalue(x),
-    both monotone, put back into the global order."""
-    sims = sorted(((tuple(relabel[v] for v in verts), revalue(value))
+    """f with vertex v renamed relabel[v], one to one, and value x replaced by
+    revalue(x), monotone, put back into the global order."""
+    sims = sorted(((tuple(sorted(relabel[v] for v in verts)), revalue(value))
                    for verts, value in f.simplices()),
                   key=lambda s: (s[1], len(s[0]), s[0]))
     return SparseFiltration.from_simplices(sims, f.k, f.kind, f.alpha_max)
@@ -844,6 +845,92 @@ def test_filtration_arrays_are_read_only():
         f.vertices[1][0, 0] = 0
     with pytest.raises(ValueError, match="read-only"):
         f.facets[1][0, 0] = 0
+
+
+# --- facet lookup ----------------------------------------------------------
+
+def brute_facets(f):
+    """Facet positions from a dict of vertex tuples to positions (oracle)."""
+    index = [{r: i for i, r in enumerate(map(tuple, rows.tolist()))} for rows in f.vertices]
+    return [np.zeros((len(index[0]), 0), dtype=np.int64)] + [
+        np.array([[index[d - 1][r[:v] + r[v + 1:]] for v in range(d + 1)] for r in index[d]],
+                 dtype=np.int64).reshape(-1, d + 1) for d in range(1, len(index))]
+
+
+LABELS = {   # n distinct labels, in random order
+    "dense": lambda rng, n: rng.permutation(n).tolist(),
+    "sparse": lambda rng, n: rng.choice(10**6, n, replace=False).tolist(),
+    "negative": lambda rng, n: (rng.choice(10**6, n, replace=False) - 10**6).tolist(),
+    "near_2**62": lambda rng, n: (2**62 + rng.choice(10**3, n, replace=False)).tolist(),
+    "int64_ends": lambda rng, n: rng.permutation(
+        [-2**63, 2**63 - 1, *range(-(n // 2), n - 2 - n // 2)]).tolist(),
+}
+
+
+def facet_cases(rng):
+    """Rips prefixes and sparse filtrations with k = 1 .. 3, some with tied values."""
+    for _ in range(8):
+        n = int(rng.integers(2, 10))
+        grid = np.argwhere(np.ones((3, 3)))   # distances tie
+        pts = grid[rng.choice(9, n, replace=False)] if rng.random() < 0.3 else rng.random((n, 2))
+        k = int(rng.integers(1, 4))
+        full = full_rips(from_points(pts), float(rng.uniform(0.3, 2.0)), k)
+        yield n, SparseFiltration.from_simplices(
+            full.simplices()[:int(rng.integers(1, len(full) + 1))], k, full.kind)
+    for k in (1, 2, 3):
+        yield 30, build_sparse(from_points(rng.random((30, 2))), 1 / 3, k)
+
+
+@pytest.mark.parametrize("labels", sorted(LABELS))
+def test_facet_lookup_matches_a_dict_index(labels):
+    rng = np.random.default_rng([60, len(labels)])
+    for n, f in facet_cases(rng):
+        g = relabelled(f, LABELS[labels](rng, n))
+        got, expect = validate_filtration(g), brute_facets(g)
+        assert len(got) == len(expect) == g.k + 1
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+
+
+@pytest.mark.parametrize("vertices, above, message", [
+    ([0, 1], [[[0, 5]]], "missing face (5,) before simplex (0, 5)"),
+    ([1, 5], [[[0, 5]]], "missing face (0,) before simplex (0, 5)"),
+    ([], [[[0, 5]]], "missing face (5,) before simplex (0, 5)"),
+    ([-7, 2**62], [[[-7, 3]]], "missing face (3,) before simplex (-7, 3)"),
+    ([0, 1, 2], [[[0, 1], [0, 2], [1, 2]], [[0, 1, 7]]],
+     "missing face (1, 7) before simplex (0, 1, 7)"),
+])
+def test_a_simplex_on_a_label_that_is_no_vertex_has_a_missing_face(vertices, above, message):
+    # dimension d holds the rows given for it, each with value d
+    rows = [np.array(vertices, dtype=np.int64).reshape(-1, 1)]
+    rows += [np.array(r, dtype=np.int64) for r in above]
+    f = SparseFiltration(tuple(rows), tuple(np.full(len(r), float(d)) for d, r in enumerate(rows)),
+                         len(above), "sparse_S")
+    with pytest.raises(MalformedFiltrationError) as exc:
+        validate_filtration(f)
+    assert str(exc.value) == message
+
+
+def test_a_duplicate_without_its_faces_is_reported_as_one_or_the_other():
+    # the duplicate has no key while its prefix facet is missing
+    f = SparseFiltration((np.array([[0], [1], [2]]), np.array([[0, 2], [1, 2]]),
+                          np.array([[0, 1, 2], [0, 1, 2]])),
+                         (np.zeros(3), np.ones(2), np.full(2, 2.0)), 2, "sparse_S")
+    with pytest.raises(MalformedFiltrationError,
+                       match=r"^(duplicate simplex \(0, 1, 2\)|"
+                             r"missing face \(0, 1\) before simplex \(0, 1, 2\))$"):
+        validate_filtration(f)
+
+
+def test_facet_keys_that_could_overflow_are_refused(monkeypatch):
+    # a key is below m_{d-1} * nv, so that product must stay below the limit
+    f = full_rips(from_points(SQUARE[:3]), 2.0, 2)   # 3 vertices, 3 edges, 1 triangle
+    monkeypatch.setattr(filtration, "_KEY_LIMIT", 10)
+    validate_filtration(SparseFiltration(f.vertices, f.values, f.k, f.kind))
+    monkeypatch.setattr(filtration, "_KEY_LIMIT", 9)
+    with pytest.raises(MalformedFiltrationError) as exc:
+        validate_filtration(SparseFiltration(f.vertices, f.values, f.k, f.kind))
+    assert str(exc.value) == "3 simplices of dimension 0 on 3 vertices are too many to index"
 
 
 def test_degree_stays_bounded_as_n_grows():

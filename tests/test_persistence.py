@@ -91,6 +91,12 @@ def test_single_vertex():
     assert compute_persistence(f).in_dim(0) == [(0.0, INF)]
 
 
+def test_vertex_only_filtration_has_an_empty_diagram():
+    f = filt([((0,), 0), ((1,), 0), ((5,), 0)], k=0)
+    assert compute_persistence(f) == PersistenceDiagram(pairs={}, k=0)
+    assert compute_persistence(f, keep_zero_pairs=True).total_points() == 0
+
+
 def test_missing_face_reported():
     sims = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0),
             ((0, 1, 2), 2.0)]
@@ -131,6 +137,51 @@ def test_malformed_filtration_file_rejected_on_read(shape, tmp_path):
         read_filtration(path)
 
 
+# per shape: the message when the simplices are listed in the global order
+# (from_simplices, read_filtration), and when each dimension holds its
+# simplices in the listed order, so that only validate_filtration sees them
+MALFORMED_MESSAGE = {
+    "duplicate": ("duplicate simplex (0, 1)",) * 2,
+    "vertices-not-increasing": ("vertices not strictly increasing: (1, 0)",) * 2,
+    "dim-above-k": ("simplex (0, 1, 2) exceeds dimension cap 1",) * 2,
+    "nan-value": ("bad value nan for simplex (0, 1)",) * 2,
+    "negative-value": ("simplices out of order at position 2",
+                       "bad value -1.0 for simplex (0, 1)"),
+    "nonzero-vertex-value": ("vertex (1,) has nonzero value 0.5",) * 2,
+    "out-of-order": ("simplices out of order at position 6",
+                     "missing face (1, 2) before simplex (0, 1, 2)"),
+}
+
+
+def by_dimension(simplices, k):
+    """The simplices as per-dimension arrays, each in the listed order."""
+    dims = range(max(k, max(len(v) for v, _ in simplices) - 1) + 1)
+    return SparseFiltration(
+        tuple(np.array([v for v, _ in simplices if len(v) == d + 1],
+                       dtype=np.int64).reshape(-1, d + 1) for d in dims),
+        tuple(np.array([x for v, x in simplices if len(v) == d + 1], dtype=float)
+              for d in dims), k, "sparse_S")
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_filtration_message_is_exact(shape, tmp_path):
+    simplices, k = MALFORMED[shape]
+    listed, checked = MALFORMED_MESSAGE[shape]
+    sims = [(tuple(v), float(val)) for v, val in simplices]
+    with pytest.raises(MalformedFiltrationError) as exc:
+        compute_persistence(SparseFiltration.from_simplices(sims, k, "sparse_S"))
+    assert str(exc.value) == listed
+    path = tmp_path / f"{shape}.txt"
+    path.write_text(f"# k={k} kind=sparse_S alpha_max=none\n" + "".join(
+        " ".join([repr(val)] + [str(v) for v in verts]) + "\n" for verts, val in sims))
+    with pytest.raises(MalformedFiltrationError) as exc:
+        read_filtration(path)
+    assert str(exc.value) == listed
+    with pytest.raises(MalformedFiltrationError) as exc:
+        compute_persistence(by_dimension(sims, k))
+    assert str(exc.value) == checked
+
+
 @pytest.mark.parametrize("sims, position", [
     ([((0,), 0), ((1,), 0), ((2,), 0), ((0, 2), 1), ((0, 1), 1)], 4),  # vertex order
     ([((0,), 0), ((1,), 0), ((0, 1), 1), ((2,), 0)], 3),                # value
@@ -153,8 +204,9 @@ def test_face_born_after_its_coface_rejected():
 
 
 def test_face_lookup_takes_labels_beyond_packed_keys(tmp_path):
-    # with labels near 2**40 a packed key such as v0 * n**2 + v1 * n + v2
-    # overflows int64; whole-row comparison gives the same diagram
+    # with labels near 2**40 a key packed from the labels, such as
+    # v0 * n**2 + v1 * n + v2, overflows int64; the facet keys pack label
+    # ranks instead, so the diagram is the same
     f = full_rips(from_points([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9], [1.1, 1.3]]), 3.0, 3)
 
     def write(name, relabel, drop=None):
@@ -335,6 +387,34 @@ def test_constant_filtration_reproduces_betti():
         destroyed = len(dgm.in_dim(c.k - 1)) - infinite[c.k - 1]
         top = c.counts_by_dim()[c.k] - destroyed
         assert infinite + [top] == betti_numbers(c, through_dim=c.k)
+
+
+def densely_relabelled(f):
+    """f with its vertex labels renamed 0 .. nv - 1 in their order."""
+    labels = f.vertices[0][:, 0]
+    return SparseFiltration(tuple(np.searchsorted(labels, r) for r in f.vertices),
+                            f.values, f.k, f.kind, f.alpha_max)
+
+
+@pytest.mark.parametrize("kind", ["Q_open", "Q_closed"])
+def test_betti_of_net_snapshots_whose_labels_are_not_dense(kind):
+    # two noisy circles; a net snapshot keeps only the labels of the net's points
+    rng = np.random.default_rng(59)
+    theta = rng.uniform(0, 2 * math.pi, 40)
+    pts = np.c_[np.cos(theta), np.sin(theta)] + rng.normal(0, 0.05, (40, 2))
+    pts[20:] += [6.0, 0.0]
+    m = from_points(pts)
+    ctx = WeightContext.build(m, 1 / 3)
+    t = ctx.schedule.t
+    gaps = 0
+    for alpha in np.quantile(t[np.isfinite(t)], [0.05, 0.2, 0.4, 0.6, 0.8, 1.0]):
+        q = static_complex(m, ctx, float(alpha), kind, 2)
+        labels = q.vertices[0][:, 0]
+        gaps += labels[-1] > len(labels) - 1
+        dgm = naive_diagram(q, keep_zero_pairs=True)
+        infinite = [sum(1 for _, dth in dgm.in_dim(d) if math.isinf(dth)) for d in range(q.k)]
+        assert betti_numbers(q) == betti_numbers(densely_relabelled(q)) == infinite
+    assert gaps >= 5
 
 
 # --- serialization --------------------------------------------------------

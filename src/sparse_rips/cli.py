@@ -50,8 +50,8 @@ def _load_input(args) -> met.MetricInput:
                            metric_kind=args.metric)
 
 
-def _add_input_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="point or matrix file")
+def _add_input_opts(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--input", required=required, help="point or matrix file")
     p.add_argument("--format", choices=["csv", "whitespace"], default="csv")
     p.add_argument("--header", action="store_true", help="skip the first line")
     p.add_argument("--metric",
@@ -199,12 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("persist", help="compute a persistence diagram")
     p.add_argument("--filtration", default=None, help="filtration text file")
-    p.add_argument("--input", default=None, help="point or matrix file")
-    p.add_argument("--format", choices=["csv", "whitespace"], default="csv")
-    p.add_argument("--header", action="store_true")
-    p.add_argument("--metric",
-                   choices=["euclidean", "manhattan", "chebyshev", "matrix"],
-                   default="euclidean")
+    _add_input_opts(p, required=False)
     p.add_argument("--full", action="store_true",
                    help="build the full Vietoris-Rips filtration in-process")
     p.add_argument("--alpha-max", type=float, default=None)

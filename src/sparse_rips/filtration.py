@@ -9,7 +9,7 @@ Static snapshots for rank comparisons are constant-0 filtrations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
@@ -95,9 +95,8 @@ class SparseFiltration:
         return [(rows[i], values[i]) for i in self._merge_order().tolist()]
 
     def _merge_order(self) -> np.ndarray:
-        """The global order: a stable merge of the dimensions on (value, dimension)."""
-        dims = np.repeat(np.arange(len(self.values)), self.counts_by_dim())
-        return np.lexsort((dims, np.concatenate(self.values)))
+        """The global order: the dimensions, concatenated in order, stably sorted by value."""
+        return np.argsort(np.concatenate(self.values), kind="stable")
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.values)
@@ -222,46 +221,42 @@ def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
-                  kind: str = KIND_SPARSE, alpha_max: float | None = None,
-                  vertices=None) -> SparseFiltration:
-    """Clique (flag) filtration of an edge list (:func:`_as_edges`), in any order.
+                  kind: str = KIND_SPARSE, alpha_max: float | None = None) -> SparseFiltration:
+    """Clique (flag) filtration of an edge list (:func:`_as_edges`), in any
+    order, on the vertices 0..n-1; ValueError for an edge outside them.
 
     Every clique of at most k + 1 vertices enters at the maximum of its
     edge births.  With ``vertex_caps`` a clique is admitted only while
     all its vertices are alive: max edge birth <= min vertex cap.  That
     is monotone under taking cofaces, so a (d+1)-clique grows from an
     admitted d-clique and an upper neighbour of its last vertex
-    (Zomorodian 2010); its other edges are found by binary search."""
+    (Zomorodian 2010); its other edges are found by binary search.  Rows
+    come out in vertex order, so a stable sort by value orders each dimension."""
     if k < 1:
         raise ValueError("dimension cap k must be >= 1")
-    verts = (np.arange(n, dtype=np.int64) if vertices is None
-             else np.unique(np.asarray(vertices, dtype=np.int64)))
     edges = _as_edges(edges)
     ends, births = np.c_[edges["p"], edges["q"]], edges["birth"]
     ends.sort(axis=1)
     _reject(ends[:, 0] == ends[:, 1],
             lambda i: f"degenerate edge {tuple(ends[i].tolist())}", ValueError)
-    inside = np.isin(ends, verts).all(axis=1)
-    nv = len(verts)   # dense vertex indices: a pair key a * nv + c is below nv**2
-    a, c = np.searchsorted(verts, ends[inside]).T
-    order = np.lexsort((c, a))
-    a, c, births = a[order], c[order], births[inside][order]
-    _reject((a[1:] == a[:-1]) & (c[1:] == c[:-1]),
-            lambda i: f"duplicate edge {tuple(verts[[a[i], c[i]]].tolist())}", ValueError)
-    caps = (np.full(nv, np.inf) if vertex_caps is None
-            else np.asarray(vertex_caps, dtype=float)[verts])
+    _reject((ends[:, 0] < 0) | (ends[:, 1] >= n),
+            lambda i: f"edge {tuple(ends[i].tolist())} outside vertices 0..{n - 1}", ValueError)
+    order = np.argsort(ends[:, 0] * n + ends[:, 1])   # vertex order
+    (a, c), births = ends[order].T, births[order]
+    key = a * n + c   # below n**2
+    _reject(key[1:] == key[:-1], lambda i: f"duplicate edge {(int(a[i]), int(c[i]))}", ValueError)
+    caps = np.full(n, np.inf) if vertex_caps is None else np.asarray(vertex_caps, dtype=float)
     cap = np.minimum(caps[a], caps[c])
     keep = ~(births > cap)
-    a, c, births, cap = a[keep], c[keep], births[keep], cap[keep]
-    start = np.searchsorted(a, np.arange(nv + 1))   # upper neighbours of a: c[start[a]:start[a+1]]
-    key = a * nv + c
+    a, c, key, births, cap = a[keep], c[keep], key[keep], births[keep], cap[keep]
+    start = np.searchsorted(a, np.arange(n + 1))   # upper neighbours of a: c[start[a]:start[a+1]]
 
-    rows, values = [np.arange(nv)[:, None], np.c_[a, c]], [np.zeros(nv), births]
+    rows, values = [np.arange(n)[:, None], np.c_[a, c]], [np.zeros(n), births]
     for d in range(2, k + 1):
         src, slot = _row_slots(start, rows[-1][:, -1])
         u, value = c[slot], np.maximum(values[-1][src], births[slot])
         for j in range(d - 1):   # the edges from the other vertices to u
-            want = rows[-1][src, j] * nv + u
+            want = rows[-1][src, j] * n + u
             at = _lookup(key, want)
             hit = at >= 0
             src, u, at = src[hit], u[hit], at[hit]
@@ -271,8 +266,8 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
         src, u, value, cap = src[keep], u[keep], value[keep], cap[keep]
         rows.append(np.c_[rows[-1][src], u])
         values.append(value)
-    order = [np.lexsort((*r.T[::-1], v)) for r, v in zip(rows, values)]
-    return SparseFiltration(tuple(verts[r[o]] for r, o in zip(rows, order)),
+    order = [np.argsort(v, kind="stable") for v in values]
+    return SparseFiltration(tuple(r[o] for r, o in zip(rows, order)),
                             tuple(v[o] for v, o in zip(values, order)), k, kind, alpha_max)
 
 
@@ -314,19 +309,22 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
     Vertex set: the open net for Q_open, the closed net for Q_closed,
     all points for relaxed_full.  Simplices are the cliques of the graph
     {(p, q) : relaxed distance at alpha <= alpha} on that vertex set,
-    every one with value 0.0; ``kind`` is the snapshot kind.
+    every one with value 0.0; ``kind`` is the snapshot kind.  They are
+    expanded on net positions, whose map to labels keeps their order.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if kind not in STATIC_KINDS:
         raise ValueError(f"kind must be one of {STATIC_KINDS}, got {kind!r}")
-    verts = (None if kind == "relaxed_full"
+    verts = (np.arange(m.n) if kind == "relaxed_full"
              else net_at(ctx.schedule, alpha, closed=(kind == "Q_closed")))
 
-    w = weight_batch(alpha, ctx.schedule.t, ctx.epsilon)
-    edges = _edges_within(m.distance_matrix() + w[:, None] + w[None, :], alpha)
+    w = weight_batch(alpha, ctx.schedule.t[verts], ctx.epsilon)
+    edges = _edges_within(m.distance_matrix()[np.ix_(verts, verts)]
+                          + w[:, None] + w[None, :], alpha)
     edges["birth"] = 0.0
-    return clique_expand(edges, m.n, k, kind=kind, vertices=verts)
+    f = clique_expand(edges, len(verts), k, kind=kind)
+    return replace(f, vertices=tuple(verts[r] for r in f.vertices))
 
 
 def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:

@@ -136,14 +136,13 @@ class NetConditionReport:
         return self.cover_ok and self.pack_ok
 
 
-def check_net_conditions(m: MetricInput, s: DeletionSchedule, alpha: float,
-                         packing_constant: float = 1.0) -> NetConditionReport:
+def check_net_conditions(m: MetricInput, s: DeletionSchedule,
+                         alpha: float) -> NetConditionReport:
     """Check the net at scale alpha.
 
     Covering: every point is within eps (1 - 2 eps) alpha of the net.
-    Packing: distinct net points are at least
-    packing_constant * eps (1 - 2 eps) alpha apart.  The greedy
-    construction achieves packing_constant = 1, which is the default.
+    Packing: distinct net points are at least eps (1 - 2 eps) alpha
+    apart, the packing constant 1 that the greedy construction achieves.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -168,9 +167,9 @@ def check_net_conditions(m: MetricInput, s: DeletionSchedule, alpha: float,
     return NetConditionReport(
         alpha=float(alpha),
         cover_ok=bool(worst_cover <= bound),
-        pack_ok=bool(worst_pack >= packing_constant * bound),
+        pack_ok=bool(worst_pack >= bound),
         cover_bound=float(bound),
-        pack_bound=float(packing_constant * bound),
+        pack_bound=float(bound),
         worst_cover=worst_cover,
         worst_cover_point=worst_point,
         worst_pack=worst_pack,

@@ -157,17 +157,19 @@ def from_matrix(matrix) -> MetricInput:
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise MetricFormatError(f"distance matrix must be square, got shape {mat.shape}")
+    if not mat.size:
+        raise MetricFormatError("distance matrix is empty")
     if not np.all(np.isfinite(mat)):
         raise MetricFormatError("distance matrix contains non-finite entries")
     asym = np.abs(mat - mat.T)
-    if asym.size and asym.max() > MATRIX_TOL:
+    if asym.max() > MATRIX_TOL:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         raise MetricFormatError(
             f"asymmetry {asym[i, j]:g} > {MATRIX_TOL:g} at entry ({i}, {j})"
         )
     mat = (mat + mat.T) / 2.0
     diag = np.abs(np.diag(mat))
-    if diag.size and diag.max() > MATRIX_TOL:
+    if diag.max() > MATRIX_TOL:
         i = int(np.argmax(diag))
         raise MetricFormatError(f"nonzero diagonal {mat[i, i]:g} at index {i}")
     np.fill_diagonal(mat, 0.0)
@@ -184,22 +186,23 @@ def from_matrix(matrix) -> MetricInput:
                        dedup_map=remap)
 
 
-def lint_triangle_inequality(mat: np.ndarray, max_checked: int = 128,
-                             rng=None) -> bool:
+_LINT_MIDPOINTS = 128   # lint_triangle_inequality checks at most this many midpoints
+
+
+def lint_triangle_inequality(mat: np.ndarray) -> bool:
     """Warn if the matrix violates the triangle inequality.
 
-    Checks all midpoints for n <= max_checked, a random sample otherwise.
-    Violations are allowed (downstream constructions still run) but the
-    approximation guarantees assume a true metric.
+    Checks all midpoints for n <= _LINT_MIDPOINTS, a fixed sample of that
+    many otherwise.  Violations are allowed (downstream constructions still
+    run) but the approximation guarantees assume a true metric.
     """
     n = mat.shape[0]
     if n < 3:
         return True
-    if n <= max_checked:
+    if n <= _LINT_MIDPOINTS:
         mids = range(n)
     else:
-        rng = np.random.default_rng(0) if rng is None else rng
-        mids = rng.choice(n, size=max_checked, replace=False)
+        mids = np.random.default_rng(0).choice(n, size=_LINT_MIDPOINTS, replace=False)
     for k in mids:
         slack = mat - (mat[:, k, None] + mat[None, k, :])
         worst = slack.max()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .filtration import MalformedFiltrationError  # noqa: F401  (re-exported)
 from .filtration import SparseFiltration, validate_filtration
 
 INF = math.inf
+_EDGE_BLOCK = 1024   # edges the dimension-0 union-find converts to Python ints at a time
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,9 @@ def compute_persistence(f: SparseFiltration,
     # rooted at its earliest vertex; a merging edge kills the later root
     root = list(range(len(f.values[0])))
     later, cleared = [], []   # cleared: the merging edges
-    for e, (u, v) in enumerate(facets[1].tolist()):
+    blocks = (facets[1][lo:lo + _EDGE_BLOCK].tolist()   # stop converting with the loop
+              for lo in range(0, len(facets[1]), _EDGE_BLOCK))
+    for e, (u, v) in enumerate(chain.from_iterable(blocks)):
         while u != root[u]:   # path halving
             root[u] = u = root[root[u]]
         while v != root[v]:

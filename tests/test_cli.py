@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparse_rips.cli import main
+from sparse_rips.cli import build_parser, main
 
 
 def write_square(tmp_path):
@@ -256,3 +256,15 @@ def test_stats_deterministic_except_seconds(tmp_path):
         rows = [r.split(",") for r in out.read_text().strip().splitlines()]
         outs.append([r[:5] for r in rows])  # drop the seconds column
     assert outs[0] == outs[1]
+
+
+def test_input_options_have_the_same_choices():
+    # build, persist and verify read the same inputs, so they offer one set of choices
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+
+    def choices(command, option):
+        return next(a.choices for a in commands[command]._actions if option in a.option_strings)
+
+    for option in ("--metric", "--format"):
+        assert choices("build", option) == choices("persist", option) == choices("verify", option)
+        assert choices("build", option)

@@ -10,7 +10,8 @@ from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          birth_matrix, build_sparse, charged_degrees, clique_expand,
                          compute_persistence, diagram_equal, filtration_text,
                          from_matrix, from_points, full_rips, net_at, pair_birth,
-                         point_weight, read_filtration, relaxed_rips, sparse_edges,
+                         pair_relaxed_distance, point_weight, read_filtration,
+                         relaxed_rips, sparse_edges,
                          sparse_size_stats, static_complex, validate_filtration,
                          write_filtration, weight_batch)
 from sparse_rips import filtration
@@ -269,7 +270,7 @@ def brute_flag_filtration(edge_set, verts, k, caps):
     return out
 
 
-def test_clique_expand_matches_brute_force_with_caps_ties_and_subsets():
+def test_clique_expand_matches_brute_force_with_caps_and_ties():
     rng = np.random.default_rng(48)
     for trial in range(240):
         n = int(rng.integers(1, 9))
@@ -285,15 +286,11 @@ def test_clique_expand_matches_brute_force_with_caps_ties_and_subsets():
         caps = None
         if trial % 4 >= 2:
             caps = np.array([INF if rng.random() < 0.2 else draw() for _ in range(n)])
-        verts = None
-        if trial % 3 == 0:  # the static_complex path: a vertex subset
-            verts = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
-        f = clique_expand(edges, n, k, vertex_caps=caps, vertices=verts)
+        f = clique_expand(edges, n, k, vertex_caps=caps)
         validate_filtration(f)
         sims = f.simplices()
         assert sims == sorted(sims, key=lambda s: (s[1], len(s[0]), s[0]))
-        expect = brute_flag_filtration(edge_set, range(n) if verts is None else verts,
-                                       k, caps)
+        expect = brute_flag_filtration(edge_set, range(n), k, caps)
         assert dict(sims) == expect and len(sims) == len(expect)
 
 
@@ -315,6 +312,15 @@ def test_clique_expand_rejects_bad_edges():
         clique_expand([(0, 1, 1.0), (1, 0, 2.0)], 2, 2)
     with pytest.raises(ValueError):
         clique_expand([(0, 1, 1.0)], 2, 0)
+
+
+@pytest.mark.parametrize("edge", [(-1, 2), (2, -1), (0, 3), (3, 1)])
+def test_clique_expand_rejects_labels_outside_the_vertices(edge):
+    # the vertices are 0..n-1; an edge that leaves them is an error, not dropped
+    edges = [(0, 1, 2.0), (*edge, 0.5)]
+    lo, hi = sorted(edge)
+    with pytest.raises(ValueError, match=rf"^edge \({lo}, {hi}\) outside vertices 0\.\.2$"):
+        clique_expand(edges, 3, 2)
 
 
 def test_edge_list_forms():
@@ -520,6 +526,33 @@ def test_static_complex_is_a_constant_zero_filtration():
             assert c.kind == kind and c.k == 2
             validate_filtration(c)
             assert {value for _, value in c.simplices()} == {0.0}
+
+
+def test_static_nets_match_brute_force_on_integer_grids():
+    # points of an integer grid tie distances, deletion times and scales; with
+    # eps = 1/4 the weights are exact, so the scales at deletion times and at
+    # weight breakpoints land on the boundaries of nets and edges
+    rng = np.random.default_rng(49)
+    grid = np.indices((8, 8)).reshape(2, -1).T
+    for trial, metric in enumerate(["manhattan", "euclidean", "chebyshev"] * 2):
+        m = from_points(grid[rng.choice(64, size=16, replace=False)], metric_kind=metric)
+        ctx = WeightContext.build(m, 0.25, seed=trial)
+        t, dmat = ctx.schedule.t, m.distance_matrix()
+        finite = t[np.isfinite(t)]
+        k = 2 + trial % 2
+        for alpha in sorted({*range(int(finite.max()) + 1),
+                             *(0.5 * finite).tolist(), *(0.75 * finite).tolist()}):
+            for kind in ("Q_open", "Q_closed"):
+                net = net_at(ctx.schedule, alpha, closed=(kind == "Q_closed")).tolist()
+                edge_set = {(p, q): 0.0 for p, q in combinations(net, 2)
+                            if pair_relaxed_distance(float(dmat[p, q]), t[p], t[q],
+                                                     0.25, alpha) <= alpha}
+                c = static_complex(m, ctx, float(alpha), kind, k)
+                validate_filtration(c)
+                sims = c.simplices()
+                assert sims == sorted(sims, key=lambda s: (len(s[0]), s[0]))
+                assert dict(sims) == brute_flag_filtration(edge_set, net, k, None)
+                assert len(sims) == len(dict(sims))
 
 
 def test_static_complex_kind_validation():

@@ -150,6 +150,11 @@ def test_points_without_points_or_coordinates_rejected(shape):
         from_points(np.zeros(shape))
 
 
+def test_empty_matrix_rejected():
+    with pytest.raises(MetricFormatError, match="distance matrix is empty"):
+        from_matrix(np.zeros((0, 0)))
+
+
 def test_duplicates_removed_with_warning():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
     with pytest.warns(UserWarning, match="duplicate"):

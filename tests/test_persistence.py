@@ -9,6 +9,7 @@ from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          build_sparse, compute_persistence, diagram_from_csv,
                          diagram_from_json, diagram_to_csv, diagram_to_json,
                          from_points, full_rips, read_filtration, static_complex)
+from sparse_rips import persistence
 
 INF = math.inf
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -279,6 +280,19 @@ def test_constant_zero_snapshots_match_naive_reduction():
             ctx = WeightContext.build(m, 0.05)
             alpha = float(rng.uniform(0.5, 1.5))
             assert_matches_naive(static_complex(m, ctx, alpha, kind, 3))
+
+
+def test_union_find_past_its_first_block_matches_naive_reduction():
+    # two far-apart clusters, each complete at alpha: in a snapshot the edges
+    # follow vertex order, so every merge in the second cluster comes after
+    # all C(60, 2) edges of the first, past the first block of edges
+    rng = np.random.default_rng(59)
+    m = from_points(np.r_[rng.random((60, 1)), 10 + rng.random((40, 1))])
+    f = static_complex(m, WeightContext.build(m, 0.1), 4.0, "relaxed_full", 1)
+    assert f.counts_by_dim() == [100, math.comb(60, 2) + math.comb(40, 2)]
+    assert math.comb(60, 2) > persistence._EDGE_BLOCK
+    assert_matches_naive(f)
+    assert compute_persistence(f).in_dim(0) == [(0.0, INF)] * 2
 
 
 def test_integer_grid_rips_prefixes_match_naive_reduction():

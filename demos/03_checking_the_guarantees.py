@@ -28,9 +28,8 @@ print(sr.check_interleaving(m, ctx, n_pairs=100,
 # 2. net covering and packing at sampled scales
 print(sr.check_nets(m, ctx, samples=16, rng=np.random.default_rng(2)).line())
 rep = sr.check_net_conditions(m, ctx.schedule, alpha=0.8)
-print(f"  e.g. at alpha=0.8: worst cover distance {rep.worst_cover:.4f} "
-      f"(bound {rep.cover_bound:.4f}), closest net pair {rep.worst_pack:.4f} "
-      f"(bound {rep.pack_bound:.4f})")
+print(f"  e.g. at alpha=0.8: worst cover distance {rep.worst_cover:.4f}, "
+      f"closest net pair {rep.worst_pack:.4f}, bound {rep.bound:.4f}")
 
 # 3. homology ranks survive sparsification
 print(sr.check_betti(m, ctx, k=2, samples=8,

@@ -106,20 +106,27 @@ def cmd_build(parser, args) -> int:
 def cmd_persist(parser, args) -> int:
     if bool(args.filtration) == bool(args.input):
         parser.error("exactly one of --filtration or --input is required")
+    # each source takes only its own options, so none is silently dropped
+    source, own = (("--filtration", ()) if args.filtration else
+                   ("--full", ("--full", "--alpha-max")) if args.full else
+                   ("a sparse build", ("--epsilon",)))
+    for option, on in (("--full", args.full), ("--alpha-max", args.alpha_max is not None),
+                       ("--epsilon", args.epsilon is not None)):
+        if on and option not in own:
+            parser.error(f"{option} does not go with {source}")
     if args.filtration:
         f = filt.read_filtration(args.filtration)
     else:
         m = _load_input(args)
+        _check_count(parser, "--k", args.k)
         if args.full:
             if args.alpha_max is None or args.alpha_max <= 0:
                 parser.error("--full requires a positive --alpha-max")
-            _check_count(parser, "--k", args.k)
             f = filt.full_rips(m, args.alpha_max, args.k)
         else:
             if args.epsilon is None:
                 parser.error("building in-process requires --epsilon")
             _check_epsilon(parser, args.epsilon)
-            _check_count(parser, "--k", args.k)
             _check_seed(m, args.seed)
             f = filt.build_sparse(m, args.epsilon, args.k, seed=args.seed)
     dgm = compute_persistence(f, keep_zero_pairs=args.keep_zero_pairs)
@@ -202,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_opts(p, required=False)
     p.add_argument("--full", action="store_true",
                    help="build the full Vietoris-Rips filtration in-process")
-    p.add_argument("--alpha-max", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--alpha-max", type=float, default=None, help="scale cap, with --full only")
+    p.add_argument("--epsilon", type=float, default=None, help="sparse build, without --full")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keep-zero-pairs", action="store_true")

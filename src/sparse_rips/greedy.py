@@ -3,9 +3,9 @@
 A greedy permutation orders the points so that each successive point is
 as far as possible from the ones chosen before it.  Prefixes of this
 order are nets: they cover the whole space within the next insertion
-radius and are pairwise separated by at least the last one.  Deletion
-times rescale the insertion radii so that thresholding them yields nets
-with the covering and packing bounds needed downstream.
+radius and are pairwise separated by at least the last one.  Only the
+order and the insertion radii are kept; deletion times rescale the radii
+so that thresholding them yields the nets needed downstream.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ from .metric import MetricInput
 
 @dataclass(frozen=True)
 class GreedyPermutation:
-    """Farthest-point order with per-position insertion data.
+    """Farthest-point order with its insertion radii.
 
     order[i] is the i-th point chosen; insertion_radius[i] is its distance
-    to the prefix order[:i] (+inf for the seed); predecessor[i] is the
-    nearest prefix point (earliest chosen on ties, -1 for the seed).
+    to the prefix order[:i] (+inf for the seed).
     """
 
     order: np.ndarray
     insertion_radius: np.ndarray
-    predecessor: np.ndarray
 
     @property
     def n(self) -> int:
@@ -57,36 +55,30 @@ def greedy_permutation(m: MetricInput, seed: int = 0) -> GreedyPermutation:
     """Compute the farthest-point permutation starting from ``seed``.
 
     Ties in the farthest-point selection break toward the smallest point
-    index, so the output is fully deterministic.  Each new centre's distance
-    row comes from :meth:`MetricInput.distances`, so no distance matrix is
-    built: O(n^2) time and O(n) space.
+    index, so the output is fully deterministic.  One array holds each
+    point's distance to the prefix, lowered by one :meth:`MetricInput.distances`
+    row per new centre: O(n^2) time and O(n) space, no distance matrix.
     """
     n = m.n
     if not (0 <= seed < n):
         raise IndexError(f"seed {seed} out of range for n={n}")
-    order = np.empty(n, dtype=int)
-    radius = np.empty(n, dtype=float)
-    pred = np.empty(n, dtype=int)
-    order[0], radius[0], pred[0] = seed, math.inf, -1
+    order = np.full(n, seed, dtype=int)
+    radius = np.full(n, math.inf)
 
     # distance to the current prefix, -1 for chosen points: rows are >= 0,
     # so the minimum keeps them out of the argmax
     dist = np.array(m.distances(seed), dtype=float)
     dist[seed] = -1.0
-    nearest = np.full(n, seed)     # witness for that distance
     for i in range(1, n):
         idx = int(dist.argmax())  # first occurrence = smallest index
         order[i] = idx
         radius[i] = dist[idx]
-        pred[i] = nearest[idx]
         dist[idx] = -1.0
-        row = m.distances(idx)
-        np.putmask(nearest, row < dist, idx)
-        np.minimum(dist, row, out=dist)
+        np.minimum(dist, m.distances(idx), out=dist)
 
-    for a in (order, radius, pred):
+    for a in (order, radius):
         a.setflags(write=False)
-    return GreedyPermutation(order=order, insertion_radius=radius, predecessor=pred)
+    return GreedyPermutation(order=order, insertion_radius=radius)
 
 
 def deletion_times(gp: GreedyPermutation, epsilon: float) -> DeletionSchedule:
@@ -114,7 +106,7 @@ def net_at(s: DeletionSchedule, alpha: float, closed: bool = False) -> np.ndarra
 
 @dataclass(frozen=True)
 class NetConditionReport:
-    """Outcome of the covering / packing check at one scale.
+    """Outcome of the covering / packing check at one scale, against ``bound``.
 
     worst_cover is the largest distance from any point to the net (with
     its witness point); worst_pack the smallest pairwise distance inside
@@ -124,8 +116,7 @@ class NetConditionReport:
     alpha: float
     cover_ok: bool
     pack_ok: bool
-    cover_bound: float
-    pack_bound: float
+    bound: float
     worst_cover: float
     worst_cover_point: int
     worst_pack: float
@@ -168,8 +159,7 @@ def check_net_conditions(m: MetricInput, s: DeletionSchedule,
         alpha=float(alpha),
         cover_ok=bool(worst_cover <= bound),
         pack_ok=bool(worst_pack >= bound),
-        cover_bound=float(bound),
-        pack_bound=float(bound),
+        bound=float(bound),
         worst_cover=worst_cover,
         worst_cover_point=worst_point,
         worst_pack=worst_pack,
@@ -181,11 +171,8 @@ def schedule_to_csv(gp: GreedyPermutation, s: DeletionSchedule, path) -> None:
     """Write the schedule as CSV: index, greedy_position, insertion_radius, deletion_time."""
     position = np.empty(gp.n, dtype=int)
     position[gp.order] = np.arange(gp.n)
+    rows = zip(position.tolist(), gp.insertion_radius[position].tolist(), s.t.tolist())
     lines = ["index,greedy_position,insertion_radius,deletion_time"]
-    for p in range(gp.n):
-        lam = gp.insertion_radius[position[p]]
-        lam_s = "inf" if math.isinf(lam) else repr(float(lam))
-        t_s = "inf" if math.isinf(s.t[p]) else repr(float(s.t[p]))
-        lines.append(f"{p},{position[p]},{lam_s},{t_s}")
+    lines += [f"{p},{pos},{lam!r},{t!r}" for p, (pos, lam, t) in enumerate(rows)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -110,12 +110,12 @@ def check_nets(m: MetricInput, ctx: WeightContext, samples: int = 16,
             return CheckResult(
                 "net-covering", False,
                 f"alpha={alpha:.6g}: point {rep.worst_cover_point} at distance "
-                f"{rep.worst_cover:.6g} > bound {rep.cover_bound:.6g}")
+                f"{rep.worst_cover:.6g} > bound {rep.bound:.6g}")
         if not rep.pack_ok:
             return CheckResult(
                 "net-packing", False,
                 f"alpha={alpha:.6g}: pair {rep.worst_pack_pair} at distance "
-                f"{rep.worst_pack:.6g} < bound {rep.pack_bound:.6g}")
+                f"{rep.worst_pack:.6g} < bound {rep.bound:.6g}")
     return CheckResult("net-conditions", True,
                        f"{samples} scales, covering and packing hold")
 
@@ -143,25 +143,28 @@ def check_diagram_equality(m: MetricInput, ctx: WeightContext, k: int = 2,
                            tol: float = 1e-9) -> CheckResult:
     """Diagram of the sparse filtration equals the relaxed reference diagram."""
     sparse = build_sparse_from_context(m, ctx, k)
+    return _diagram_equality(m, ctx, k, sparse, compute_persistence(sparse), tol)
+
+
+def check_c_approximation(m: MetricInput, ctx: WeightContext,
+                          k: int = 2) -> CheckResult:
+    """Sparse diagram is a 1/(1-2eps)-approximation of the true Rips diagram."""
+    ds = compute_persistence(build_sparse_from_context(m, ctx, k))
+    return _c_approximation(m, ctx, k, ds)
+
+
+def _diagram_equality(m, ctx, k, sparse, ds, tol=1e-9) -> CheckResult:
     relaxed = relaxed_rips(m, ctx, math.inf, k)
-    ds = compute_persistence(sparse)
-    dr = compute_persistence(relaxed)
-    ok = diagram_equal(ds, dr, tol=tol)
+    ok = diagram_equal(ds, compute_persistence(relaxed), tol=tol)
     return CheckResult(
         "diagram-equality", ok,
         f"sparse ({len(sparse)} simplices) vs relaxed ({len(relaxed)}), tol={tol:g}"
         if ok else "sparse and relaxed diagrams differ")
 
 
-def check_c_approximation(m: MetricInput, ctx: WeightContext,
-                          k: int = 2) -> CheckResult:
-    """Sparse diagram is a 1/(1-2eps)-approximation of the true Rips diagram."""
+def _c_approximation(m, ctx, k, ds) -> CheckResult:
     c = 1.0 / (1.0 - 2.0 * ctx.epsilon)
-    sparse = build_sparse_from_context(m, ctx, k)
-    rips = full_rips(m, math.inf, k)
-    ds = compute_persistence(sparse)
-    dr = compute_persistence(rips)
-    res = multiplicative_match(ds, dr, c)
+    res = multiplicative_match(ds, compute_persistence(full_rips(m, math.inf, k)), c)
     detail = (f"factor {c:.6g} matching found"
               if res.ok else f"no matching at factor {c:.6g}, witness {res.witness}")
     return CheckResult("c-approximation", res.ok, detail)
@@ -176,11 +179,12 @@ def run_battery(m: MetricInput, epsilon: float, k: int = 2, samples: int = 16,
             f"({ORACLE_GUARD_N}); pass force to override")
     ctx = WeightContext.build(m, epsilon, seed=seed)
     rng = np.random.default_rng(seed)
-    results = [
+    sparse = build_sparse_from_context(m, ctx, k)   # one build for the last two checks
+    ds = compute_persistence(sparse)
+    return [
         check_interleaving(m, ctx, n_pairs=100, rng=rng),
         check_nets(m, ctx, samples=samples, rng=rng),
         check_betti(m, ctx, k=k, samples=max(4, samples // 2), rng=rng),
-        check_diagram_equality(m, ctx, k=k),
-        check_c_approximation(m, ctx, k=k),
+        _diagram_equality(m, ctx, k, sparse, ds),
+        _c_approximation(m, ctx, k, ds),
     ]
-    return results

@@ -162,6 +162,32 @@ def test_persist_requires_exactly_one_source(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("source, extra, refused", [
+    ("--filtration", ["--full", "--alpha-max", "2"], "--full does not go with --filtration"),
+    ("--filtration", ["--alpha-max", "2"], "--alpha-max does not go with --filtration"),
+    ("--filtration", ["--epsilon", "0.2"], "--epsilon does not go with --filtration"),
+    ("--input", ["--full", "--alpha-max", "2", "--epsilon", "0.2"],
+     "--epsilon does not go with --full"),
+    ("--input", ["--epsilon", "0.2", "--alpha-max", "2"],
+     "--alpha-max does not go with a sparse build"),
+])
+def test_persist_refuses_the_options_of_another_source(tmp_path, capsys, source, extra,
+                                                       refused):
+    # an option the chosen source would ignore is a usage error, not dropped
+    src = write_square(tmp_path)
+    filt_file = tmp_path / "filt.txt"
+    assert main(["build", "--input", str(src), "--epsilon", "0.2",
+                 "--out", str(filt_file)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "dgm.json"
+    path = filt_file if source == "--filtration" else src
+    with pytest.raises(SystemExit) as exc:
+        main(["persist", source, str(path), *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    assert refused in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_random_points_pass(tmp_path, capsys):
     src = write_random(tmp_path, 20, seed=11)
     code = main(["verify", "--input", str(src), "--epsilon", "0.3333",

@@ -13,7 +13,6 @@ def brute_greedy(dmat, seed):
     n = dmat.shape[0]
     order = [seed]
     radii = [math.inf]
-    preds = [-1]
     while len(order) < n:
         rest = [i for i in range(n) if i not in order]
         best, best_d = None, -1.0
@@ -23,8 +22,7 @@ def brute_greedy(dmat, seed):
                 best, best_d = i, d
         order.append(best)
         radii.append(best_d)
-        preds.append(min((dmat[best, j], order.index(j), j) for j in order[:-1])[2])
-    return order, radii, preds
+    return order, radii
 
 
 def test_four_point_line():
@@ -32,7 +30,6 @@ def test_four_point_line():
     gp = greedy_permutation(m, seed=0)
     assert gp.order.tolist() == [0, 3, 2, 1]
     assert gp.insertion_radius.tolist() == [math.inf, 4.0, 2.0, 1.0]
-    assert gp.predecessor.tolist() == [-1, 0, 0, 0]
 
 
 def test_single_point():
@@ -61,10 +58,9 @@ def test_matches_brute_force_oracle():
         m = from_points(rng.random((n, 2)))
         seed = int(rng.integers(0, m.n))
         gp = greedy_permutation(m, seed=seed)
-        order, radii, preds = brute_greedy(m.distance_matrix(), seed)
+        order, radii = brute_greedy(m.distance_matrix(), seed)
         assert gp.order.tolist() == order
         assert gp.insertion_radius.tolist() == pytest.approx(radii)
-        assert gp.predecessor.tolist() == preds
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan", "chebyshev"])
@@ -80,19 +76,17 @@ def test_matches_brute_force_oracle_every_kernel_and_tie_grids(kind):
         m = from_points(pts, metric_kind=kind)
         for seed in sorted({0, m.n // 2, m.n - 1}):
             gp = greedy_permutation(m, seed=seed)
-            order, radii, preds = brute_greedy(m.distance_matrix(), seed)
+            order, radii = brute_greedy(m.distance_matrix(), seed)
             assert gp.order.tolist() == order
             assert gp.insertion_radius.tolist() == radii
-            assert gp.predecessor.tolist() == preds
 
 
 def test_matches_brute_force_oracle_on_an_explicit_matrix():
     pts = np.array([(x, y) for x in range(3) for y in range(3)], dtype=float)
     m = from_matrix(np.abs(pts[:, None] - pts[None, :]).sum(axis=2))
     gp = greedy_permutation(m, seed=4)
-    order, radii, preds = brute_greedy(m.distance_matrix(), 4)
-    assert (gp.order.tolist(), gp.insertion_radius.tolist(),
-            gp.predecessor.tolist()) == (order, radii, preds)
+    order, radii = brute_greedy(m.distance_matrix(), 4)
+    assert (gp.order.tolist(), gp.insertion_radius.tolist()) == (order, radii)
 
 
 def test_radii_non_increasing_and_covering():
@@ -163,7 +157,7 @@ def test_check_net_conditions_alpha_zero():
     s = deletion_times(greedy_permutation(m), 0.2)
     rep = check_net_conditions(m, s, 0.0)
     assert rep.cover_ok and rep.pack_ok
-    assert rep.cover_bound == 0.0
+    assert rep.bound == 0.0
 
 
 def test_net_conditions_random_instances():
@@ -190,7 +184,7 @@ def test_sabotaged_schedule_fails_covering_with_witness():
     bad = [r for r in failures if not r.cover_ok]
     assert bad, "halving deletion times must break covering somewhere"
     assert all(0 <= r.worst_cover_point < m.n for r in bad)
-    assert all(r.worst_cover > r.cover_bound for r in bad)
+    assert all(r.worst_cover > r.bound for r in bad)
 
 
 def test_strengthened_covering():

@@ -84,3 +84,27 @@ def test_interleaving_reads_sampled_distances_without_a_matrix(monkeypatch):
         assert got == CheckResult("interleaving", True, "100 pairs, exact rational arithmetic")
         assert len(read) == 100
         assert all(i != j and d == dense[i, j] for i, j, d in read)
+
+
+def test_battery_builds_the_sparse_filtration_once(monkeypatch):
+    # the diagram-equality and c-approximation checks share one sparse build,
+    # and the battery's results are those of the five public checks
+    import sparse_rips.verify as verify
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    build = verify.build_sparse_from_context
+    monkeypatch.setattr(verify, "build_sparse_from_context", counted)
+    m = from_points(np.random.default_rng(76).random((18, 2)))
+    results = run_battery(m, 0.25, k=2, samples=8, seed=5)
+    assert len(builds) == 1
+    ctx = WeightContext.build(m, 0.25, seed=5)
+    rng = np.random.default_rng(5)
+    assert results == [check_interleaving(m, ctx, n_pairs=100, rng=rng),
+                       check_nets(m, ctx, samples=8, rng=rng),
+                       check_betti(m, ctx, k=2, samples=4, rng=rng),
+                       check_diagram_equality(m, ctx, k=2),
+                       check_c_approximation(m, ctx, k=2)]

@@ -108,27 +108,31 @@ def cmd_persist(parser, args) -> int:
         parser.error("exactly one of --filtration or --input is required")
     # each source takes only its own options, so none is silently dropped
     source, own = (("--filtration", ()) if args.filtration else
-                   ("--full", ("--full", "--alpha-max")) if args.full else
-                   ("a sparse build", ("--epsilon",)))
-    for option, on in (("--full", args.full), ("--alpha-max", args.alpha_max is not None),
-                       ("--epsilon", args.epsilon is not None)):
-        if on and option not in own:
+                   ("--full", ("--full", "--alpha-max", "--k")) if args.full else
+                   ("a sparse build", ("--epsilon", "--k", "--seed")))
+    for option, value in (("--full", args.full or None), ("--alpha-max", args.alpha_max),
+                          ("--epsilon", args.epsilon), ("--k", args.k), ("--seed", args.seed)):
+        if value is not None and option not in own:
             parser.error(f"{option} does not go with {source}")
     if args.filtration:
         f = filt.read_filtration(args.filtration)
-    else:
-        m = _load_input(args)
-        _check_count(parser, "--k", args.k)
+    else:   # every usage error before the input is read
+        k = 2 if args.k is None else args.k
+        _check_count(parser, "--k", k)
         if args.full:
             if args.alpha_max is None or args.alpha_max <= 0:
                 parser.error("--full requires a positive --alpha-max")
-            f = filt.full_rips(m, args.alpha_max, args.k)
+        elif args.epsilon is None:
+            parser.error("building in-process requires --epsilon")
         else:
-            if args.epsilon is None:
-                parser.error("building in-process requires --epsilon")
             _check_epsilon(parser, args.epsilon)
-            _check_seed(m, args.seed)
-            f = filt.build_sparse(m, args.epsilon, args.k, seed=args.seed)
+        m = _load_input(args)
+        if args.full:
+            f = filt.full_rips(m, args.alpha_max, k)
+        else:
+            seed = 0 if args.seed is None else args.seed
+            _check_seed(m, seed)
+            f = filt.build_sparse(m, args.epsilon, k, seed=seed)
     dgm = compute_persistence(f, keep_zero_pairs=args.keep_zero_pairs)
     text = diagram_to_csv(dgm) if args.csv else diagram_to_json(dgm) + "\n"
     _atomic_write(args.out, text)
@@ -211,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build the full Vietoris-Rips filtration in-process")
     p.add_argument("--alpha-max", type=float, default=None, help="scale cap, with --full only")
     p.add_argument("--epsilon", type=float, default=None, help="sparse build, without --full")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int, default=None,
+                   help="dimension cap of an in-process build (default 2)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="greedy seed of a sparse build (default 0)")
     p.add_argument("--keep-zero-pairs", action="store_true")
     p.add_argument("--csv", action="store_true", help="write CSV instead of JSON")
     p.add_argument("--out", required=True)

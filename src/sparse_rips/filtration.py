@@ -523,26 +523,48 @@ def write_filtration(f: SparseFiltration, path) -> None:
         fh.write(filtration_text(f))
 
 
-_BLOCK_CHARS = 1 << 20   # read_filtration parses about this much text at a time
+_BLOCK_CHARS = 1 << 20   # read_filtration parses about this many bytes at a time
+
+#: False at the ASCII whitespace that ``bytes.split`` splits on: \t \n \v \f \r
+#: and space; a token is a run of the other bytes
+_TOKEN_BYTE = np.ones(256, dtype=bool)
+_TOKEN_BYTE[list(b"\t\n\v\f\r ")] = False
+#: value tokens up to this many bytes are compared with the one before in
+#: 8-byte words; a longer one starts a run of its own
+_RUN_BYTES = 32
+#: _KEEP[L]: the mask, as 8-byte words, that keeps the first L of _RUN_BYTES bytes
+_KEEP = np.where(np.arange(_RUN_BYTES) < np.arange(_RUN_BYTES + 1)[:, None],
+                 np.uint8(255), np.uint8(0)).view(np.uint64)
+#: labels of up to this many digits are below 10**18 < 2**63: exact in int64
+_LABEL_DIGITS = 18
 
 
 def read_filtration(path) -> SparseFiltration:
-    """Read and check the text format written by :func:`write_filtration`:
+    r"""Read and check the text format written by :func:`write_filtration`:
     ValueError naming the line for a line that does not parse or a header
     field that is not a number, MalformedFiltrationError for a label beyond
     int64, simplices out of order or against :func:`validate_filtration`.
     Comment lines (``#``) may appear anywhere; their ``key=value`` fields
-    form the header, the last value of a key winning."""
+    form the header, the last value of a key winning.
+
+    The file is parsed as bytes.  Lines end at ``\n``, ``\r\n`` or ``\r``;
+    tokens are separated by the ASCII whitespace of ``bytes.split`` (space,
+    ``\t``, ``\v``, ``\f``), so a non-ASCII byte between tokens makes the
+    line malformed.  Values and labels are what ``float`` and ``int``
+    accept of a token's bytes."""
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}   # the line that set each header field
     blocks = []   # (values, sizes, labels) of each block
-    with open(path) as fh:
+    # Latin-1 maps each byte to one character and back, and text mode ends
+    # a line at "\n", "\r\n" or "\r" and hands it over ending in "\n"
+    with open(path, encoding="latin-1") as fh:
         lineno = 0   # lines before the block
         while lines := fh.readlines(_BLOCK_CHARS):
+            block = "".join(lines).encode("latin-1")
             try:
-                blocks.append(_parse_block(lines, lineno, header, header_line))
+                blocks.append(_parse_block(block, lineno, header, header_line))
             except (ValueError, OverflowError):
-                _raise_at_bad_line(path, lines, lineno)
+                _raise_at_bad_line(path, block, lineno)
                 raise
             lineno += len(lines)
     if not sum(len(values) for values, _, _ in blocks):
@@ -565,47 +587,83 @@ def read_filtration(path) -> SparseFiltration:
     return f
 
 
-def _parse_block(lines: list[str], lineno: int, header: dict, header_line: dict):
-    """Values, vertex counts and labels of the data lines of ``lines``, the
-    lines after the first ``lineno``; comment lines go into ``header``.
-    The block is split once, and each distinct token converted once.
+def _parse_block(block: bytes, lineno: int, header: dict, header_line: dict):
+    r"""Values, vertex counts and labels of the data lines of ``block``, the
+    lines after the first ``lineno``, each ending at ``\n``; comment lines
+    go into ``header``.  The tokens are found with one lookup per byte.
     ValueError or OverflowError if some data line does not parse."""
-    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-    text = "".join(lines)
-    tokens = np.array(text.split(), dtype=object)
-    first = np.cumsum(counts) - counts   # index in tokens of each line's first token
+    n = len(block)
+    buf = np.frombuffer(block + bytes(_RUN_BYTES), np.uint8)   # padded for the gathers
+    inside = np.zeros(n + 2, dtype=bool)   # inside[i + 1]: byte i is in a token
+    np.take(_TOKEN_BYTE, buf[:n], out=inside[1:-1])
+    edge = np.flatnonzero(inside[1:] != inside[:-1])   # token starts and ends, alternating
+    start, size = edge[::2], edge[1::2] - edge[::2]
+    newline = np.flatnonzero(buf[:n] == ord("\n"))
+    first = np.searchsorted(start, np.append(0, newline + 1))   # each line's first token
+    counts = np.diff(first, append=len(start))   # tokens on each line
     data = counts > 0
-    if "#" in text:   # a comment line is one whose first token starts with '#'
-        comment = np.zeros_like(data)
-        comment[data] = [t[0] == "#" for t in tokens[first[data]].tolist()]
-        for i in np.flatnonzero(comment):
-            for item in lines[i].strip()[1:].split():
-                key, _, header[key] = item.partition("=")
-                header_line[key] = lineno + i + 1
-        data &= ~comment
+    comment = np.zeros_like(data)   # a comment line's first token starts with '#'
+    comment[data] = buf[start[first[data]]] == ord("#")
+    for i in np.flatnonzero(comment).tolist():
+        stop = newline[i] if i < len(newline) else n
+        for item in block[start[first[i]] + 1:stop].split():
+            key, _, header[key] = item.decode(errors="replace").partition("=")
+            header_line[key] = lineno + i + 1
+    data &= ~comment
     if (counts[data] < 2).any():
         raise ValueError("a data line needs a value and a vertex")
     is_label = np.repeat(data, counts)
-    is_label[first[data]] = False
-    return (_convert(tokens[first[data]].tolist(), float, float), counts[data] - 1,
-            _convert(tokens[is_label].tolist(), int, np.int64))
+    at = first[data]
+    is_label[at] = False
+    return (_parse_values(block, buf, start[at], size[at]), counts[data] - 1,
+            _parse_labels(block, buf, start[is_label], size[is_label]))
 
 
-def _convert(tokens: list[str], convert, dtype) -> np.ndarray:
-    """``convert`` of each token as a ``dtype`` array, calling it once per
-    distinct token."""
-    table = {t: convert(t) for t in set(tokens)}
-    return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
+def _parse_values(block: bytes, buf: np.ndarray, start: np.ndarray,
+                  size: np.ndarray) -> np.ndarray:
+    """``float`` of each token of ``size`` bytes at ``start``, called once
+    per run of equal tokens: the file is in value order, so about once per
+    value."""
+    words = -(-min(int(size.max(initial=1)), _RUN_BYTES) // 8)
+    rows = np.lib.stride_tricks.sliding_window_view(buf, 8 * words)[start].view(np.uint64)
+    rows &= _KEEP[np.minimum(size, _RUN_BYTES), :words]   # clear the bytes after each token
+    new = np.ones(len(start), dtype=bool)
+    new[1:] = (size[1:] != size[:-1]) | (size[1:] > _RUN_BYTES)
+    for w in range(words):
+        new[1:] |= rows[1:, w] != rows[:-1, w]
+    run = np.flatnonzero(new)
+    values = [float(block[a:a + b]) for a, b in zip(start[run].tolist(), size[run].tolist())]
+    return np.repeat(np.array(values, dtype=float), np.diff(run, append=len(start)))
 
 
-def _raise_at_bad_line(path, lines: list[str], lineno: int) -> None:
+def _parse_labels(block: bytes, buf: np.ndarray, start: np.ndarray,
+                  size: np.ndarray) -> np.ndarray:
+    """``int`` of each token of ``size`` bytes at ``start``, as int64: by
+    digit arithmetic for up to 18 ASCII digits, else by ``int`` once per
+    distinct token (a sign, ``_`` or more digits); OverflowError beyond int64."""
+    labels = np.zeros(len(start), dtype=np.int64)
+    plain = size <= _LABEL_DIGITS
+    for j in range(min(int(size.max(initial=0)), _LABEL_DIGITS)):
+        live = j < size
+        digit = buf[start + j] - ord("0")   # uint8: a byte below '0' wraps above 9
+        plain &= ~live | (digit <= 9)
+        labels = np.where(live, labels * 10 + digit, labels)
+    other = np.flatnonzero(~plain)
+    if len(other):
+        tokens = [block[a:a + b] for a, b in zip(start[other].tolist(), size[other].tolist())]
+        table = {t: int(t) for t in set(tokens)}
+        labels[other] = np.array([table[t] for t in tokens], dtype=np.int64)
+    return labels
+
+
+def _raise_at_bad_line(path, block: bytes, lineno: int) -> None:
     """Raise the error of the first data line of a block that does not
     parse as a value and int64 labels; the lines follow line ``lineno``."""
-    for n, raw in enumerate(lines, start=lineno + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for n, raw in enumerate(block.split(b"\n"), start=lineno + 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith(b"#"):
             continue
-        parts = line.split()
+        line = raw.strip().decode(errors="replace")
         try:
             float(parts[0])
             vertices = [int(p) for p in parts[1:]]

@@ -170,6 +170,9 @@ def test_persist_requires_exactly_one_source(tmp_path):
      "--epsilon does not go with --full"),
     ("--input", ["--epsilon", "0.2", "--alpha-max", "2"],
      "--alpha-max does not go with a sparse build"),
+    ("--filtration", ["--k", "1"], "--k does not go with --filtration"),
+    ("--filtration", ["--seed", "7"], "--seed does not go with --filtration"),
+    ("--input", ["--full", "--alpha-max", "2", "--seed", "1"], "--seed does not go with --full"),
 ])
 def test_persist_refuses_the_options_of_another_source(tmp_path, capsys, source, extra,
                                                        refused):
@@ -186,6 +189,36 @@ def test_persist_refuses_the_options_of_another_source(tmp_path, capsys, source,
     assert exc.value.code == 2
     assert refused in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--full"], "--full requires a positive --alpha-max"),
+    (["--full", "--alpha-max", "0"], "--full requires a positive --alpha-max"),
+    ([], "building in-process requires --epsilon"),
+    (["--epsilon", "0.5"], "--epsilon must be in (0, 1/3], got 0.5"),
+    (["--epsilon", "0.2", "--k", "0"], "--k must be >= 1, got 0"),
+])
+def test_persist_usage_errors_come_before_the_input_is_read(tmp_path, capsys, extra,
+                                                            message):
+    # the input file does not exist: a usage error must not wait for it
+    out = tmp_path / "dgm.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["persist", "--input", str(tmp_path / "missing.csv"), *extra,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_persist_k_and_seed_default_to_2_and_0_in_process(tmp_path):
+    src = write_random(tmp_path, 12, seed=9)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    assert main(["persist", "--input", str(src), "--epsilon", "0.3",
+                 "--out", str(outs[0])]) == 0
+    assert main(["persist", "--input", str(src), "--epsilon", "0.3", "--k", "2",
+                 "--seed", "0", "--out", str(outs[1])]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+    assert json.loads(outs[0].read_text())["k"] == 2
 
 
 def test_verify_random_points_pass(tmp_path, capsys):

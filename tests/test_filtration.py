@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -745,6 +746,7 @@ def text_cases():
     cases["q_closed"] = static_complex(circle, WeightContext.build(circle, 0.1), 0.8,
                                        "Q_closed", 2)
     cases["labels_near_2**62"] = relabelled(grid, {v: 2**62 + 3 * v for v in range(16)})
+    cases["negative_labels"] = relabelled(grid, {v: v - 8 for v in range(16)})
     cases["empty_upper_dims"] = full_rips(from_points(pts[:5]), 1e-3, 3)
     return cases
 
@@ -762,6 +764,16 @@ REFORMAT = {
         line + ("# comment line\n#note=mid\n" if i % 7 == 3 else "")
         for i, line in enumerate(text.splitlines(keepends=True))),
     "no_header": lambda text: text.split("\n", 1)[1],
+    "lone_cr": lambda text: text.replace("\n", "\r"),
+    "vt_ff": lambda text: "".join(line.replace(" ", "\v" if i % 2 else "\f \v")
+                                  for i, line in enumerate(text.splitlines(keepends=True))),
+    "plus_signs": lambda text: re.sub(r" (\d)", r" +\1", text),
+    # 0, 13, 29 or 30 leading zeros, two lines at a time: "0.0" becomes 32 or
+    # 33 bytes, either side of the width up to which runs are compared in words
+    "long_values": lambda text: "".join(
+        re.sub(r"^(-?)(?=\d)", r"\g<1>" + "0" * (0, 13, 29, 30)[i // 2 % 4], line)
+        for i, line in enumerate(text.splitlines(keepends=True))),
+    "19_digits": lambda text: re.sub(r" (-?)(\d+)", lambda m: f" {m[1]}{m[2]:0>19}", text),
 }
 
 
@@ -779,6 +791,26 @@ def test_read_filtration_matches_the_line_reader(case, fmt, block, tmp_path, mon
     assert_same_filtration(g, reference_read(path))
     if fmt != "no_header":
         assert_same_filtration(g, f)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_read_filtration_parses_whole_lines_about_a_block_at_a_time(end, tmp_path,
+                                                                   monkeypatch):
+    # a lone "\r" ends a line too, so it bounds a block as "\n" does
+    monkeypatch.setattr(filtration, "_BLOCK_CHARS", 64)
+    blocks = []
+    parse = filtration._parse_block
+
+    def recorded(block, *args):
+        blocks.append(block)
+        return parse(block, *args)
+
+    monkeypatch.setattr(filtration, "_parse_block", recorded)
+    f = TEXT_CASES["sparse_k2"]
+    path = tmp_path / "filt.txt"
+    path.write_bytes(filtration_text(f).replace("\n", end).encode())
+    assert_same_filtration(read_filtration(path), f)
+    assert len(blocks) > 10 and all(b.endswith(b"\n") and len(b) < 64 + 40 for b in blocks)
 
 
 BAD_LINES = ["1.0", "abc 0 1", "1.0 0 1.5", "1.0 0 1 # note", "-nan0 1 2"]
@@ -811,6 +843,17 @@ def test_first_of_two_malformed_lines_in_different_blocks_is_named(tmp_path, mon
     path.write_text("0.0 0\n0.0 1\n0.0 2\n0.0 3\n1.0 x\n0.0 5\n0.0 6\n1.0\n")
     with pytest.raises(ValueError, match=r"malformed line 5: '1.0 x'$"):
         read_filtration(path)
+
+
+@pytest.mark.parametrize("bad", ["0.0\xa01", "1.0 0\x1c1", "1.0\x1c0 1"])
+def test_non_ascii_whitespace_between_tokens_is_malformed(bad, tmp_path):
+    # tokens are split at the ASCII whitespace of bytes.split only; U+00A0
+    # and \x1c, which str.split splits at, are part of a token
+    path = tmp_path / "bad.txt"
+    path.write_bytes(f"# k=1\n0.0 0\n0.0 1\n{bad}\n0.0 2\n".encode())
+    with pytest.raises(ValueError) as exc:
+        read_filtration(path)
+    assert str(exc.value) == f"{path}: malformed line 4: {bad!r}"
 
 
 @pytest.mark.parametrize("text", ["", "# k=2 kind=sparse_S alpha_max=none\n\n#\n  \n"])

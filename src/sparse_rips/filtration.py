@@ -85,7 +85,8 @@ class SparseFiltration:
 
     @cached_property
     def facets(self) -> list[np.ndarray]:
-        """The checks and the result of :func:`validate_filtration`, run once."""
+        """The result of :func:`validate_filtration`: set by :func:`clique_expand`
+        on a filtration it builds, else found by the checks, run once."""
         return _facets(self)
 
     def simplices(self) -> list[tuple[tuple[int, ...], float]]:
@@ -121,10 +122,10 @@ def _order_breaks(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Index in the ascending array ``keys`` of each query, -1 where absent."""
-    at = np.searchsorted(keys, queries)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == queries[found]
-    return np.where(found, at, -1)
+    if not len(keys):
+        return np.full(len(queries), -1)
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[at] == queries, at, -1)
 
 
 #: an edge list: one record per edge, lower endpoint first, in row-major order
@@ -223,15 +224,25 @@ def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
                   kind: str = KIND_SPARSE, alpha_max: float | None = None) -> SparseFiltration:
     """Clique (flag) filtration of an edge list (:func:`_as_edges`), in any
-    order, on the vertices 0..n-1; ValueError for an edge outside them.
+    order, on the vertices 0..n-1; ValueError for an edge outside them or
+    a birth that is not a finite number >= 0.
 
     Every clique of at most k + 1 vertices enters at the maximum of its
     edge births.  With ``vertex_caps`` a clique is admitted only while
     all its vertices are alive: max edge birth <= min vertex cap.  That
-    is monotone under taking cofaces, so a (d+1)-clique grows from an
-    admitted d-clique and an upper neighbour of its last vertex
-    (Zomorodian 2010); its other edges are found by binary search.  Rows
-    come out in vertex order, so a stable sort by value orders each dimension."""
+    is monotone under taking cofaces, so a d-simplex (x_0, .., x_{d-1}, u)
+    grows from an admitted (d-1)-simplex, its parent, and an upper
+    neighbour u of the parent's last vertex (Zomorodian 2010); its other
+    edges to u lie in its facet without x_{d-1}, an admitted clique found
+    by binary search.  Rows come out in vertex order, so a stable sort by
+    value orders each dimension.
+
+    The result carries its :attr:`~SparseFiltration.facets`, found as the
+    cliques grow, and is not checked again: the facet without u is the
+    parent, the one without x_{d-1} is found as above, and the one without
+    another x_v is the parent's facet without x_v grown by u (for a
+    triangle, the edge (x_1, u)).  A grown simplex is keyed by parent
+    position * n + u, which ascends in vertex order."""
     if k < 1:
         raise ValueError("dimension cap k must be >= 1")
     edges = _as_edges(edges)
@@ -241,6 +252,8 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
             lambda i: f"degenerate edge {tuple(ends[i].tolist())}", ValueError)
     _reject((ends[:, 0] < 0) | (ends[:, 1] >= n),
             lambda i: f"edge {tuple(ends[i].tolist())} outside vertices 0..{n - 1}", ValueError)
+    _reject(~(np.isfinite(births) & (births >= 0)),
+            lambda i: f"bad birth {births[i]} for edge {tuple(ends[i].tolist())}", ValueError)
     order = np.argsort(ends[:, 0] * n + ends[:, 1])   # vertex order
     (a, c), births = ends[order].T, births[order]
     key = a * n + c   # below n**2
@@ -251,24 +264,47 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     a, c, key, births, cap = a[keep], c[keep], key[keep], births[keep], cap[keep]
     start = np.searchsorted(a, np.arange(n + 1))   # upper neighbours of a: c[start[a]:start[a+1]]
 
+    # each dimension in vertex order, with its facet positions in that order
     rows, values = [np.arange(n)[:, None], np.c_[a, c]], [np.zeros(n), births]
+    facets, keys = [np.zeros((n, 0), dtype=np.int64), np.c_[c, a]], [None, key]
     for d in range(2, k + 1):
+        if len(rows[-1]) * n >= _KEY_LIMIT:
+            raise ValueError(f"{len(rows[-1])} simplices of dimension {d - 1} on {n} "
+                             f"vertices are too many to index")
         src, slot = _row_slots(start, rows[-1][:, -1])
-        u, value = c[slot], np.maximum(values[-1][src], births[slot])
-        for j in range(d - 1):   # the edges from the other vertices to u
-            want = rows[-1][src, j] * n + u
-            at = _lookup(key, want)
-            hit = at >= 0
-            src, u, at = src[hit], u[hit], at[hit]
-            value = np.maximum(value[hit], births[at])
+        u = c[slot]
+        at = _lookup(keys[-1], facets[-1][src, d - 1] * n + u)   # the facet without x_{d-1}
+        hit = at >= 0
+        src, slot, u, at = src[hit], slot[hit], u[hit], at[hit]
+        value = np.maximum(np.maximum(values[-1][src], values[-1][at]), births[slot])
         cap = np.minimum(cap[src], caps[u])
         keep = ~(value > cap)
-        src, u, value, cap = src[keep], u[keep], value[keep], cap[keep]
-        rows.append(np.c_[rows[-1][src], u])
+        src, slot, u, at, value, cap = (x[keep] for x in (src, slot, u, at, value, cap))
+        grown = ([slot] if d == 2 else   # a triangle's first facet is the edge
+                 [_lookup(keys[-1], facets[-1][src, v] * n + u) for v in range(d - 1)])
+        facets.append(np.column_stack([*grown, at, src]))
+        keys.append(src * n + u)
+        rows.append(np.c_[np.take(rows[-1], src, axis=0), u])
         values.append(value)
-    order = [np.argsort(v, kind="stable") for v in values]
-    return SparseFiltration(tuple(r[o] for r, o in zip(rows, order)),
-                            tuple(v[o] for v, o in zip(values, order)), k, kind, alpha_max)
+        del src, slot, u, at, grown   # not to be held while the dimensions are sorted
+    position = np.arange(n)   # position[i]: where row i of the dimension below ends up
+    for d in range(1, k + 1):
+        o = np.argsort(values[d], kind="stable")
+        rows[d], values[d] = np.take(rows[d], o, axis=0), values[d][o]
+        facets[d] = np.take(position[facets[d]], o, axis=0)
+        position = np.empty_like(o)
+        position[o] = np.arange(len(o))
+    return _with_facets(SparseFiltration(tuple(rows), tuple(values), k, kind, alpha_max),
+                        facets)
+
+
+def _with_facets(f: SparseFiltration, facets: list[np.ndarray]) -> SparseFiltration:
+    """``f`` with :attr:`~SparseFiltration.facets` set, read-only, to the
+    facet positions its builder found, so that it is not checked again."""
+    for a in facets:
+        a.setflags(write=False)
+    vars(f)["facets"] = facets
+    return f
 
 
 def build_sparse(m: MetricInput, epsilon: float, k: int,
@@ -310,7 +346,8 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
     all points for relaxed_full.  Simplices are the cliques of the graph
     {(p, q) : relaxed distance at alpha <= alpha} on that vertex set,
     every one with value 0.0; ``kind`` is the snapshot kind.  They are
-    expanded on net positions, whose map to labels keeps their order.
+    expanded on net positions, whose map to labels keeps their order, so
+    the facet positions of the expansion hold for the labels too.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -324,7 +361,7 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
                           + w[:, None] + w[None, :], alpha)
     edges["birth"] = 0.0
     f = clique_expand(edges, len(verts), k, kind=kind)
-    return replace(f, vertices=tuple(verts[r] for r in f.vertices))
+    return _with_facets(replace(f, vertices=tuple(verts[r] for r in f.vertices)), f.facets)
 
 
 def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
@@ -336,7 +373,10 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     vertices have value 0; and every facet is present with a value at most
     its coface's, so listed earlier.  Entry d of the result, (m_d, d + 1),
     holds in column v the position of the facet without vertex v.  The
-    result is ``f.facets``: a filtration is checked once.
+    result is ``f.facets``.  Only a filtration from outside is checked, once:
+    :func:`read_filtration`, ``SparseFiltration.from_simplices`` or a
+    hand-made :class:`SparseFiltration`.  One built in-process by
+    :func:`clique_expand` (all the builders) carries the facets it found.
 
     Faces are indexed by one sorted int64 key per simplex and dimension:
     the key of a d-simplex is the position of its prefix facet (all
@@ -493,6 +533,9 @@ def build_sparse_from_context(m: MetricInput, ctx: WeightContext,
 
 # --- text format ---------------------------------------------------------
 
+_WRITE_ROWS = 1 << 16   # filtration_text formats about this many rows at a time
+
+
 def filtration_text(f: SparseFiltration) -> str:
     """Text format: one ``value v0 v1 ... vd`` line per simplex.
 
@@ -504,17 +547,26 @@ def filtration_text(f: SparseFiltration) -> str:
     # and each distinct label is formatted once; a line joins those tokens
     bits, at = np.unique(np.concatenate(f.values, dtype=float).view(np.int64),
                          return_inverse=True)
-    value_tokens = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[at]
+    value_tokens = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     labels = np.unique(np.concatenate([r.ravel() for r in f.vertices]))
     label_tokens = np.array([" %d" % x for x in labels.tolist()], dtype=object)
-    lines, start = [], 0
+    # the header, each simplex's line at its place in the global order, and
+    # "" for the newline that ends the last line
+    lines = np.empty(len(f) + 2, dtype=object)
+    lines[0], lines[-1] = f"# k={f.k} kind={f.kind} alpha_max={amax}", ""
+    line_of = np.empty(len(f), dtype=np.int64)
+    line_of[f._merge_order()] = np.arange(1, len(f) + 1)
+    start = 0
     for rows in f.vertices:
-        # searchsorted is faster column by column: a column mostly ascends
-        columns = label_tokens[np.searchsorted(labels, rows.T.copy())]
-        lines += map("".join, zip(value_tokens[start:start + len(rows)], *columns))
+        for lo in range(0, len(rows), _WRITE_ROWS):
+            block = rows[lo:lo + _WRITE_ROWS]
+            at_block = slice(start + lo, start + lo + len(block))
+            # searchsorted is faster column by column: a column mostly ascends
+            columns = label_tokens[np.searchsorted(labels, block.T.copy())]
+            lines[line_of[at_block]] = list(map("".join, zip(value_tokens[at[at_block]],
+                                                              *columns)))
         start += len(rows)
-    lines = np.array(lines, dtype=object)[f._merge_order()].tolist()
-    return "\n".join([f"# k={f.k} kind={f.kind} alpha_max={amax}", *lines]) + "\n"
+    return "\n".join(lines.tolist())
 
 
 def write_filtration(f: SparseFiltration, path) -> None:

@@ -6,18 +6,20 @@ components: a union-find over the edges in filtration order pairs each
 merging edge with the later of the two roots (the elder rule), and the
 merging edges are exactly the edges that destroy a class.  Above
 dimension 0 the column of a simplex is the set of its cofacets, taken by
-inverting the facet positions that ``validate_filtration`` returns;
-adding two columns is their symmetric difference and the pivot is the
-smallest index.  Each dimension is reduced in reverse filtration order,
-and clearing skips the simplices already known to destroy a class one
-dimension down.  Apparent pairs, a simplex whose earliest cofacet has it
-as its latest facet, are found with array operations and need no
-reduction; only the other columns go through the Python loop.  For a
-fixed total order the persistence pairing is unique and cohomology has
-the same pairs as homology (de Silva, Morozov and Vejdemo-Johansson,
-2011), so the output equals the plain boundary reduction; the shortcuts
-are Ripser's (Bauer, 2021).  Betti numbers of a snapshot (a constant-0
-filtration) are its infinite bars.
+inverting the facet positions ``f.facets``: a filtration built in-process
+carries the ones its clique expansion found, and any other is checked
+once by ``validate_filtration``, which finds them.  Adding two columns is
+their symmetric difference and the pivot is the smallest index.  Each
+dimension is reduced in reverse filtration order, and clearing skips the
+simplices already known to destroy a class one dimension down.
+Apparent pairs, a simplex whose earliest cofacet has it as its latest
+facet, are found with array operations and need no reduction; only the
+other columns go through the Python loop.  For a fixed total order the
+persistence pairing is unique and cohomology has the same pairs as
+homology (de Silva, Morozov and Vejdemo-Johansson, 2011), so the output
+equals the plain boundary reduction; the shortcuts are Ripser's (Bauer,
+2021).  Betti numbers of a snapshot (a constant-0 filtration) are its
+infinite bars.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ import pytest
 
 from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          SparseFiltration, WeightContext,
-                         birth_matrix, build_sparse, charged_degrees, clique_expand,
-                         compute_persistence, diagram_equal, filtration_text,
+                         betti_numbers, birth_matrix, build_sparse, charged_degrees,
+                         clique_expand, compute_persistence, diagram_equal, filtration_text,
                          from_matrix, from_points, full_rips, net_at, pair_birth,
                          pair_relaxed_distance, point_weight, read_filtration,
                          relaxed_rips, sparse_edges,
@@ -250,7 +250,7 @@ def test_clique_expand_matches_brute_force_enumeration():
             if len(verts) >= 2:
                 expect = max(edge_set[e] for e in combinations(verts, 2))
                 assert value == expect
-        validate_filtration(f)
+        assert_built_facets(f)
 
 
 def brute_flag_filtration(edge_set, verts, k, caps):
@@ -288,7 +288,7 @@ def test_clique_expand_matches_brute_force_with_caps_and_ties():
         if trial % 4 >= 2:
             caps = np.array([INF if rng.random() < 0.2 else draw() for _ in range(n)])
         f = clique_expand(edges, n, k, vertex_caps=caps)
-        validate_filtration(f)
+        assert_built_facets(f)
         sims = f.simplices()
         assert sims == sorted(sims, key=lambda s: (s[1], len(s[0]), s[0]))
         expect = brute_flag_filtration(edge_set, range(n), k, caps)
@@ -313,6 +313,36 @@ def test_clique_expand_rejects_bad_edges():
         clique_expand([(0, 1, 1.0), (1, 0, 2.0)], 2, 2)
     with pytest.raises(ValueError):
         clique_expand([(0, 1, 1.0)], 2, 0)
+
+
+@pytest.mark.parametrize("birth", [math.nan, INF, -INF, -1.0, -5e-324])
+@pytest.mark.parametrize("caps", [None, [0.5, 0.5, 0.5]])
+def test_clique_expand_rejects_bad_births(birth, caps):
+    # the build is not checked again, so a birth that is no finite number >= 0
+    # is refused, named by its edge, even where a vertex cap would drop it
+    edges = [(0, 1, 0.25), (2, 0, birth), (1, 2, 0.5)]
+    message = rf"^bad birth {re.escape(str(birth))} for edge \(0, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        clique_expand(edges, 3, 2, vertex_caps=caps)
+
+
+def test_clique_expand_accepts_a_negative_zero_birth():
+    f = clique_expand([(0, 1, -0.0), (0, 2, 0.0), (1, 2, 1.0)], 3, 2)
+    assert f.values[1].tolist() == [0.0, 0.0, 1.0] and np.signbit(f.values[1][0])
+    assert f.values[2].tolist() == [1.0]
+    assert_built_facets(f)
+
+
+def test_clique_expand_refuses_keys_that_could_overflow(monkeypatch):
+    # a (d+1)-simplex is keyed by its parent's position * n + its last vertex
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]   # 3 vertices, 3 edges, 1 triangle
+    monkeypatch.setattr(filtration, "_KEY_LIMIT", 10)
+    assert clique_expand(edges, 3, 2).counts_by_dim() == [3, 3, 1]
+    monkeypatch.setattr(filtration, "_KEY_LIMIT", 9)
+    assert clique_expand(edges, 3, 1).counts_by_dim() == [3, 3]
+    with pytest.raises(ValueError,
+                       match="^3 simplices of dimension 1 on 3 vertices are too many to index$"):
+        clique_expand(edges, 3, 2)
 
 
 @pytest.mark.parametrize("edge", [(-1, 2), (2, -1), (0, 3), (3, 1)])
@@ -525,7 +555,7 @@ def test_static_complex_is_a_constant_zero_filtration():
             c = static_complex(m, ctx, float(alpha), kind, 2)
             assert isinstance(c, SparseFiltration)
             assert c.kind == kind and c.k == 2
-            validate_filtration(c)
+            assert_built_facets(c)
             assert {value for _, value in c.simplices()} == {0.0}
 
 
@@ -549,7 +579,7 @@ def test_static_nets_match_brute_force_on_integer_grids():
                             if pair_relaxed_distance(float(dmat[p, q]), t[p], t[q],
                                                      0.25, alpha) <= alpha}
                 c = static_complex(m, ctx, float(alpha), kind, k)
-                validate_filtration(c)
+                assert_built_facets(c)
                 sims = c.simplices()
                 assert sims == sorted(sims, key=lambda s: (len(s[0]), s[0]))
                 assert dict(sims) == brute_flag_filtration(edge_set, net, k, None)
@@ -573,7 +603,7 @@ def test_filtration_validity_of_all_constructions():
     for f in (build_sparse_from_context(m, ctx, 3),
               full_rips(m, 0.8, 2),
               relaxed_rips(m, ctx, 0.8, 2)):
-        validate_filtration(f)
+        assert_built_facets(f)
 
 
 def test_admission_filter_invariant():
@@ -925,6 +955,18 @@ def test_filtration_arrays_are_read_only():
 
 # --- facet lookup ----------------------------------------------------------
 
+def assert_same_facets(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+
+
+def assert_built_facets(f):
+    """The facets a builder set, read-only, are the ones the full check finds."""
+    assert all(not a.flags.writeable for a in f.facets)
+    assert_same_facets(f.facets, filtration._facets(f))
+
+
 def brute_facets(f):
     """Facet positions from a dict of vertex tuples to positions (oracle)."""
     index = [{r: i for i, r in enumerate(map(tuple, rows.tolist()))} for rows in f.vertices]
@@ -963,9 +1005,9 @@ def test_facet_lookup_matches_a_dict_index(labels):
     for n, f in facet_cases(rng):
         g = relabelled(f, LABELS[labels](rng, n))
         got, expect = validate_filtration(g), brute_facets(g)
-        assert len(got) == len(expect) == g.k + 1
-        for a, b in zip(got, expect):
-            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+        assert len(got) == g.k + 1
+        assert_same_facets(got, expect)
+        assert_same_facets(f.facets, brute_facets(f))   # set by the builder or checked
 
 
 @pytest.mark.parametrize("vertices, above, message", [
@@ -996,6 +1038,64 @@ def test_a_duplicate_without_its_faces_is_reported_as_one_or_the_other():
                        match=r"^(duplicate simplex \(0, 1, 2\)|"
                              r"missing face \(0, 1\) before simplex \(0, 1, 2\))$"):
         validate_filtration(f)
+
+
+def built_cases():
+    """Every builder at k = 1 .. 4, on random points and on integer grids
+    whose distances, deletion times and scales tie, and without edges."""
+    rng = np.random.default_rng(61)
+    grid = np.indices((5, 5)).reshape(2, -1).T
+    for trial in range(8):
+        n = int(rng.integers(2, 16))
+        pts = grid[rng.choice(25, n, replace=False)] if trial % 2 else rng.random((n, 2))
+        m = from_points(pts, metric_kind=("euclidean", "manhattan", "chebyshev")[trial % 3])
+        ctx = WeightContext.build(m, 0.25, seed=trial % n)
+        t = ctx.schedule.t
+        scales = [0.0, *np.quantile(t[np.isfinite(t)], [0.3, 0.7]).tolist()]
+        for k in (1, 2, 3, 4):
+            yield build_sparse(m, 1 / 3, k, seed=trial % n)
+            yield full_rips(m, 1.5 if trial % 2 else 0.6, k)
+            yield relaxed_rips(m, ctx, 1.5 if trial % 2 else 0.6, k)
+            for kind in filtration.STATIC_KINDS:   # on the nets, labels are not 0..n-1
+                yield from (static_complex(m, ctx, alpha, kind, k) for alpha in scales)
+    for k in (1, 2, 3, 4):
+        yield clique_expand([], 4, k)
+        yield full_rips(from_points(SQUARE), 0.5, k)   # no edge within 0.5
+        yield build_sparse(from_points([[0.0, 0.0]]), 1 / 3, k)
+
+
+def test_built_facets_match_the_checked_ones():
+    seen = set()
+    for f in built_cases():
+        assert_built_facets(f)
+        assert_same_facets(f.facets, brute_facets(f))
+        seen.add((f.kind, f.k, len(f.values[f.k]) > 0))
+    kinds = ("sparse_S", "full_rips", "relaxed_rips", *filtration.STATIC_KINDS)
+    assert {(kind, k, True) for kind in kinds for k in (1, 2, 3)} <= seen
+    assert {(kind, k, False) for kind in ("sparse_S", "full_rips") for k in (1, 4)} <= seen
+
+
+def test_built_filtrations_are_not_checked_again(tmp_path, monkeypatch):
+    # a builder sets the facets; a filtration read back is checked exactly once
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return facets(f)
+
+    facets = filtration._facets
+    monkeypatch.setattr(filtration, "_facets", counted)
+    m = from_points(np.random.default_rng(62).random((40, 2)))
+    f = build_sparse(m, 1 / 3, 3)
+    dgm = compute_persistence(f)
+    ctx = WeightContext.build(m, 1 / 3)
+    betti_numbers(static_complex(m, ctx, 0.2, "Q_open", 2), through_dim=2)
+    assert validate_filtration(f) is f.facets and calls == []
+    path = tmp_path / "filt.txt"
+    write_filtration(f, path)
+    g = read_filtration(path)
+    assert compute_persistence(g).pairs == dgm.pairs
+    assert len(calls) == 1 and calls[0] is g
 
 
 def test_facet_keys_that_could_overflow_are_refused(monkeypatch):

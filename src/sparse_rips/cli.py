@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -30,12 +29,17 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, content) -> None:
+    """Write ``content``, a str or an iterable of bytes chunks, to a new
+    file beside ``path`` that replaces ``path`` once it is whole, so a
+    failed write leaves ``path`` as it was.  The file gets the mode that
+    ``open`` would give it: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)   # never an existing file
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([content.encode()] if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,7 +92,7 @@ def cmd_build(parser, args) -> int:
     f = filt.clique_expand(edges, m.n, args.k, vertex_caps=schedule.t)
     elapsed = time.perf_counter() - t0
 
-    _atomic_write(args.out, filt.filtration_text(f))
+    _atomic_write(args.out, filt._filtration_chunks(f))
     if args.schedule_out:
         schedule_to_csv(gp, schedule, args.schedule_out)
 

@@ -533,46 +533,108 @@ def build_sparse_from_context(m: MetricInput, ctx: WeightContext,
 
 # --- text format ---------------------------------------------------------
 
-_WRITE_ROWS = 1 << 16   # filtration_text formats about this many rows at a time
+#: the writer formats this many lines per chunk; a chunk's temporaries, a
+#: few arrays of its lines, tokens and bytes, take about 17 bytes per byte
+#: of its text: about 9 MB for 16384 lines of 33 bytes
+_WRITE_ROWS = 1 << 14
 
 
 def filtration_text(f: SparseFiltration) -> str:
-    """Text format: one ``value v0 v1 ... vd`` line per simplex.
-
-    A leading comment line records k / kind / alpha_max so that the file
-    round-trips; readers that ignore comments still get valid data.
-    """
-    amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
-    # each distinct value (told apart by its bits, so -0.0 keeps its sign)
-    # and each distinct label is formatted once; a line joins those tokens
-    bits, at = np.unique(np.concatenate(f.values, dtype=float).view(np.int64),
-                         return_inverse=True)
-    value_tokens = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    labels = np.unique(np.concatenate([r.ravel() for r in f.vertices]))
-    label_tokens = np.array([" %d" % x for x in labels.tolist()], dtype=object)
-    # the header, each simplex's line at its place in the global order, and
-    # "" for the newline that ends the last line
-    lines = np.empty(len(f) + 2, dtype=object)
-    lines[0], lines[-1] = f"# k={f.k} kind={f.kind} alpha_max={amax}", ""
-    line_of = np.empty(len(f), dtype=np.int64)
-    line_of[f._merge_order()] = np.arange(1, len(f) + 1)
-    start = 0
-    for rows in f.vertices:
-        for lo in range(0, len(rows), _WRITE_ROWS):
-            block = rows[lo:lo + _WRITE_ROWS]
-            at_block = slice(start + lo, start + lo + len(block))
-            # searchsorted is faster column by column: a column mostly ascends
-            columns = label_tokens[np.searchsorted(labels, block.T.copy())]
-            lines[line_of[at_block]] = list(map("".join, zip(value_tokens[at[at_block]],
-                                                              *columns)))
-        start += len(rows)
-    return "\n".join(lines.tolist())
+    """The text that :func:`write_filtration` writes, as one string."""
+    return b"".join(_filtration_chunks(f)).decode()
 
 
 def write_filtration(f: SparseFiltration, path) -> None:
-    """Write :func:`filtration_text` to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(filtration_text(f))
+    """Text format: one ``value v0 v1 ... vd`` line per simplex, in the
+    global order, each value written as its ``repr`` and each label as an
+    integer.  A leading comment line records k / kind / alpha_max so that
+    the file round-trips; readers that ignore comments still get valid data.
+
+    The file is written a chunk of lines at a time, so beyond the
+    filtration the writer holds an index array per simplex and one chunk."""
+    with open(path, "wb") as fh:
+        fh.writelines(_filtration_chunks(f))
+
+
+def _filtration_chunks(f: SparseFiltration):
+    """The file of :func:`write_filtration` as bytes: the header line, then
+    each run of ``_WRITE_ROWS`` lines in the global order.  A chunk is one
+    gather from a pool of tokens: ``repr`` of each of its values (told apart
+    by their bits, so -0.0 keeps its sign), ``" %d"`` of each label and
+    ``"\\n"``.  The labels are those of dimension 0; a label missing there,
+    which only a hand-made filtration can have, joins them when first met."""
+    amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
+    yield f"# k={f.k} kind={f.kind} alpha_max={amax}\n".encode()
+    # dimension 0 is empty only in a hand-made filtration: then the lowest
+    # dimension that has simplices
+    labels = np.unique(next((v for v in f.vertices if v.size), f.vertices[0]))
+    pool, start, size, find = _label_tokens(labels)
+    count = f.counts_by_dim()
+    end = np.cumsum(count)
+    order = f._merge_order()
+    for lo in range(0, len(order), _WRITE_ROWS):
+        flat = order[lo:lo + _WRITE_ROWS]   # positions in the concatenated dimensions
+        dim = np.searchsorted(end, flat, side="right")
+        tokens = dim + 3   # a value, d + 1 labels and a newline
+        first = np.cumsum(tokens) - tokens   # each line's first token
+        ids = np.empty(first[-1] + tokens[-1], dtype=np.intp)
+        values = np.empty(len(flat))
+        slots, rows = [], []   # the label tokens of each dimension's lines
+        for d in np.unique(dim).tolist():
+            at = np.flatnonzero(dim == d)
+            r = flat[at] - (end[d] - count[d])
+            values[at] = f.values[d][r]
+            slots.append(first[at, None] + np.arange(1, d + 2))
+            rows.append(f.vertices[d][r])
+        pos = [find(r) for r in rows]
+        extra = np.concatenate([r[labels[p] != r] for r, p in zip(rows, pos)])
+        if len(extra):
+            labels = np.union1d(labels, extra)
+            pool, start, size, find = _label_tokens(labels)
+            pos = [find(r) for r in rows]
+        for s, p in zip(slots, pos):
+            ids[s] = p
+        bits = values.view(np.int64)
+        new = np.r_[True, bits[1:] != bits[:-1]]   # the file is in value order: runs
+        words = list(map(repr, values[new].tolist()))
+        ids[first] = len(labels) + np.cumsum(new)   # after the labels and "\n"
+        ids[first + tokens - 1] = len(labels)
+        size_v = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        yield _gather(np.concatenate([pool, np.frombuffer("".join(words).encode(), np.uint8)]),
+                      np.r_[start, len(pool) + np.cumsum(size_v) - size_v][ids],
+                      np.r_[size, size_v][ids])
+
+
+def _label_tokens(labels: np.ndarray):
+    """For ``labels``, sorted, distinct and not empty: the bytes of
+    ``" %d"`` of each label, then ``"\\n"``; the start and size of each of
+    those tokens in them; and the function that takes an array of labels
+    to their positions in ``labels``, right wherever the label is there.
+    It looks them up in a table where the labels are dense, else by binary
+    search."""
+    words = [" %d" % x for x in labels.tolist()] + ["\n"]
+    size = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    lo, hi = labels[0], labels[-1]
+    dense = int(hi) - int(lo) < 4 * len(labels)
+    if dense:
+        table = np.zeros(int(hi) - int(lo) + 1, dtype=np.intp)
+        table[labels - lo] = np.arange(len(labels))
+
+    def find(rows):
+        if dense:
+            return table[np.clip(rows, lo, hi) - lo]
+        return np.searchsorted(labels, rows).clip(max=len(labels) - 1)
+    return (np.frombuffer("".join(words).encode(), np.uint8),
+            np.cumsum(size) - size, size, find)
+
+
+def _gather(pool: np.ndarray, start: np.ndarray, size: np.ndarray) -> bytes:
+    """The tokens ``pool[start[i]:start[i] + size[i]]`` one after another;
+    every size is positive."""
+    step = np.ones(size.sum(), dtype=np.intp)   # from each byte's pool index to the next
+    step[0] = start[0]
+    step[np.cumsum(size[:-1])] = start[1:] - start[:-1] - size[:-1] + 1
+    return pool[np.cumsum(step, out=step)].tobytes()
 
 
 _BLOCK_CHARS = 1 << 20   # read_filtration parses about this many bytes at a time
@@ -622,6 +684,7 @@ def read_filtration(path) -> SparseFiltration:
     if not sum(len(values) for values, _, _ in blocks):
         raise ValueError(f"{path}: empty filtration")
     values, sizes, labels = map(np.concatenate, zip(*blocks))
+    del blocks   # the parse buffers go before the checks run, as do the flat arrays below
 
     def field(key, convert, what):
         try:
@@ -635,6 +698,7 @@ def read_filtration(path) -> SparseFiltration:
             else field("alpha_max", float, "a number"))
     f = SparseFiltration._from_flat(values, sizes, labels, k,
                                     header.get("kind", KIND_SPARSE), amax)
+    del values, sizes, labels
     validate_filtration(f)
     return f
 

@@ -1,8 +1,11 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from sparse_rips import filtration
 from sparse_rips.cli import build_parser, main
 
 
@@ -40,6 +43,48 @@ def test_build_deterministic_output(tmp_path):
     assert main(["build", "--input", str(src), "--epsilon", "0.25",
                  "--k", "2", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_output_files_get_the_mode_of_the_umask(tmp_path, umask, mode):
+    # every --out file is written through a temporary that replaces it; it
+    # must get the mode a plain open gives, as --schedule-out does
+    src = write_random(tmp_path, 12, seed=9)
+    outs = {name: tmp_path / name for name in ("filt.txt", "schedule.csv", "dgm.json",
+                                               "stats.csv")}
+    old = os.umask(umask)
+    try:
+        assert main(["build", "--input", str(src), "--epsilon", "0.25",
+                     "--out", str(outs["filt.txt"]),
+                     "--schedule-out", str(outs["schedule.csv"])]) == 0
+        assert main(["persist", "--filtration", str(outs["filt.txt"]),
+                     "--out", str(outs["dgm.json"])]) == 0
+        assert main(["stats", "--generator", "circle", "--n", "12", "--epsilon", "0.2",
+                     "--out", str(outs["stats.csv"])]) == 0
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(path.stat().st_mode) for name, path in outs.items()}
+    assert modes == dict.fromkeys(outs, mode)
+
+
+def test_a_failed_build_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch, capsys):
+    src = write_random(tmp_path, 12, seed=9)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "filt.txt"
+    out.write_bytes(b"0.0 0\r\nan older file\n")
+    chunks = filtration._filtration_chunks
+
+    def failing(f):   # the header goes out, then the disk fills up
+        yield next(chunks(f))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(filtration, "_filtration_chunks", failing)
+    assert main(["build", "--input", str(src), "--epsilon", "0.25",
+                 "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"0.0 0\r\nan older file\n"
+    assert os.listdir(out_dir) == ["filt.txt"]
 
 
 def test_build_epsilon_usage_error(tmp_path):

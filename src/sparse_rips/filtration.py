@@ -565,10 +565,12 @@ def _filtration_chunks(f: SparseFiltration):
     which only a hand-made filtration can have, joins them when first met."""
     amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
     yield f"# k={f.k} kind={f.kind} alpha_max={amax}\n".encode()
+    if not len(f):
+        return
     # dimension 0 is empty only in a hand-made filtration: then the lowest
     # dimension that has simplices
-    labels = np.unique(next((v for v in f.vertices if v.size), f.vertices[0]))
-    pool, start, size, find = _label_tokens(labels)
+    labels = np.unique(next(v for v in f.vertices if v.size))
+    pool, start, size = _label_tokens(labels)
     count = f.counts_by_dim()
     end = np.cumsum(count)
     order = f._merge_order()
@@ -586,12 +588,13 @@ def _filtration_chunks(f: SparseFiltration):
             values[at] = f.values[d][r]
             slots.append(first[at, None] + np.arange(1, d + 2))
             rows.append(f.vertices[d][r])
-        pos = [find(r) for r in rows]
+        # a label's position in labels, or a wrong one where it is not there
+        pos = [np.searchsorted(labels, r).clip(max=len(labels) - 1) for r in rows]
         extra = np.concatenate([r[labels[p] != r] for r, p in zip(rows, pos)])
         if len(extra):
             labels = np.union1d(labels, extra)
-            pool, start, size, find = _label_tokens(labels)
-            pos = [find(r) for r in rows]
+            pool, start, size = _label_tokens(labels)
+            pos = [np.searchsorted(labels, r) for r in rows]
         for s, p in zip(slots, pos):
             ids[s] = p
         bits = values.view(np.int64)
@@ -606,26 +609,11 @@ def _filtration_chunks(f: SparseFiltration):
 
 
 def _label_tokens(labels: np.ndarray):
-    """For ``labels``, sorted, distinct and not empty: the bytes of
-    ``" %d"`` of each label, then ``"\\n"``; the start and size of each of
-    those tokens in them; and the function that takes an array of labels
-    to their positions in ``labels``, right wherever the label is there.
-    It looks them up in a table where the labels are dense, else by binary
-    search."""
+    """For ``labels``: the bytes of ``" %d"`` of each label, then ``"\\n"``,
+    and the start and size of each of those tokens in them."""
     words = [" %d" % x for x in labels.tolist()] + ["\n"]
     size = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    lo, hi = labels[0], labels[-1]
-    dense = int(hi) - int(lo) < 4 * len(labels)
-    if dense:
-        table = np.zeros(int(hi) - int(lo) + 1, dtype=np.intp)
-        table[labels - lo] = np.arange(len(labels))
-
-    def find(rows):
-        if dense:
-            return table[np.clip(rows, lo, hi) - lo]
-        return np.searchsorted(labels, rows).clip(max=len(labels) - 1)
-    return (np.frombuffer("".join(words).encode(), np.uint8),
-            np.cumsum(size) - size, size, find)
+    return np.frombuffer("".join(words).encode(), np.uint8), np.cumsum(size) - size, size
 
 
 def _gather(pool: np.ndarray, start: np.ndarray, size: np.ndarray) -> bytes:

@@ -936,9 +936,9 @@ def hand_made(rows, values, k):
         tuple(np.array(v, dtype=float) for v in values), k, "sparse_S")
 
 
-# labels that no vertex line has: the writer finds labels in dimension 0,
-# through a table where they are dense and by binary search where not, and
-# must add these when it meets them, in whatever chunk that is
+# labels that no vertex line has: the writer finds labels in dimension 0
+# and must add these when it meets them, in whatever chunk that is; some
+# fall between the vertex labels, some beyond them up to the int64 limits
 MISSING_LABELS = {
     "dense": hand_made([[0, 1, 2, 4], [-4, 1, 1, 3, 2, 7], [1, 3, 7]],
                        [[0.0] * 4, [0.5, 1.0, 1.5], [2.0]], 2),
@@ -948,14 +948,19 @@ MISSING_LABELS = {
 }
 
 
+# filtrations with no simplices, as the public builders make them
+EMPTY = {"empty_from_simplices": SparseFiltration.from_simplices([], 1, "sparse_S"),
+         "empty_clique_expand": clique_expand([], 0, 2)}
+
+
 @pytest.mark.parametrize("rows", [None, 1, 2, 5])
-@pytest.mark.parametrize("case", sorted(MISSING_LABELS) + ["adversarial", "sparse_k3",
-                                                           "negative_labels"])
+@pytest.mark.parametrize("case", sorted(MISSING_LABELS) + sorted(EMPTY) + [
+    "adversarial", "sparse_k3", "negative_labels"])
 def test_written_text_does_not_depend_on_the_chunk_size(case, rows, tmp_path, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(filtration, "_WRITE_ROWS", rows)
-    f = adversarial_filtration() if case == "adversarial" else {**TEXT_CASES,
-                                                                  **MISSING_LABELS}[case]
+    f = adversarial_filtration() if case == "adversarial" else {
+        **TEXT_CASES, **MISSING_LABELS, **EMPTY}[case]
     path = tmp_path / "filt.txt"
     write_filtration(f, path)
     assert path.read_bytes() == filtration_text(f).encode() == reference_text(f).encode()

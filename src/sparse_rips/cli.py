@@ -169,6 +169,8 @@ def cmd_stats(parser, args) -> int:
     _check_epsilon(parser, args.epsilon)
     _check_count(parser, "--k", args.k)
     _check_count(parser, "--trials", args.trials)
+    if args.seed < 0:   # numpy's seed error would name no option
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.generator not in GENERATORS:
         parser.error(f"unknown generator {args.generator!r}; "
                      f"choose from {sorted(GENERATORS)}")

@@ -75,7 +75,9 @@ class SparseFiltration:
         dims = sizes - 1
         _reject(dims < 0, lambda i: f"empty simplex at position {i}")
         first = np.cumsum(sizes) - sizes   # position in labels of each simplex's first vertex
-        where = [np.flatnonzero(dims == d) for d in range(max(k, dims.max(initial=0)) + 1)]
+        by_dim = np.argsort(dims, kind="stable")   # where[d]: the simplices of dimension d
+        where = np.split(by_dim, np.searchsorted(dims[by_dim],
+                                                 np.arange(1, max(k, dims.max(initial=0)) + 1)))
         rows = [labels[first[pos, None] + np.arange(d + 1)] for d, pos in enumerate(where)]
         bad = np.r_[False, _order_breaks(dims[:, None], values)]   # by (value, dim)
         for pos, r in zip(where, rows):   # then by vertices: the first True is the first break
@@ -418,6 +420,11 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
             _reject(labels[1:] == labels[:-1],
                     lambda i: f"duplicate simplex {tuple(rows[i].tolist())}")
             continue
+        if not len(rows):   # no key work: a simplex above misses a face, found as usual
+            facets.append(np.zeros((0, d + 1), dtype=np.int64))
+            keys.append(np.zeros(0, dtype=np.int64))
+            lex = np.array([-1])
+            continue
         nv = len(labels)
         if len(f.values[d - 1]) * nv >= _KEY_LIMIT:
             raise MalformedFiltrationError(
@@ -540,7 +547,8 @@ _WRITE_ROWS = 1 << 14
 
 
 def filtration_text(f: SparseFiltration) -> str:
-    """The text that :func:`write_filtration` writes, as one string."""
+    """The text that :func:`write_filtration` writes, as one string; the
+    same MalformedFiltrationError for a filtration that fails the check."""
     return b"".join(_filtration_chunks(f)).decode()
 
 
@@ -550,8 +558,12 @@ def write_filtration(f: SparseFiltration, path) -> None:
     integer.  A leading comment line records k / kind / alpha_max so that
     the file round-trips; readers that ignore comments still get valid data.
 
-    The file is written a chunk of lines at a time, so beyond the
-    filtration the writer holds an index array per simplex and one chunk."""
+    The filtration is checked first (:func:`validate_filtration`), so one
+    that :func:`read_filtration` would reject raises its error and leaves
+    the path untouched.  The file is written a chunk of lines at a time, so
+    beyond the filtration the writer holds an index array per simplex and
+    one chunk."""
+    validate_filtration(f)
     with open(path, "wb") as fh:
         fh.writelines(_filtration_chunks(f))
 
@@ -560,16 +572,13 @@ def _filtration_chunks(f: SparseFiltration):
     """The file of :func:`write_filtration` as bytes: the header line, then
     each run of ``_WRITE_ROWS`` lines in the global order.  A chunk is one
     gather from a pool of tokens: ``repr`` of each of its values (told apart
-    by their bits, so -0.0 keeps its sign), ``" %d"`` of each label and
-    ``"\\n"``.  The labels are those of dimension 0; a label missing there,
-    which only a hand-made filtration can have, joins them when first met."""
+    by their bits, so -0.0 keeps its sign), ``" %d"`` of each vertex label
+    and ``"\\n"``.  A vertex's token is its position in dimension 0, read
+    off the checked face index, so no label is searched for."""
+    facets = validate_filtration(f)
     amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
     yield f"# k={f.k} kind={f.kind} alpha_max={amax}\n".encode()
-    if not len(f):
-        return
-    # dimension 0 is empty only in a hand-made filtration: then the lowest
-    # dimension that has simplices
-    labels = np.unique(next(v for v in f.vertices if v.size))
+    labels = f.vertices[0][:, 0]   # sorted and unique, as checked
     pool, start, size = _label_tokens(labels)
     count = f.counts_by_dim()
     end = np.cumsum(count)
@@ -581,22 +590,16 @@ def _filtration_chunks(f: SparseFiltration):
         first = np.cumsum(tokens) - tokens   # each line's first token
         ids = np.empty(first[-1] + tokens[-1], dtype=np.intp)
         values = np.empty(len(flat))
-        slots, rows = [], []   # the label tokens of each dimension's lines
         for d in np.unique(dim).tolist():
             at = np.flatnonzero(dim == d)
-            r = flat[at] - (end[d] - count[d])
-            values[at] = f.values[d][r]
-            slots.append(first[at, None] + np.arange(1, d + 2))
-            rows.append(f.vertices[d][r])
-        # a label's position in labels, or a wrong one where it is not there
-        pos = [np.searchsorted(labels, r).clip(max=len(labels) - 1) for r in rows]
-        extra = np.concatenate([r[labels[p] != r] for r, p in zip(rows, pos)])
-        if len(extra):
-            labels = np.union1d(labels, extra)
-            pool, start, size = _label_tokens(labels)
-            pos = [np.searchsorted(labels, r) for r in rows]
-        for s, p in zip(slots, pos):
-            ids[s] = p
+            prefix = [flat[at] - (end[d] - count[d])]   # the faces on vertices 0..d, 0..d-1, ..
+            for e in range(d, 0, -1):
+                prefix.append(facets[e][prefix[-1], e])
+            values[at] = f.values[d][prefix[0]]
+            for j, p in enumerate(reversed(prefix)):   # p: the face on vertices 0..j
+                for e in range(j, 0, -1):
+                    p = facets[e][p, 0]   # less its first vertex
+                ids[first[at] + 1 + j] = p
         bits = values.view(np.int64)
         new = np.r_[True, bits[1:] != bits[:-1]]   # the file is in value order: runs
         words = list(map(repr, values[new].tolist()))
@@ -643,9 +646,10 @@ _LABEL_DIGITS = 18
 
 def read_filtration(path) -> SparseFiltration:
     r"""Read and check the text format written by :func:`write_filtration`:
-    ValueError naming the line for a line that does not parse or a header
-    field that is not a number, MalformedFiltrationError for a label beyond
-    int64, simplices out of order or against :func:`validate_filtration`.
+    ValueError naming the line for a line that does not parse, a header
+    ``k`` that is not an integer or an ``alpha_max`` that is not ``none`` or
+    a positive number, MalformedFiltrationError for a label beyond int64,
+    simplices out of order or against :func:`validate_filtration`.
     Comment lines (``#``) may appear anywhere; their ``key=value`` fields
     form the header, the last value of a key winning.
 
@@ -683,12 +687,20 @@ def read_filtration(path) -> SparseFiltration:
 
     k = field("k", int, "an integer") if "k" in header else int(sizes.max()) - 1
     amax = (None if header.get("alpha_max", "none") == "none"
-            else field("alpha_max", float, "a number"))
+            else field("alpha_max", _positive, "a positive number"))
     f = SparseFiltration._from_flat(values, sizes, labels, k,
                                     header.get("kind", KIND_SPARSE), amax)
     del values, sizes, labels
     validate_filtration(f)
     return f
+
+
+def _positive(text: str) -> float:
+    """``float(text)``; ValueError unless it is above 0 (``inf`` is)."""
+    value = float(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
 
 
 def _parse_block(block: bytes, lineno: int, header: dict, header_line: dict):

@@ -181,13 +181,13 @@ def _dec(x) -> float:
 def diagram_to_json(dgm: PersistenceDiagram) -> str:
     doc = {
         "k": dgm.k,
-        "alpha_max": None if dgm.alpha_max is None else float(dgm.alpha_max),
+        "alpha_max": None if dgm.alpha_max is None else _enc(dgm.alpha_max),
         "diagrams": [
             {"dim": d, "pairs": [[_enc(b), _enc(dth)] for b, dth in dgm.in_dim(d)]}
             for d in range(dgm.k)
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def diagram_from_json(text: str) -> PersistenceDiagram:
@@ -198,7 +198,7 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
         pairs.setdefault(d, [])
     amax = doc.get("alpha_max")
     return PersistenceDiagram(pairs=pairs, k=int(doc["k"]),
-                              alpha_max=None if amax is None else float(amax))
+                              alpha_max=None if amax is None else _dec(amax))
 
 
 def diagram_to_csv(dgm: PersistenceDiagram) -> str:

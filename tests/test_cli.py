@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 
@@ -7,6 +8,7 @@ import pytest
 
 from sparse_rips import filtration
 from sparse_rips.cli import build_parser, main
+from sparse_rips.persistence import diagram_from_json, diagram_to_json
 
 
 def write_square(tmp_path):
@@ -117,6 +119,23 @@ def test_persist_full_rips_square(tmp_path, capsys):
     assert h1[0][1] == pytest.approx(1.4142135623730951)
 
 
+def test_persist_full_with_an_infinite_alpha_max_writes_strict_json(tmp_path):
+    # alpha_max = inf is written as "inf", as deaths are, not as Infinity
+    src = write_square(tmp_path)
+    out = tmp_path / "dgm.json"
+    assert main(["persist", "--input", str(src), "--full", "--alpha-max", "inf",
+                 "--k", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    assert json.loads(text, parse_constant=refuse)["alpha_max"] == "inf"
+    dgm = diagram_from_json(text)
+    assert dgm.alpha_max == math.inf
+    assert diagram_to_json(dgm) + "\n" == text
+
+
 def test_persist_single_point(tmp_path):
     src = tmp_path / "one.csv"
     src.write_text("0,0\n")
@@ -177,7 +196,7 @@ def test_persist_rejects_coface_born_before_its_faces(tmp_path, capsys):
     ("# k=abc kind=sparse_S alpha_max=none\n0.0 0\n",
      "malformed header line 1: k='abc' is not an integer"),
     ("# k=1 kind=sparse_S\n0.0 0\n\n# alpha_max=xyz\n",
-     "malformed header line 4: alpha_max='xyz' is not a number"),
+     "malformed header line 4: alpha_max='xyz' is not a positive number"),
     ("# k=1\n0.0 0\n0.0 9223372036854775807\n0.0 9223372036854775808\n",
      "vertex label outside the int64 range on line 4: '0.0 9223372036854775808'"),
     ("# k=1\n0.0 -9223372036854775809\n0.0 0\n",
@@ -304,6 +323,16 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, option, va
         main(argv + [option, value])
     assert exc.value.code == 2
     assert f"{option} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--generator", "uniform2d", "--n", "10", "--epsilon", "0.1",
+              "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

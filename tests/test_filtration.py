@@ -778,6 +778,8 @@ def text_cases():
                                        "Q_closed", 2)
     cases["labels_near_2**62"] = relabelled(grid, {v: 2**62 + 3 * v for v in range(16)})
     cases["negative_labels"] = relabelled(grid, {v: v - 8 for v in range(16)})
+    cases["int64_ends"] = relabelled(grid, {0: -2**63, 15: 2**63 - 1,
+                                            **{v: 10**12 * v - 7 for v in range(1, 15)}})
     cases["empty_upper_dims"] = full_rips(from_points(pts[:5]), 1e-3, 3)
     return cases
 
@@ -896,6 +898,45 @@ def test_read_filtration_rejects_an_empty_filtration(text, tmp_path):
     assert str(exc.value) == f"{path}: empty filtration"
 
 
+def test_reading_a_large_header_k_does_no_key_work_on_empty_dimensions(tmp_path,
+                                                                      monkeypatch):
+    # one edge under k = 30 or 60: the lookups must not grow with k**2 per
+    # dimension, as they did when every empty dimension ran its key chains
+    lookup, calls = filtration._lookup, []
+
+    def counted(keys, queries):
+        calls.append(keys)
+        return lookup(keys, queries)
+
+    monkeypatch.setattr(filtration, "_lookup", counted)
+    counts = []
+    for k in (30, 60):
+        path = tmp_path / f"k{k}.txt"
+        path.write_text(f"# k={k}\n0.0 0\n0.0 1\n1.0 0 1\n")
+        before = len(calls)
+        assert read_filtration(path).counts_by_dim() == [2, 1] + [0] * (k - 1)
+        counts.append(len(calls) - before)
+    assert 0 < counts[1] <= 2 * counts[0]
+
+
+@pytest.mark.parametrize("amax", ["nan", "-1", "0"])
+def test_read_filtration_rejects_an_alpha_max_that_is_not_positive(amax, tmp_path):
+    # no builder makes one: full_rips and relaxed_rips refuse alpha_max <= 0
+    path = tmp_path / "filt.txt"
+    path.write_text(f"# k=1 kind=full_rips\n0.0 0\n# alpha_max={amax}\n")
+    with pytest.raises(ValueError) as exc:
+        read_filtration(path)
+    assert str(exc.value) == (f"{path}: malformed header line 3: "
+                              f"alpha_max={amax!r} is not a positive number")
+
+
+@pytest.mark.parametrize("amax, value", [("inf", math.inf), ("1e-300", 1e-300)])
+def test_read_filtration_takes_an_alpha_max_that_is_positive(amax, value, tmp_path):
+    path = tmp_path / "filt.txt"
+    path.write_text(f"# k=1 kind=full_rips alpha_max={amax}\n0.0 0\n")
+    assert read_filtration(path).alpha_max == value
+
+
 def adversarial_filtration():
     # tie groups of every size, floats whose repr is short, long, subnormal,
     # or has an exponent, and labels up to 2**62
@@ -936,9 +977,9 @@ def hand_made(rows, values, k):
         tuple(np.array(v, dtype=float) for v in values), k, "sparse_S")
 
 
-# labels that no vertex line has: the writer finds labels in dimension 0
-# and must add these when it meets them, in whatever chunk that is; some
-# fall between the vertex labels, some beyond them up to the int64 limits
+# hand-made filtrations on labels that no vertex line has, some between the
+# vertex labels, some beyond them up to the int64 limits: each fails the
+# check, so the writer refuses it as the reader would, at any chunk size
 MISSING_LABELS = {
     "dense": hand_made([[0, 1, 2, 4], [-4, 1, 1, 3, 2, 7], [1, 3, 7]],
                        [[0.0] * 4, [0.5, 1.0, 1.5], [2.0]], 2),
@@ -955,13 +996,23 @@ EMPTY = {"empty_from_simplices": SparseFiltration.from_simplices([], 1, "sparse_
 
 @pytest.mark.parametrize("rows", [None, 1, 2, 5])
 @pytest.mark.parametrize("case", sorted(MISSING_LABELS) + sorted(EMPTY) + [
-    "adversarial", "sparse_k3", "negative_labels"])
+    "adversarial", "sparse_k3", "negative_labels", "int64_ends"])
 def test_written_text_does_not_depend_on_the_chunk_size(case, rows, tmp_path, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(filtration, "_WRITE_ROWS", rows)
     f = adversarial_filtration() if case == "adversarial" else {
         **TEXT_CASES, **MISSING_LABELS, **EMPTY}[case]
     path = tmp_path / "filt.txt"
+    path.write_bytes(b"0.0 0\nan older file\n")
+    if case in MISSING_LABELS:   # refused before the path is opened
+        with pytest.raises(MalformedFiltrationError) as checked:
+            validate_filtration(f)
+        for write in (lambda: write_filtration(f, path), lambda: filtration_text(f)):
+            with pytest.raises(MalformedFiltrationError) as exc:
+                write()
+            assert str(exc.value) == str(checked.value)
+        assert path.read_bytes() == b"0.0 0\nan older file\n"
+        return
     write_filtration(f, path)
     assert path.read_bytes() == filtration_text(f).encode() == reference_text(f).encode()
 
@@ -1097,6 +1148,15 @@ def test_a_simplex_on_a_label_that_is_no_vertex_has_a_missing_face(vertices, abo
     with pytest.raises(MalformedFiltrationError) as exc:
         validate_filtration(f)
     assert str(exc.value) == message
+
+
+def test_a_simplex_above_an_empty_dimension_misses_a_face():
+    # an empty dimension does no key work; the face is found missing above it
+    f = hand_made([[0, 1, 2, 3], [0, 1, 0, 2, 1, 2], [], [0, 1, 2, 3]],
+                  [[0.0] * 4, [1.0] * 3, [], [3.0]], 3)
+    with pytest.raises(MalformedFiltrationError) as exc:
+        validate_filtration(f)
+    assert str(exc.value) == "missing face (1, 2, 3) before simplex (0, 1, 2, 3)"
 
 
 def test_a_duplicate_without_its_faces_is_reported_as_one_or_the_other():

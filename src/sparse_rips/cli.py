@@ -19,8 +19,7 @@ from . import filtration as filt
 from . import metric as met
 from .generators import GENERATORS
 from .greedy import deletion_times, greedy_permutation, schedule_to_csv
-from .persistence import (MalformedFiltrationError, compute_persistence,
-                          diagram_to_csv, diagram_to_json)
+from .persistence import compute_persistence, diagram_to_csv, diagram_to_json
 from .relaxed import WeightContext
 from .verify import OracleSizeError, run_battery
 
@@ -124,7 +123,7 @@ def cmd_persist(parser, args) -> int:
         k = 2 if args.k is None else args.k
         _check_count(parser, "--k", k)
         if args.full:
-            if args.alpha_max is None or args.alpha_max <= 0:
+            if args.alpha_max is None or not args.alpha_max > 0:
                 parser.error("--full requires a positive --alpha-max")
         elif args.epsilon is None:
             parser.error("building in-process requires --epsilon")
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](parser, args)
-    except (met.MetricFormatError, MalformedFiltrationError, ValueError,
+    except (met.MetricFormatError, filt.MalformedFiltrationError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

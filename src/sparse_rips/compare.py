@@ -118,7 +118,7 @@ def multiplicative_match(a: PersistenceDiagram, b: PersistenceDiagram,
     the standard doubled graph (real points plus one diagonal slot per
     opposite point).
     """
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError(f"factor must be >= 1, got {c}")
     if a.k != b.k:
         raise ValueError(f"dimension caps differ: {a.k} vs {b.k}")

@@ -28,7 +28,7 @@ STATIC_KINDS = ("Q_open", "Q_closed", "relaxed_full")
 
 
 class MalformedFiltrationError(ValueError):
-    """A filtration breaks the order, value or face rules of its format."""
+    """A filtration breaks the order, value, face or header rules of its format."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +38,9 @@ class SparseFiltration:
     births.  Each dimension is sorted by (value, vertex order), which is
     the global order (value, dimension, vertex order) restricted to it.
     Vertices always have value 0.  The arrays are made read-only on
-    construction, so the cached :attr:`facets` cannot go stale."""
+    construction, so the cached :attr:`facets` cannot go stale, and the
+    header fields are checked, so that :func:`read_filtration` reads back
+    the header that :func:`write_filtration` writes."""
 
     vertices: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
@@ -47,6 +49,14 @@ class SparseFiltration:
     alpha_max: float | None = None
 
     def __post_init__(self):
+        if not (self.alpha_max is None or self.alpha_max > 0):
+            raise MalformedFiltrationError(
+                f"alpha_max must be None or a positive number, got {self.alpha_max!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise MalformedFiltrationError(f"k must be an integer, got {self.k!r}")
+        if not (isinstance(self.kind, str) and self.kind.split() == [self.kind]):
+            raise MalformedFiltrationError(
+                f"kind must be one word without whitespace, got {self.kind!r}")
         for a in (*self.vertices, *self.values):
             a.setflags(write=False)
 
@@ -213,14 +223,21 @@ def _candidate_pairs(m: MetricInput, t: np.ndarray):
     return a[keep], b[keep], d[keep]
 
 
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The integers ``start[i] .. start[i] + size[i] - 1`` for each i in turn,
+    sizes 0 allowed: one cumulative sum of the steps between them."""
+    start, size = start[size > 0], size[size > 0]
+    step = np.ones(size.sum(), dtype=np.intp)   # from each integer to the next
+    step[np.cumsum(size) - size] = start - np.r_[0, start[:-1] + size[:-1] - 1]
+    return np.cumsum(step)   # into a new array: in place, a 3,000-point build peaked 4% higher
+
+
 def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of CSR rows ``rows`` (row r holds ``start[r]:start[r + 1]``),
-    concatenated: ``slot`` is each entry's position, ``src`` its index in ``rows``."""
+    concatenated by :func:`_ranges`: ``slot`` is each entry's position,
+    ``src`` its index in ``rows``."""
     size = start[rows + 1] - start[rows]
-    src = np.repeat(np.arange(len(rows)), size)
-    # entry i is entry i - (its row's first entry) of its row
-    slot = np.arange(len(src)) + np.repeat(start[rows] - np.cumsum(size) + size, size)
-    return src, slot
+    return np.repeat(np.arange(len(rows)), size), _ranges(start[rows], size)
 
 
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
@@ -321,10 +338,7 @@ def full_rips(m: MetricInput, alpha_max: float, k: int) -> SparseFiltration:
     Simplices with diameter above ``alpha_max`` are omitted; the full
     untruncated k-skeleton is Theta(n^(k+1)), so keep n small.
     """
-    if alpha_max <= 0:
-        raise ValueError("alpha_max must be positive")
-    return clique_expand(_edges_within(m.distance_matrix(), alpha_max), m.n, k,
-                         kind=KIND_FULL, alpha_max=float(alpha_max))
+    return _capped_reference(m.distance_matrix, m.n, alpha_max, k, KIND_FULL)
 
 
 def relaxed_rips(m: MetricInput, ctx: WeightContext, alpha_max: float,
@@ -334,10 +348,16 @@ def relaxed_rips(m: MetricInput, ctx: WeightContext, alpha_max: float,
     Edge value is the relaxed birth scale with no deletion filter;
     higher simplices enter at the maximum of their edge values.
     """
-    if alpha_max <= 0:
+    return _capped_reference(lambda: birth_matrix(m, ctx), m.n, alpha_max, k, KIND_RELAXED)
+
+
+def _capped_reference(matrix, n: int, alpha_max: float, k: int,
+                      kind: str) -> SparseFiltration:
+    """Clique filtration of the pairs with ``matrix()`` <= ``alpha_max`` > 0."""
+    if not alpha_max > 0:
         raise ValueError("alpha_max must be positive")
-    return clique_expand(_edges_within(birth_matrix(m, ctx), alpha_max), m.n, k,
-                         kind=KIND_RELAXED, alpha_max=float(alpha_max))
+    return clique_expand(_edges_within(matrix(), alpha_max), n, k,
+                         kind=kind, alpha_max=float(alpha_max))
 
 
 def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
@@ -351,7 +371,7 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
     expanded on net positions, whose map to labels keeps their order, so
     the facet positions of the expansion hold for the labels too.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
     if kind not in STATIC_KINDS:
         raise ValueError(f"kind must be one of {STATIC_KINDS}, got {kind!r}")
@@ -571,15 +591,16 @@ def write_filtration(f: SparseFiltration, path) -> None:
 def _filtration_chunks(f: SparseFiltration):
     """The file of :func:`write_filtration` as bytes: the header line, then
     each run of ``_WRITE_ROWS`` lines in the global order.  A chunk is one
-    gather from a pool of tokens: ``repr`` of each of its values (told apart
-    by their bits, so -0.0 keeps its sign), ``" %d"`` of each vertex label
-    and ``"\\n"``.  A vertex's token is its position in dimension 0, read
-    off the checked face index, so no label is searched for."""
+    gather of :func:`_ranges` from a pool of :func:`_tokens`: ``repr`` of
+    each of its values (told apart by their bits, so -0.0 keeps its sign),
+    ``" %d"`` of each vertex label and ``"\\n"``.  A vertex's token is its
+    position in dimension 0, read off the checked face index, so no label
+    is searched for."""
     facets = validate_filtration(f)
     amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
     yield f"# k={f.k} kind={f.kind} alpha_max={amax}\n".encode()
     labels = f.vertices[0][:, 0]   # sorted and unique, as checked
-    pool, start, size = _label_tokens(labels)
+    pool, start, size = _tokens([" %d" % x for x in labels.tolist()] + ["\n"])
     count = f.counts_by_dim()
     end = np.cumsum(count)
     order = f._merge_order()
@@ -602,30 +623,18 @@ def _filtration_chunks(f: SparseFiltration):
                 ids[first[at] + 1 + j] = p
         bits = values.view(np.int64)
         new = np.r_[True, bits[1:] != bits[:-1]]   # the file is in value order: runs
-        words = list(map(repr, values[new].tolist()))
         ids[first] = len(labels) + np.cumsum(new)   # after the labels and "\n"
         ids[first + tokens - 1] = len(labels)
-        size_v = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-        yield _gather(np.concatenate([pool, np.frombuffer("".join(words).encode(), np.uint8)]),
-                      np.r_[start, len(pool) + np.cumsum(size_v) - size_v][ids],
-                      np.r_[size, size_v][ids])
+        vpool, vstart, vsize = _tokens(list(map(repr, values[new].tolist())))
+        yield np.concatenate([pool, vpool])[_ranges(np.r_[start, len(pool) + vstart][ids],
+                                                    np.r_[size, vsize][ids])].tobytes()
 
 
-def _label_tokens(labels: np.ndarray):
-    """For ``labels``: the bytes of ``" %d"`` of each label, then ``"\\n"``,
-    and the start and size of each of those tokens in them."""
-    words = [" %d" % x for x in labels.tolist()] + ["\n"]
+def _tokens(words: list[str]):
+    """The bytes of the ASCII ``words`` one after another, and the start and
+    size of each word in them."""
     size = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
     return np.frombuffer("".join(words).encode(), np.uint8), np.cumsum(size) - size, size
-
-
-def _gather(pool: np.ndarray, start: np.ndarray, size: np.ndarray) -> bytes:
-    """The tokens ``pool[start[i]:start[i] + size[i]]`` one after another;
-    every size is positive."""
-    step = np.ones(size.sum(), dtype=np.intp)   # from each byte's pool index to the next
-    step[0] = start[0]
-    step[np.cumsum(size[:-1])] = start[1:] - start[:-1] - size[:-1] + 1
-    return pool[np.cumsum(step, out=step)].tobytes()
 
 
 _BLOCK_CHARS = 1 << 20   # read_filtration parses about this many bytes at a time

@@ -98,7 +98,7 @@ def net_at(s: DeletionSchedule, alpha: float, closed: bool = False) -> np.ndarra
 
     Open net: {p : t_p > alpha}.  Closed net: {p : t_p >= alpha}.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
     mask = s.t >= alpha if closed else s.t > alpha
     return np.flatnonzero(mask)
@@ -135,10 +135,8 @@ def check_net_conditions(m: MetricInput, s: DeletionSchedule,
     Packing: distinct net points are at least eps (1 - 2 eps) alpha
     apart, the packing constant 1 that the greedy construction achieves.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    net = net_at(s, alpha, closed=False)   # ValueError for a negative or NaN alpha
     bound = s.epsilon * (1.0 - 2.0 * s.epsilon) * alpha
-    net = net_at(s, alpha, closed=False)
     dmat = m.distance_matrix()
 
     to_net = dmat[:, net].min(axis=1)

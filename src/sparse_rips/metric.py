@@ -136,6 +136,13 @@ def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
         raise MetricFormatError("points must form a non-empty 2d array")
     if not np.all(np.isfinite(pts)):
         raise MetricFormatError("points contain non-finite coordinates")
+    # each coordinate difference is at most the box side, and the kernel adds
+    # them in the same order, so the box diagonal bounds every distance
+    box = MetricInput(metric_kind=metric_kind, n=2, points=np.array([pts.min(0), pts.max(0)]))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(box.distances(0, 1)):
+            raise MetricFormatError(f"{metric_kind} distances overflow: the distance "
+                                    f"across the bounding box of the points is not finite")
     raw = MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts)
     pairs = cKDTree(pts).query_pairs(_DUPLICATE_RADIUS, p=np.inf, output_type="ndarray")
     iu, ju = pairs[raw.distances(pairs[:, 0], pairs[:, 1]) == 0.0].T
@@ -219,7 +226,7 @@ def lint_triangle_inequality(mat: np.ndarray) -> bool:
 
 def _parse_rows(path, fmt: str, header: bool,
                 rectangular: bool = True) -> list[list[float]]:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")   # a leading byte-order mark is dropped
     if fmt not in ("csv", "whitespace"):
         raise MetricFormatError(f"unknown format: {fmt!r}")
     rows: list[list[float]] = []

@@ -2,9 +2,9 @@
 coboundary-matrix reduction above it.
 
 All vertices have value 0, so the classes of dimension 0 are the
-components: a union-find over the edges in filtration order pairs each
-merging edge with the later of the two roots (the elder rule), and the
-merging edges are exactly the edges that destroy a class.  Above
+components: a union-find over the edges in filtration order finds the
+merging edges, exactly the edges that destroy a class, each paired with
+a birth of 0 (no elder rule is needed to choose among them).  Above
 dimension 0 the column of a simplex is the set of its cofacets, taken by
 inverting the facet positions ``f.facets``: a filtration built in-process
 carries the ones its clique expansion found, and any other is checked
@@ -31,7 +31,6 @@ from itertools import chain
 
 import numpy as np
 
-from .filtration import MalformedFiltrationError  # noqa: F401  (re-exported)
 from .filtration import SparseFiltration, validate_filtration
 
 INF = math.inf
@@ -63,8 +62,8 @@ def compute_persistence(f: SparseFiltration,
     """Persistent cohomology with clearing, GF(2) coefficients.
 
     Dimension 0 is a union-find over the edges in filtration order: an
-    edge that joins two components pairs the later of their earliest
-    vertices with the edge, and these edges are cleared in dimension 1.
+    edge that joins two components pairs a birth of 0 with the edge, and
+    these edges are cleared in dimension 1.
     For d = 1 .. k-1 each d-simplex s whose earliest cofacet c has s as
     its latest facet is paired with c at once (an apparent pair: no
     column reaches c before s does).  The other d-simplices are visited
@@ -87,10 +86,9 @@ def compute_persistence(f: SparseFiltration,
         keep = (death != birth) | keep_zero_pairs
         pairs[d] += zip(birth[keep].tolist(), death[keep].tolist())
 
-    # dimension 0: union-find over the edges in filtration order, each class
-    # rooted at its earliest vertex; a merging edge kills the later root
+    # dimension 0: union-find over the edges in filtration order
     root = list(range(len(f.values[0])))
-    later, cleared = [], []   # cleared: the merging edges
+    cleared = []   # the merging edges
     blocks = (facets[1][lo:lo + _EDGE_BLOCK].tolist()   # stop converting with the loop
               for lo in range(0, len(facets[1]), _EDGE_BLOCK))
     for e, (u, v) in enumerate(chain.from_iterable(blocks)):
@@ -99,14 +97,12 @@ def compute_persistence(f: SparseFiltration,
         while v != root[v]:
             root[v] = v = root[root[v]]
         if u != v:
-            u, v = max(u, v), min(u, v)
             root[u] = v
-            later.append(u)
             cleared.append(e)
-            if len(later) == len(root) - 1:
+            if len(cleared) == len(root) - 1:
                 break   # one component left
-    pair(0, later, cleared)
-    pair(0, [u for u, r in enumerate(root) if u == r], None)
+    pair(0, np.zeros(len(cleared), dtype=np.intp), cleared)   # vertex 0: all are born at 0
+    pair(0, np.zeros(len(root) - len(cleared), dtype=np.intp), None)
 
     for d in range(1, f.k):
         # cofacets of d-simplex i: cofacets[start[i]:start[i + 1]], in any order

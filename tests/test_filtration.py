@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -935,6 +936,43 @@ def test_read_filtration_takes_an_alpha_max_that_is_positive(amax, value, tmp_pa
     path = tmp_path / "filt.txt"
     path.write_text(f"# k=1 kind=full_rips alpha_max={amax}\n0.0 0\n")
     assert read_filtration(path).alpha_max == value
+
+
+def two_vertices(**fields):
+    header = {"k": 0, "kind": "sparse_S", "alpha_max": None, **fields}
+    return SparseFiltration((np.array([[0], [1]]),), (np.zeros(2),), **header)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha_max", -1.0), ("alpha_max", 0.0), ("alpha_max", -math.inf), ("alpha_max", math.nan),
+    ("k", 1.0), ("k", True), ("k", "2"), ("k", None),
+    ("kind", "my kind"), ("kind", ""), ("kind", "a\tb"), ("kind", "line\n"), ("kind", None),
+])
+def test_a_header_field_the_reader_would_refuse_is_refused_on_construction(field, value):
+    # the writer writes these fields into the header line as they are
+    with pytest.raises(MalformedFiltrationError, match=f"^{field} must be "):
+        two_vertices(**{field: value})
+    f = two_vertices()
+    with pytest.raises(MalformedFiltrationError, match=f"^{field} must be "):
+        replace(f, **{field: value})
+
+
+def test_clique_expand_refuses_an_alpha_max_the_reader_would_refuse():
+    with pytest.raises(MalformedFiltrationError) as exc:
+        clique_expand([(0, 1, 1.0)], 2, 1, alpha_max=-1.0)
+    assert str(exc.value) == "alpha_max must be None or a positive number, got -1.0"
+
+
+@pytest.mark.parametrize("alpha_max", [None, 1.5, math.inf])
+@pytest.mark.parametrize("kind", [filtration.KIND_SPARSE, filtration.KIND_FULL,
+                                  filtration.KIND_RELAXED, *filtration.STATIC_KINDS])
+def test_the_header_round_trips_for_every_kind_the_library_makes(tmp_path, kind, alpha_max):
+    path = tmp_path / "filt.txt"
+    for k in (2, np.int64(1)):
+        write_filtration(clique_expand([(0, 1, 0.5), (1, 2, 1.0)], 3, k, kind=kind,
+                                       alpha_max=alpha_max), path)
+        g = read_filtration(path)
+        assert (g.k, g.kind, g.alpha_max) == (k, kind, alpha_max)
 
 
 def adversarial_filtration():

@@ -297,3 +297,53 @@ def test_matrix_input_is_immutable():
     m = from_points([[0.0], [1.0]])
     with pytest.raises(ValueError):
         m.points[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "0.5,1\n2,3\n-1,4\n"),
+                                       ("whitespace", "0.5 1\n2 3\n-1 4\n")])
+def test_a_byte_order_mark_is_skipped(tmp_path, fmt, text):
+    # spreadsheet exports start with U+FEFF; it must not reach the first field
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert np.array_equal(load_points(marked, fmt=fmt).points,
+                          load_points(plain, fmt=fmt).points)
+    square = "0,1,2\n1,0,1.5\n2,1.5,0\n"
+    plain.write_text(square, encoding="utf-8")
+    marked.write_text("\ufeff" + square, encoding="utf-8")
+    assert np.array_equal(load_matrix(marked).matrix, load_matrix(plain).matrix)
+
+
+#: per kernel: points some of whose distances overflow float64
+OVERFLOWING = {"euclidean": [[0, 0], [1e200, 0], [0, 1e200], [1, 1]],
+               "manhattan": [[0, 0], [1e308, 0], [0, 1e308], [1, 1]],
+               "chebyshev": [[1e308], [-1e308], [0]]}
+OVERFLOW_MESSAGE = "distances overflow: the distance across the bounding box of the points is not finite"
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_points_whose_distances_overflow_are_refused(kind):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(MetricFormatError) as exc:
+            from_points(OVERFLOWING[kind], metric_kind=kind)
+    assert str(exc.value) == f"{kind} {OVERFLOW_MESSAGE}"
+    assert caught == []
+    # below the overflow the points are taken (a euclidean kernel squares)
+    x = 1e150 if kind == "euclidean" else 8e307
+    assert from_points([[x], [-x]], metric_kind=kind).distance(0, 1) == 2 * x
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_cli_refuses_points_whose_distances_overflow(tmp_path, capsys, kind):
+    src = tmp_path / "far.csv"
+    src.write_text("\n".join(",".join(map(repr, map(float, p))) for p in OVERFLOWING[kind]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["build", "--input", str(src), "--metric", kind, "--epsilon", "0.25",
+                     "--out", str(tmp_path / "filt.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {kind} {OVERFLOW_MESSAGE}\n"
+    assert caught == []
+    assert not (tmp_path / "filt.txt").exists()

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from sparse_rips import (OracleSizeError, WeightContext, from_matrix, from_points,
-                         run_battery)
+from sparse_rips import (OracleSizeError, WeightContext, check_net_conditions,
+                         compute_persistence, from_matrix, from_points, full_rips,
+                         multiplicative_match, net_at, relaxed_rips, run_battery,
+                         static_complex)
 from sparse_rips.metric import MetricInput
 from sparse_rips.verify import (CheckResult, check_betti, check_c_approximation,
                                 check_diagram_equality, check_interleaving,
@@ -108,3 +110,30 @@ def test_battery_builds_the_sparse_filtration_once(monkeypatch):
                        check_betti(m, ctx, k=2, samples=4, rng=rng),
                        check_diagram_equality(m, ctx, k=2),
                        check_c_approximation(m, ctx, k=2)]
+
+
+NAN = float("nan")
+#: each scale guard of the references and checks, given NaN, and its message
+NAN_SCALES = {
+    "full_rips": (lambda m, ctx: full_rips(m, NAN, 2), "alpha_max must be positive"),
+    "relaxed_rips": (lambda m, ctx: relaxed_rips(m, ctx, NAN, 2),
+                     "alpha_max must be positive"),
+    "static_complex": (lambda m, ctx: static_complex(m, ctx, NAN, "Q_open", 2),
+                       "alpha must be nonnegative"),
+    "net_at": (lambda m, ctx: net_at(ctx.schedule, NAN), "alpha must be nonnegative"),
+    "check_net_conditions": (lambda m, ctx: check_net_conditions(m, ctx.schedule, NAN),
+                             "alpha must be nonnegative"),
+    "multiplicative_match": (lambda m, ctx: multiplicative_match(
+        *[compute_persistence(full_rips(m, 1.0, 2))] * 2, NAN), "factor must be >= 1, got nan"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NAN_SCALES))
+def test_a_nan_scale_is_refused(call):
+    # a guard written as "x < 0" lets NaN through: every comparison with it is false
+    m = from_points(np.random.default_rng(73).random((8, 2)))
+    ctx = WeightContext.build(m, 0.25)
+    run, message = NAN_SCALES[call]
+    with pytest.raises(ValueError) as exc:
+        run(m, ctx)
+    assert str(exc.value) == message

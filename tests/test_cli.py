@@ -258,10 +258,10 @@ def test_persist_refuses_the_options_of_another_source(tmp_path, capsys, source,
 @pytest.mark.parametrize("extra, message", [
     (["--full"], "--full requires a positive --alpha-max"),
     (["--full", "--alpha-max", "0"], "--full requires a positive --alpha-max"),
-    (["--full", "--alpha-max", "nan"], "--full requires a positive --alpha-max"),
     ([], "building in-process requires --epsilon"),
     (["--epsilon", "0.5"], "--epsilon must be in (0, 1/3], got 0.5"),
     (["--epsilon", "0.2", "--k", "0"], "--k must be >= 1, got 0"),
+    (["--full", "--alpha-max", "nan"], "--full requires a positive --alpha-max"),
 ])
 def test_persist_usage_errors_come_before_the_input_is_read(tmp_path, capsys, extra,
                                                             message):

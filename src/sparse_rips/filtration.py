@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -49,9 +50,11 @@ class SparseFiltration:
     alpha_max: float | None = None
 
     def __post_init__(self):
-        if not (self.alpha_max is None or self.alpha_max > 0):
+        amax = self.alpha_max
+        if not (amax is None or isinstance(amax, Real) and not isinstance(amax, bool)
+                and amax > 0):
             raise MalformedFiltrationError(
-                f"alpha_max must be None or a positive number, got {self.alpha_max!r}")
+                f"alpha_max must be None or a positive number, got {amax!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
             raise MalformedFiltrationError(f"k must be an integer, got {self.k!r}")
         if not (isinstance(self.kind, str) and self.kind.split() == [self.kind]):
@@ -132,12 +135,96 @@ def _order_breaks(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (values[1:] < values[:-1]) | ((values[1:] == values[:-1]) & less)
 
 
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index in the ascending array ``keys`` of each query, -1 where absent."""
+def _search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in the ascending array ``keys`` of each query, -1 where absent,
+    by binary search."""
     if not len(keys):
         return np.full(len(queries), -1)
     at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
     return np.where(keys[at] == queries, at, -1)
+
+
+#: Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): 2**64 over the golden
+#: ratio, odd.  It spreads arithmetic progressions, such as dense labels
+#: and the keys s * nv + r of the face check, evenly over the slots
+_FIB = np.uint64(0x9E3779B97F4A7C15)
+#: the slots a key or a query of _lookup probes at most
+_PROBES = 16
+#: _lookup fills and probes its table this many keys or queries at a time
+_HASH_BLOCK = 1 << 16
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in ``keys``, distinct int64 values in any order, of each int64
+    query, -1 where absent, by a hash table in expected O(1) per query.
+
+    The table has 2**b slots, the least power of two >= 2 * len(keys); a
+    slot holds a key and its index, index -1 when empty.  Key x's home
+    slot is the top b bits of x * _FIB mod 2**64; collisions go on to the
+    next slot (linear probing).  Keys are placed and queries answered in
+    rounds over blocks of _HASH_BLOCK, each key and query probing at most
+    _PROBES slots.  Keys left without a slot and queries left unanswered
+    meet in one binary search over those keys, sorted.  That is exact:
+    slots only fill, so every slot a key passed over stays full; a key in
+    the table is found within _PROBES probes, a query that meets an empty
+    slot is absent, and one that meets neither is a leftover key or absent.
+    Keys that all share a home slot cost _PROBES probes and the search."""
+    out = np.full(len(queries), -1, dtype=np.int64)
+    if not (len(keys) and len(queries)):
+        return out
+    bits = (2 * len(keys) - 1).bit_length()
+    mask, shift = (1 << bits) - 1, np.uint64(64 - bits)
+    table = np.zeros(1 << bits, dtype=np.int64)   # each slot's key
+    index = np.full(1 << bits, -1, dtype=np.int64)   # and its index in keys
+    left = []   # the keys that found no slot
+    for lo in range(0, len(keys), _HASH_BLOCK):
+        at = np.arange(lo, min(lo + _HASH_BLOCK, len(keys)))
+        slot = _home(keys[at], shift)
+        for p in range(_PROBES):
+            if p:
+                slot += 1
+                slot &= mask
+            free = index[slot] < 0
+            index[slot[free]] = at[free]   # of keys that meet at one free slot, one wins
+            won = index[slot] == at
+            table[slot[won]] = keys[at[won]]
+            lost = ~won
+            at, slot = at[lost], slot[lost]
+            if not len(at):
+                break
+        left.append(at)
+    open_ = []   # the queries that met neither their key nor an empty slot
+    for lo in range(0, len(queries), _HASH_BLOCK):
+        query = queries[lo:lo + _HASH_BLOCK]
+        at = np.arange(lo, lo + len(query))
+        slot = _home(query, shift)
+        for p in range(_PROBES):
+            if p:
+                slot += 1
+                slot &= mask
+            found = index[slot]
+            hit = table[slot] == query
+            full = found >= 0
+            hit &= full
+            out[at[hit]] = found[hit]
+            full &= ~hit   # a full slot with another key: probe on
+            at, query, slot = at[full], query[full], slot[full]
+            if not len(at):
+                break
+        open_.append(at)
+    left, open_ = np.concatenate(left), np.concatenate(open_)
+    if len(left) and len(open_):
+        left = left[np.argsort(keys[left])]
+        found = _search(keys[left], queries[open_])
+        out[open_] = np.where(found >= 0, left[found], -1)
+    return out
+
+
+def _home(x: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """The home slot of each int64 in ``x``: the top bits of x * _FIB mod 2**64."""
+    slot = np.asarray(x, dtype=np.int64).view(np.uint64) * _FIB
+    slot >>= shift
+    return slot.view(np.int64)   # below 2**63
 
 
 #: an edge list: one record per edge, lower endpoint first, in row-major order
@@ -292,7 +379,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
                              f"vertices are too many to index")
         src, slot = _row_slots(start, rows[-1][:, -1])
         u = c[slot]
-        at = _lookup(keys[-1], facets[-1][src, d - 1] * n + u)   # the facet without x_{d-1}
+        at = _search(keys[-1], facets[-1][src, d - 1] * n + u)   # the facet without x_{d-1}
         hit = at >= 0
         src, slot, u, at = src[hit], slot[hit], u[hit], at[hit]
         value = np.maximum(np.maximum(values[-1][src], values[-1][at]), births[slot])
@@ -300,7 +387,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
         keep = ~(value > cap)
         src, slot, u, at, value, cap = (x[keep] for x in (src, slot, u, at, value, cap))
         grown = ([slot] if d == 2 else   # a triangle's first facet is the edge
-                 [_lookup(keys[-1], facets[-1][src, v] * n + u) for v in range(d - 1)])
+                 [_search(keys[-1], facets[-1][src, v] * n + u) for v in range(d - 1)])
         facets.append(np.column_stack([*grown, at, src]))
         keys.append(src * n + u)
         rows.append(np.c_[np.take(rows[-1], src, axis=0), u])
@@ -392,22 +479,24 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     Raises MalformedFiltrationError unless every simplex has strictly
     increasing vertices, dimension <= k and a finite value >= 0; each
     dimension is sorted by (value, vertex order) without duplicates;
-    vertices have value 0; and every facet is present with a value at most
-    its coface's, so listed earlier.  Entry d of the result, (m_d, d + 1),
-    holds in column v the position of the facet without vertex v.  The
-    result is ``f.facets``.  Only a filtration from outside is checked, once:
-    :func:`read_filtration`, ``SparseFiltration.from_simplices`` or a
-    hand-made :class:`SparseFiltration`.  One built in-process by
+    vertices have value 0.0 (not -0.0); and every facet is present with a
+    value at most its coface's, so listed earlier.  Entry d of the result,
+    (m_d, d + 1), holds in column v the position of the facet without
+    vertex v.  The result is ``f.facets``.  Only a filtration from outside
+    is checked, once: :func:`read_filtration`,
+    ``SparseFiltration.from_simplices`` or a hand-made
+    :class:`SparseFiltration`.  One built in-process by
     :func:`clique_expand` (all the builders) carries the facets it found.
 
-    Faces are indexed by one sorted int64 key per simplex and dimension:
-    the key of a d-simplex is the position of its prefix facet (all
-    vertices but the last) among the sorted keys of dimension d - 1, times
-    the number of vertices nv, plus the rank of its last label among the
-    sorted vertex labels (found by ``searchsorted``).  Key order is vertex
-    order, so equal keys are duplicates, and an e-simplex is found by a
-    chain of e ``searchsorted`` calls into the sorted keys of dimensions
-    1 .. e.  A filtration with m_{d-1} * nv >= 2**63 is refused, so no key
+    Faces are indexed by one int64 key per simplex, kept in the order of
+    its dimension: the key of a d-simplex is the position of its prefix
+    facet (all vertices but the last) in dimension d - 1, times the number
+    of vertices nv, plus the rank of its last label among the sorted vertex
+    labels.  A rank, and each step of the chain that finds an e-simplex by
+    its keys in dimensions 1 .. e, is a hash lookup (:func:`_lookup`), so
+    the lookups take expected O(m) time for m simplices at a fixed k.
+    Equal keys are duplicates, found by one sort of each dimension's keys.
+    A filtration with m_{d-1} * nv >= 2**63 is refused, so no key
     overflows."""
     return f.facets
 
@@ -422,8 +511,7 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
         raise MalformedFiltrationError(
             f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{f.k} or more")
     facets = [np.zeros((len(f.values[0]), 0), dtype=np.int64)]
-    keys = [None]   # keys[d]: the keys of dimension d, ascending
-    lex = None      # lex[s]: the position of the s-th key one dimension down; lex[-1] = -1
+    keys = [None]   # keys[d]: the key of each simplex of dimension d, in its order
     for d, (rows, values) in enumerate(zip(f.vertices, f.values)):
         _reject(np.full(len(rows), d > f.k),
                 lambda i: f"simplex {tuple(rows[i].tolist())} exceeds dimension cap {f.k}")
@@ -433,17 +521,18 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
                 lambda i: f"bad value {values[i]} for simplex {tuple(rows[i].tolist())}")
         _reject((values != 0.0) & (d == 0),
                 lambda i: f"vertex {tuple(rows[i].tolist())} has nonzero value {values[i]}")
+        _reject(np.signbit(values) & (d == 0),
+                lambda i: f"vertex {tuple(rows[i].tolist())} has value -0.0, not 0.0")
         _reject(_order_breaks(rows, values),
                 lambda i: f"simplices out of order at position {i + 1} of dimension {d}")
         if d == 0:   # at value 0 the order is the label order
-            labels, lex = rows[:, 0], np.append(np.arange(len(rows)), -1)
+            labels = rows[:, 0]
             _reject(labels[1:] == labels[:-1],
                     lambda i: f"duplicate simplex {tuple(rows[i].tolist())}")
             continue
         if not len(rows):   # no key work: a simplex above misses a face, found as usual
             facets.append(np.zeros((0, d + 1), dtype=np.int64))
             keys.append(np.zeros(0, dtype=np.int64))
-            lex = np.array([-1])
             continue
         nv = len(labels)
         if len(f.values[d - 1]) * nv >= _KEY_LIMIT:
@@ -456,35 +545,40 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
         at = np.empty(rows.shape, dtype=np.int64)
         ok = np.empty(rows.shape, dtype=bool)
         for v in reversed(range(d + 1)):   # the prefix facet, v = d, gives the keys
-            s = _key_position(keys, nv, rank[:v] + rank[v + 1:])
-            at[:, v] = lex[s]
+            at[:, v] = _key_position(keys, nv, rank[:v] + rank[v + 1:])
             ok[:, v] = below[at[:, v]] <= values
             if v == d:
-                key = np.where((s >= 0) & (rank[d] >= 0), s * nv + rank[d], -1)
-                order = np.argsort(key)
-                key = key[order]
-                if not len(key) or key[0] >= 0:   # else a face is missing, reported below
-                    _reject(key[1:] == key[:-1],
-                            lambda i: f"duplicate simplex {tuple(rows[order[i]].tolist())}")
-        del rank, below, s
+                key = np.where((at[:, d] >= 0) & (rank[d] >= 0), at[:, d] * nv + rank[d], -1)
+                if key.min() >= 0:   # else a face is missing, reported below
+                    _reject_duplicates(rows, key)
+        del rank, below
         _reject(~ok.ravel(), lambda i: (
             f"missing face {tuple(np.delete(rows[i // (d + 1)], i % (d + 1)).tolist())} "
             f"before simplex {tuple(rows[i // (d + 1)].tolist())}"))
         facets.append(at)
         keys.append(key)
-        lex = np.append(order, -1)
-        del ok, order
+        del ok
     for a in facets:
         a.setflags(write=False)
     return facets
 
 
+def _reject_duplicates(rows: np.ndarray, key: np.ndarray) -> None:
+    """MalformedFiltrationError naming the least row, in vertex order, whose
+    key is another row's too."""
+    ascending = np.sort(key)
+    twice = ascending[1:][ascending[1:] == ascending[:-1]]
+    if len(twice):
+        first = min(map(tuple, rows[np.isin(key, twice)].tolist()))
+        raise MalformedFiltrationError(f"duplicate simplex {first}")
+
+
 def _key_position(keys: list, nv: int, rank: list[np.ndarray]) -> np.ndarray:
-    """Position among the sorted keys of dimension e of the e-simplices whose
-    vertices have the ranks ``rank[0] .. rank[e]``, -1 where absent or a rank is -1.  The
-    key of a simplex is the position of its prefix facet (all vertices but
-    the last) among the keys one dimension down, times nv, plus the rank of
-    its last vertex; a vertex's position is its rank."""
+    """Position in dimension e of the e-simplices whose vertices have the
+    ranks ``rank[0] .. rank[e]``, -1 where absent or a rank is -1.  The key
+    of a simplex is the position of its prefix facet (all vertices but the
+    last) one dimension down, times nv, plus the rank of its last vertex; a
+    vertex's position is its rank.  Each step is one :func:`_lookup`."""
     s = rank[0]
     for e, r in enumerate(rank[1:], start=1):
         s = _lookup(keys[e], np.where((s >= 0) & (r >= 0), s * nv + r, -1))
@@ -637,7 +731,7 @@ def _tokens(words: list[str]):
     return np.frombuffer("".join(words).encode(), np.uint8), np.cumsum(size) - size, size
 
 
-_BLOCK_CHARS = 1 << 20   # read_filtration parses about this many bytes at a time
+_BLOCK_CHARS = 1 << 20   # read_filtration reads and parses about this many bytes at a time
 
 #: False at the ASCII whitespace that ``bytes.split`` splits on: \t \n \v \f \r
 #: and space; a token is a run of the other bytes
@@ -662,7 +756,8 @@ def read_filtration(path) -> SparseFiltration:
     Comment lines (``#``) may appear anywhere; their ``key=value`` fields
     form the header, the last value of a key winning.
 
-    The file is parsed as bytes.  Lines end at ``\n``, ``\r\n`` or ``\r``;
+    The file is read and parsed as bytes, a block of whole lines at a time
+    (:func:`_line_blocks`).  Lines end at ``\n``, ``\r\n`` or ``\r``;
     tokens are separated by the ASCII whitespace of ``bytes.split`` (space,
     ``\t``, ``\v``, ``\f``), so a non-ASCII byte between tokens makes the
     line malformed.  Values and labels are what ``float`` and ``int``
@@ -670,18 +765,15 @@ def read_filtration(path) -> SparseFiltration:
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}   # the line that set each header field
     blocks = []   # (values, sizes, labels) of each block
-    # Latin-1 maps each byte to one character and back, and text mode ends
-    # a line at "\n", "\r\n" or "\r" and hands it over ending in "\n"
-    with open(path, encoding="latin-1") as fh:
+    with open(path, "rb") as fh:
         lineno = 0   # lines before the block
-        while lines := fh.readlines(_BLOCK_CHARS):
-            block = "".join(lines).encode("latin-1")
+        for block in _line_blocks(fh):
             try:
                 blocks.append(_parse_block(block, lineno, header, header_line))
             except (ValueError, OverflowError):
                 _raise_at_bad_line(path, block, lineno)
                 raise
-            lineno += len(lines)
+            lineno += block.count(b"\n")
     if not sum(len(values) for values, _, _ in blocks):
         raise ValueError(f"{path}: empty filtration")
     values, sizes, labels = map(np.concatenate, zip(*blocks))
@@ -702,6 +794,28 @@ def read_filtration(path) -> SparseFiltration:
     del values, sizes, labels
     validate_filtration(f)
     return f
+
+
+def _line_blocks(fh):
+    r"""The bytes of the binary file ``fh``, read ``_BLOCK_CHARS`` at a time,
+    as blocks of whole lines: a block is cut after its last ``\n`` or
+    ``\r``, and its ``\r\n`` and then ``\r`` become ``\n``.  A ``\r`` that
+    ends a read may begin a ``\r\n``, so it waits for the next read, as
+    does a line longer than a read.  Only the last line of the file may
+    lack a line end."""
+    held = []   # the bytes read since the last cut
+    while chunk := fh.read(_BLOCK_CHARS):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut:
+            yield _newlines(b"".join([*held, chunk[:cut]]))
+            held = []
+        held.append(chunk[cut:])
+    if rest := b"".join(held):
+        yield _newlines(rest)
+
+
+def _newlines(block: bytes) -> bytes:
+    return block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def _positive(text: str) -> float:

@@ -335,6 +335,26 @@ def test_clique_expand_accepts_a_negative_zero_birth():
     assert_built_facets(f)
 
 
+def test_a_vertex_value_of_negative_zero_is_refused(tmp_path):
+    # the writer would write it back as "-0.0" and the diagram would carry it
+    message = "vertex (0,) has value -0.0, not 0.0"
+    path = tmp_path / "filt.txt"
+    path.write_text("-0.0 0\n0.0 1\n1.0 0 1\n")
+    with pytest.raises(MalformedFiltrationError) as exc:
+        read_filtration(path)
+    assert str(exc.value) == message
+    f = SparseFiltration((np.array([[0], [1]]), np.array([[0, 1]])),
+                         (np.array([-0.0, 0.0]), np.array([1.0])), 1, "sparse_S")
+    with pytest.raises(MalformedFiltrationError) as exc:
+        validate_filtration(f)
+    assert str(exc.value) == message
+    path.write_bytes(b"an older file\n")
+    with pytest.raises(MalformedFiltrationError) as exc:
+        write_filtration(f, path)
+    assert str(exc.value) == message
+    assert path.read_bytes() == b"an older file\n"
+
+
 def test_clique_expand_refuses_keys_that_could_overflow(monkeypatch):
     # a (d+1)-simplex is keyed by its parent's position * n + its last vertex
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]   # 3 vertices, 3 edges, 1 triangle
@@ -945,6 +965,7 @@ def two_vertices(**fields):
 
 @pytest.mark.parametrize("field, value", [
     ("alpha_max", -1.0), ("alpha_max", 0.0), ("alpha_max", -math.inf), ("alpha_max", math.nan),
+    ("alpha_max", "1.5"), ("alpha_max", True),
     ("k", 1.0), ("k", True), ("k", "2"), ("k", None),
     ("kind", "my kind"), ("kind", ""), ("kind", "a\tb"), ("kind", "line\n"), ("kind", None),
 ])
@@ -1134,6 +1155,14 @@ def brute_facets(f):
                  dtype=np.int64).reshape(-1, d + 1) for d in range(1, len(index))]
 
 
+def colliding(n):
+    """n distinct int64 keys that all have the same home slot in the hash
+    table of filtration._lookup: i times the inverse of its multiplier, mod
+    2**64, is i after the multiplication, so the top bits are 0 for i < 2**16."""
+    inverse = pow(int(filtration._FIB), -1, 2**64)
+    return [(x + 2**63) % 2**64 - 2**63 for x in (i * inverse % 2**64 for i in range(n))]
+
+
 LABELS = {   # n distinct labels, in random order
     "dense": lambda rng, n: rng.permutation(n).tolist(),
     "sparse": lambda rng, n: rng.choice(10**6, n, replace=False).tolist(),
@@ -1141,7 +1170,59 @@ LABELS = {   # n distinct labels, in random order
     "near_2**62": lambda rng, n: (2**62 + rng.choice(10**3, n, replace=False)).tolist(),
     "int64_ends": lambda rng, n: rng.permutation(
         [-2**63, 2**63 - 1, *range(-(n // 2), n - 2 - n // 2)]).tolist(),
+    "colliding": lambda rng, n: rng.permutation(colliding(n)).tolist(),
 }
+
+
+def lookup_cases():
+    """(keys, queries): distinct int64 keys in random order, dense around 0
+    or spread up to the int64 limits, and queries of every key, -1, 0 and
+    values that are no key."""
+    rng = np.random.default_rng(63)
+    for n in (0, 1, 7, 1_000, 70_000):   # 70,000 keys: more than one block
+        dense = rng.permutation(2 * n + 1)[:n] - n
+        spread = rng.permutation(np.r_[-2**63, 2**63 - 1,
+                                       rng.integers(-2**62, 2**62, max(n - 2, 0))][:n])
+        for keys in (dense, spread):
+            others = np.r_[rng.integers(-2 * n - 1, 2 * n + 1, n + 10),
+                           rng.integers(-2**63, 2**63 - 1, n + 10, endpoint=True)]
+            yield keys, rng.permutation(np.r_[keys, keys[:n // 3], others,
+                                              -1, 0, -2**63, 2**63 - 1])
+    keys = np.array(colliding(40), dtype=np.int64)
+    yield rng.permutation(keys), rng.permutation(np.r_[keys, -1, 0, 40, keys + 1])
+
+
+def test_hashed_lookup_matches_a_dict_index():
+    seen = set()
+    for keys, queries in lookup_cases():
+        index = {x: i for i, x in enumerate(keys.tolist())}
+        assert len(index) == len(keys)
+        got = filtration._lookup(keys, queries)
+        assert got.dtype == np.int64
+        assert got.tolist() == [index.get(q, -1) for q in queries.tolist()]
+        seen.add(len(keys))
+    assert seen == {0, 1, 7, 1_000, 40, 70_000}
+
+
+def test_keys_that_share_one_home_slot_take_the_sorted_fallback(monkeypatch):
+    # 16 of them find a slot, the other 24 and the queries that pass the
+    # 16 full slots go to one binary search: no quadratic probing
+    keys = np.random.default_rng(64).permutation(colliding(40))
+    bits = (2 * len(keys) - 1).bit_length()
+    assert len(set(filtration._home(keys, np.uint64(64 - bits)).tolist())) == 1
+    searched = []
+    search = filtration._search
+
+    def counted(sorted_keys, queries):
+        searched.append(len(sorted_keys))
+        return search(sorted_keys, queries)
+
+    monkeypatch.setattr(filtration, "_search", counted)
+    queries = np.r_[keys, keys + 1, -1]
+    index = {x: i for i, x in enumerate(keys.tolist())}
+    got = filtration._lookup(keys, queries)
+    assert got.tolist() == [index.get(q, -1) for q in queries.tolist()]
+    assert searched == [40 - filtration._PROBES]
 
 
 def facet_cases(rng):

@@ -1100,7 +1100,7 @@ def test_writer_and_reader_memory_stay_within_a_few_file_sizes(tmp_path):
     # either and leaves room for another numpy's sort buffers
     assert write_peak < 1.5 * size
     # the result alone is about 1.6 times the file (labels and values 0.9,
-    # the face index of validate_filtration 0.7); the checks' sort keys
+    # the face index of validate_filtration 0.7); the checks' keys and lookups
     # come on top, about 3.8 times in all.  The per-block parse arrays and
     # the flat arrays made from them are about 1.2 each: keeping either
     # through the checks gives 4.9, both 6.1, so 4.5 catches each

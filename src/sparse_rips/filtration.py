@@ -80,7 +80,9 @@ class SparseFiltration:
         """Filtration of simplices listed in the global order: simplex i has
         value ``values[i]`` and the next ``sizes[i]`` entries of ``labels``
         as its vertices.  MalformedFiltrationError at the first simplex out
-        of that order."""
+        of that order.  The result is marked as checked for that order, so
+        the face check does not check it again; a dimension without
+        simplices costs one empty array."""
         try:
             labels = np.asarray(labels, dtype=np.int64)
         except OverflowError:
@@ -88,15 +90,20 @@ class SparseFiltration:
         dims = sizes - 1
         _reject(dims < 0, lambda i: f"empty simplex at position {i}")
         first = np.cumsum(sizes) - sizes   # position in labels of each simplex's first vertex
-        by_dim = np.argsort(dims, kind="stable")   # where[d]: the simplices of dimension d
-        where = np.split(by_dim, np.searchsorted(dims[by_dim],
-                                                 np.arange(1, max(k, dims.max(initial=0)) + 1)))
-        rows = [labels[first[pos, None] + np.arange(d + 1)] for d, pos in enumerate(where)]
+        top = max(k, dims.max(initial=0))
+        by_dim = np.argsort(dims, kind="stable")   # dimension d: by_dim[cut[d]:cut[d + 1]]
+        cut = np.searchsorted(dims[by_dim], np.arange(top + 2))
+        rows = [np.zeros((0, d + 1), dtype=np.int64) for d in range(top + 1)]
+        vals = [np.zeros(0) for _ in range(top + 1)]
         bad = np.r_[False, _order_breaks(dims[:, None], values)]   # by (value, dim)
-        for pos, r in zip(where, rows):   # then by vertices: the first True is the first break
-            bad[pos[1:]] |= _order_breaks(r, values[pos])
+        for d in np.flatnonzero(np.diff(cut)).tolist():   # then by vertices: the first
+            pos = by_dim[cut[d]:cut[d + 1]]                # True is the first break
+            rows[d], vals[d] = labels[first[pos, None] + np.arange(d + 1)], values[pos]
+            bad[pos[1:]] |= _order_breaks(rows[d], vals[d])
         _reject(bad, lambda i: f"simplices out of order at position {i}")
-        return cls(tuple(rows), tuple(values[pos] for pos in where), k, kind, alpha_max)
+        f = cls(tuple(rows), tuple(vals), k, kind, alpha_max)
+        vars(f)["_ordered"] = True
+        return f
 
     @cached_property
     def facets(self) -> list[np.ndarray]:
@@ -150,40 +157,33 @@ def _search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 _FIB = np.uint64(0x9E3779B97F4A7C15)
 #: the slots a key or a query of _lookup probes at most
 _PROBES = 16
-#: _lookup fills and probes its table this many keys or queries at a time
+#: _hash_table and _lookup fill and probe this many keys or queries at a time
 _HASH_BLOCK = 1 << 16
 
 
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index in ``keys``, distinct int64 values in any order, of each int64
-    query, -1 where absent, by a hash table in expected O(1) per query.
+def _hash_table(keys: np.ndarray) -> tuple:
+    """A hash table of ``keys``, distinct int64 values in any order, for
+    :func:`_lookup`; built once, probed any number of times.
 
     The table has 2**b slots, the least power of two >= 2 * len(keys); a
     slot holds a key and its index, index -1 when empty.  Key x's home
     slot is the top b bits of x * _FIB mod 2**64; collisions go on to the
-    next slot (linear probing).  Keys are placed and queries answered in
-    rounds over blocks of _HASH_BLOCK, each key and query probing at most
-    _PROBES slots.  Keys left without a slot and queries left unanswered
-    meet in one binary search over those keys, sorted.  That is exact:
-    slots only fill, so every slot a key passed over stays full; a key in
-    the table is found within _PROBES probes, a query that meets an empty
-    slot is absent, and one that meets neither is a leftover key or absent.
-    Keys that all share a home slot cost _PROBES probes and the search."""
-    out = np.full(len(queries), -1, dtype=np.int64)
-    if not (len(keys) and len(queries)):
-        return out
+    next slot (linear probing).  Keys are placed in rounds over blocks of
+    _HASH_BLOCK, each probing at most _PROBES slots; the keys left without
+    a slot are kept, sorted, for a binary search.  Keys that all share a
+    home slot cost _PROBES probes each and that search."""
     bits = (2 * len(keys) - 1).bit_length()
-    mask, shift = (1 << bits) - 1, np.uint64(64 - bits)
+    shift = np.uint64(64 - bits)
     table = np.zeros(1 << bits, dtype=np.int64)   # each slot's key
     index = np.full(1 << bits, -1, dtype=np.int64)   # and its index in keys
-    left = []   # the keys that found no slot
+    left = [np.zeros(0, dtype=np.int64)]   # the keys that found no slot
     for lo in range(0, len(keys), _HASH_BLOCK):
         at = np.arange(lo, min(lo + _HASH_BLOCK, len(keys)))
         slot = _home(keys[at], shift)
         for p in range(_PROBES):
             if p:
                 slot += 1
-                slot &= mask
+                slot &= len(table) - 1
             free = index[slot] < 0
             index[slot[free]] = at[free]   # of keys that meet at one free slot, one wins
             won = index[slot] == at
@@ -193,7 +193,25 @@ def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
             if not len(at):
                 break
         left.append(at)
-    open_ = []   # the queries that met neither their key nor an empty slot
+    left = np.concatenate(left)
+    left = left[np.argsort(keys[left])]
+    return shift, table, index, left, keys[left]
+
+
+def _lookup(hashed: tuple, queries: np.ndarray) -> np.ndarray:
+    """Index in the keys of the :func:`_hash_table` ``hashed`` of each int64
+    query, -1 where absent, in expected O(1) per query.
+
+    Queries are answered in rounds over blocks of _HASH_BLOCK, each probing
+    at most _PROBES slots from its home slot; the queries left unanswered
+    meet the keys left without a slot in one binary search.  That is
+    exact: slots only fill, so every slot a key passed over stays full; a
+    key in the table is found within _PROBES probes, a query that meets an
+    empty slot is absent, and one that meets neither is a leftover key or
+    absent."""
+    shift, table, index, left, left_keys = hashed
+    out = np.full(len(queries), -1, dtype=np.int64)
+    open_ = [np.zeros(0, dtype=np.int64)]   # queries that met neither key nor empty slot
     for lo in range(0, len(queries), _HASH_BLOCK):
         query = queries[lo:lo + _HASH_BLOCK]
         at = np.arange(lo, lo + len(query))
@@ -201,7 +219,7 @@ def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
         for p in range(_PROBES):
             if p:
                 slot += 1
-                slot &= mask
+                slot &= len(table) - 1
             found = index[slot]
             hit = table[slot] == query
             full = found >= 0
@@ -212,10 +230,9 @@ def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
             if not len(at):
                 break
         open_.append(at)
-    left, open_ = np.concatenate(left), np.concatenate(open_)
+    open_ = np.concatenate(open_)
     if len(left) and len(open_):
-        left = left[np.argsort(keys[left])]
-        found = _search(keys[left], queries[open_])
+        found = _search(left_keys, queries[open_])
         out[open_] = np.where(found >= 0, left[found], -1)
     return out
 
@@ -340,8 +357,17 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     grows from an admitted (d-1)-simplex, its parent, and an upper
     neighbour u of the parent's last vertex (Zomorodian 2010); its other
     edges to u lie in its facet without x_{d-1}, an admitted clique found
-    by binary search.  Rows come out in vertex order, so a stable sort by
-    value orders each dimension.
+    by binary search.  Edges that arrive in vertex order, as from
+    :func:`sparse_edges` and :func:`_edges_within`, are not sorted into it.
+
+    Rows come out in vertex order.  The edges go into filtration order by
+    one stable sort of their births, and each simplex carries a value
+    rank, the first position of its value in that order: the largest rank
+    of its edges.  Each dimension d >= 2 goes into filtration order by one
+    in-place sort of the int64 keys rank * m_d + vertex-order position,
+    then their remainder mod m_d; the values are gathered once, from the
+    ranks.  A simplex of value 0 keeps the sign of its last edge's birth
+    (x_{d-1}, x_d), +0.0 or -0.0.  ValueError if a key could reach 2**63.
 
     The result carries its :attr:`~SparseFiltration.facets`, found as the
     cliques grow, and is not checked again: the facet without u is the
@@ -360,19 +386,30 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
             lambda i: f"edge {tuple(ends[i].tolist())} outside vertices 0..{n - 1}", ValueError)
     _reject(~(np.isfinite(births) & (births >= 0)),
             lambda i: f"bad birth {births[i]} for edge {tuple(ends[i].tolist())}", ValueError)
-    order = np.argsort(ends[:, 0] * n + ends[:, 1])   # vertex order
-    (a, c), births = ends[order].T, births[order]
-    key = a * n + c   # below n**2
-    _reject(key[1:] == key[:-1], lambda i: f"duplicate edge {(int(a[i]), int(c[i]))}", ValueError)
+    key = ends[:, 0] * n + ends[:, 1]   # below n**2, ascending in vertex order
+    if not (key[1:] > key[:-1]).all():   # sparse_edges and _edges_within emit that order
+        order = np.argsort(key)
+        ends, births, key = ends[order], births[order], key[order]
+    _reject(key[1:] == key[:-1], lambda i: f"duplicate edge {tuple(ends[i].tolist())}",
+            ValueError)
     caps = np.full(n, np.inf) if vertex_caps is None else np.asarray(vertex_caps, dtype=float)
-    cap = np.minimum(caps[a], caps[c])
+    cap = np.minimum(caps[ends[:, 0]], caps[ends[:, 1]])
     keep = ~(births > cap)
-    a, c, key, births, cap = a[keep], c[keep], key[keep], births[keep], cap[keep]
+    ends, key, births, cap = ends[keep], key[keep], births[keep], cap[keep]
+    a, c = ends.T
     start = np.searchsorted(a, np.arange(n + 1))   # upper neighbours of a: c[start[a]:start[a+1]]
 
-    # each dimension in vertex order, with its facet positions in that order
-    rows, values = [np.arange(n)[:, None], np.c_[a, c]], [np.zeros(n), births]
-    facets, keys = [np.zeros((n, 0), dtype=np.int64), np.c_[c, a]], [None, key]
+    # a value rank: the first position of a birth in the edges' stable birth order
+    by_birth = np.argsort(births, kind="stable")
+    ascending = births[by_birth]
+    first = np.arange(len(births))   # each position, 0 where the birth ties the one before
+    first[1:][ascending[1:] == ascending[:-1]] = 0   # (-0.0 ties with 0.0)
+    rank = np.empty_like(first)
+    rank[by_birth] = np.maximum.accumulate(first)
+
+    # each dimension in vertex order, with its facet positions and ranks in that order
+    rows, ranks = [np.arange(n)[:, None], ends], [None, rank]
+    facets, keys = [np.zeros((n, 0), dtype=np.int64), ends[:, ::-1]], [None, key]
     for d in range(2, k + 1):
         if len(rows[-1]) * n >= _KEY_LIMIT:
             raise ValueError(f"{len(rows[-1])} simplices of dimension {d - 1} on {n} "
@@ -382,24 +419,48 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
         at = _search(keys[-1], facets[-1][src, d - 1] * n + u)   # the facet without x_{d-1}
         hit = at >= 0
         src, slot, u, at = src[hit], slot[hit], u[hit], at[hit]
-        value = np.maximum(np.maximum(values[-1][src], values[-1][at]), births[slot])
+        value = np.maximum(np.maximum(ranks[-1][src], ranks[-1][at]), rank[slot])
         cap = np.minimum(cap[src], caps[u])
-        keep = ~(value > cap)
+        keep = ~(ascending[value] > cap)
         src, slot, u, at, value, cap = (x[keep] for x in (src, slot, u, at, value, cap))
         grown = ([slot] if d == 2 else   # a triangle's first facet is the edge
                  [_search(keys[-1], facets[-1][src, v] * n + u) for v in range(d - 1)])
         facets.append(np.column_stack([*grown, at, src]))
         keys.append(src * n + u)
         rows.append(np.c_[np.take(rows[-1], src, axis=0), u])
-        values.append(value)
+        ranks.append(value)
         del src, slot, u, at, grown   # not to be held while the dimensions are sorted
-    position = np.arange(n)   # position[i]: where row i of the dimension below ends up
-    for d in range(1, k + 1):
-        o = np.argsort(values[d], kind="stable")
-        rows[d], values[d] = np.take(rows[d], o, axis=0), values[d][o]
+    del keys, cap
+    # filtration order: the edges by birth, stably; each dimension above by one
+    # sort of rank * m_d + vertex-order position, then the remainder
+    values = [np.zeros(n), ascending]
+    rows[1], facets[1] = rows[1][by_birth], facets[1][by_birth]
+    position = np.empty_like(by_birth)   # position[i]: where row i of the dimension below ends up
+    position[by_birth] = np.arange(len(by_birth))
+    for d in range(2, k + 1):
+        o, m = ranks[d], len(ranks[d])
+        ranks[d] = None
+        if len(births) * m >= _KEY_LIMIT:
+            raise ValueError(f"{m} simplices of dimension {d} over {len(births)} edges "
+                             f"are too many to sort")
+        o *= m
+        o += np.arange(m)
+        if not (o[1:] > o[:-1]).all():   # a constant-0 snapshot is in order already
+            o.sort()
+        rank = o // m
+        values.append(ascending[rank])
+        rank *= m
+        o -= rank   # the remainder, the vertex-order position, faster than o %= m
+        rows[d] = np.take(rows[d], o, axis=0)
+        if np.signbit(births).any():
+            # np.maximum of equal births gave the last, so a simplex of value 0
+            # has the sign of the birth of its last edge (x_{d-1}, x_d)
+            zero = np.flatnonzero(values[d] == 0)
+            edge = rows[d][zero, -2:]
+            values[d][zero] = births[_search(key, edge[:, 0] * n + edge[:, 1])]
         facets[d] = np.take(position[facets[d]], o, axis=0)
         position = np.empty_like(o)
-        position[o] = np.arange(len(o))
+        position[o] = np.arange(m)
     return _with_facets(SparseFiltration(tuple(rows), tuple(values), k, kind, alpha_max),
                         facets)
 
@@ -493,11 +554,14 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     facet (all vertices but the last) in dimension d - 1, times the number
     of vertices nv, plus the rank of its last label among the sorted vertex
     labels.  A rank, and each step of the chain that finds an e-simplex by
-    its keys in dimensions 1 .. e, is a hash lookup (:func:`_lookup`), so
-    the lookups take expected O(m) time for m simplices at a fixed k.
-    Equal keys are duplicates, found by one sort of each dimension's keys.
-    A filtration with m_{d-1} * nv >= 2**63 is refused, so no key
-    overflows."""
+    its keys in dimensions 1 .. e, is a hash lookup (:func:`_lookup`) in
+    one table per key array (:func:`_hash_table`), built once, so the
+    lookups take expected O(m) time for m simplices at a fixed k.  Equal
+    keys are duplicates, found by one sort of each dimension's keys.  A
+    filtration with m_{d-1} * nv >= 2**63 is refused, so no key
+    overflows.  A dimension without simplices costs nothing, and the
+    order of one that ``SparseFiltration._from_flat`` made (the reader and
+    ``from_simplices``) is not checked again."""
     return f.facets
 
 
@@ -510,9 +574,14 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
             r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(f.vertices, f.values))):
         raise MalformedFiltrationError(
             f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{f.k} or more")
+    ordered = vars(f).get("_ordered", False)   # by SparseFiltration._from_flat
     facets = [np.zeros((len(f.values[0]), 0), dtype=np.int64)]
     keys = [None]   # keys[d]: the key of each simplex of dimension d, in its order
     for d, (rows, values) in enumerate(zip(f.vertices, f.values)):
+        if d and not len(rows):   # nothing to check: a simplex above misses a face, found as usual
+            facets.append(np.zeros((0, d + 1), dtype=np.int64))
+            keys.append(np.zeros(0, dtype=np.int64))
+            continue
         _reject(np.full(len(rows), d > f.k),
                 lambda i: f"simplex {tuple(rows[i].tolist())} exceeds dimension cap {f.k}")
         _reject((rows[:, 1:] <= rows[:, :-1]).any(axis=1),
@@ -523,29 +592,28 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
                 lambda i: f"vertex {tuple(rows[i].tolist())} has nonzero value {values[i]}")
         _reject(np.signbit(values) & (d == 0),
                 lambda i: f"vertex {tuple(rows[i].tolist())} has value -0.0, not 0.0")
-        _reject(_order_breaks(rows, values),
-                lambda i: f"simplices out of order at position {i + 1} of dimension {d}")
+        if not ordered:
+            _reject(_order_breaks(rows, values),
+                    lambda i: f"simplices out of order at position {i + 1} of dimension {d}")
         if d == 0:   # at value 0 the order is the label order
             labels = rows[:, 0]
             _reject(labels[1:] == labels[:-1],
                     lambda i: f"duplicate simplex {tuple(rows[i].tolist())}")
-            continue
-        if not len(rows):   # no key work: a simplex above misses a face, found as usual
-            facets.append(np.zeros((0, d + 1), dtype=np.int64))
-            keys.append(np.zeros(0, dtype=np.int64))
+            tables = [_hash_table(labels)]   # tables[e]: of the positions in dimension e
             continue
         nv = len(labels)
         if len(f.values[d - 1]) * nv >= _KEY_LIMIT:
             raise MalformedFiltrationError(
                 f"{len(f.values[d - 1])} simplices of dimension {d - 1} on {nv} vertices "
                 f"are too many to index")
+        tables += [_hash_table(keys[e]) for e in range(len(tables), d)]
         # the rank of each label in column j, -1 for a label that is not a vertex
-        rank = [_lookup(labels, rows[:, j]) for j in range(d + 1)]
+        rank = list(_lookup(tables[0], rows.ravel()).reshape(rows.shape).T)
         below = np.append(f.values[d - 1], np.inf)   # below[-1]: a missing face
         at = np.empty(rows.shape, dtype=np.int64)
         ok = np.empty(rows.shape, dtype=bool)
         for v in reversed(range(d + 1)):   # the prefix facet, v = d, gives the keys
-            at[:, v] = _key_position(keys, nv, rank[:v] + rank[v + 1:])
+            at[:, v] = _key_position(tables, nv, rank[:v] + rank[v + 1:])
             ok[:, v] = below[at[:, v]] <= values
             if v == d:
                 key = np.where((at[:, d] >= 0) & (rank[d] >= 0), at[:, d] * nv + rank[d], -1)
@@ -573,15 +641,16 @@ def _reject_duplicates(rows: np.ndarray, key: np.ndarray) -> None:
         raise MalformedFiltrationError(f"duplicate simplex {first}")
 
 
-def _key_position(keys: list, nv: int, rank: list[np.ndarray]) -> np.ndarray:
+def _key_position(tables: list, nv: int, rank: list[np.ndarray]) -> np.ndarray:
     """Position in dimension e of the e-simplices whose vertices have the
     ranks ``rank[0] .. rank[e]``, -1 where absent or a rank is -1.  The key
     of a simplex is the position of its prefix facet (all vertices but the
     last) one dimension down, times nv, plus the rank of its last vertex; a
-    vertex's position is its rank.  Each step is one :func:`_lookup`."""
+    vertex's position is its rank.  Each step is one :func:`_lookup` in
+    ``tables[e]``, the hash table of the keys of dimension e."""
     s = rank[0]
     for e, r in enumerate(rank[1:], start=1):
-        s = _lookup(keys[e], np.where((s >= 0) & (r >= 0), s * nv + r, -1))
+        s = _lookup(tables[e], np.where((s >= 0) & (r >= 0), s * nv + r, -1))
     return s
 
 

@@ -5,16 +5,19 @@ All vertices have value 0, so the classes of dimension 0 are the
 components: a union-find over the edges in filtration order finds the
 merging edges, exactly the edges that destroy a class, each paired with
 a birth of 0 (no elder rule is needed to choose among them).  Above
-dimension 0 the column of a simplex is the set of its cofacets, taken by
-inverting the facet positions ``f.facets``: a filtration built in-process
-carries the ones its clique expansion found, and any other is checked
-once by ``validate_filtration``, which finds them.  Adding two columns is
-their symmetric difference and the pivot is the smallest index.  Each
-dimension is reduced in reverse filtration order, and clearing skips the
-simplices already known to destroy a class one dimension down.
-Apparent pairs, a simplex whose earliest cofacet has it as its latest
-facet, are found with array operations and need no reduction; only the
-other columns go through the Python loop.  For a fixed total order the
+dimension 0 the column of a simplex is its cofacets, taken by inverting
+the facet positions ``f.facets``: a filtration built in-process carries
+the ones its clique expansion found, and any other is checked once by
+``validate_filtration``, which finds them.  The inversion is one in-place
+sort of the int64 keys facet * m_{d+1} + cofacet, then their remainder
+mod m_{d+1}, so each simplex's cofacets ascend: a column is a sorted
+integer array, its pivot is its first entry, and adding two columns is
+``np.setxor1d``.  Each dimension is reduced in reverse filtration order,
+and clearing skips the simplices already known to destroy a class one
+dimension down; a dimension without simplices is skipped.  Apparent
+pairs, a simplex whose earliest cofacet has it as its latest facet, are
+found with array operations and need no reduction; only the other
+columns go through the Python loop.  For a fixed total order the
 persistence pairing is unique and cohomology has the same pairs as
 homology (de Silva, Morozov and Vejdemo-Johansson, 2011), so the output
 equals the plain boundary reduction; the shortcuts are Ripser's (Bauer,
@@ -31,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .filtration import SparseFiltration, validate_filtration
+from .filtration import _KEY_LIMIT, SparseFiltration, validate_filtration
 
 INF = math.inf
 _EDGE_BLOCK = 1024   # edges the dimension-0 union-find converts to Python ints at a time
@@ -67,10 +70,12 @@ def compute_persistence(f: SparseFiltration,
     For d = 1 .. k-1 each d-simplex s whose earliest cofacet c has s as
     its latest facet is paired with c at once (an apparent pair: no
     column reaches c before s does).  The other d-simplices are visited
-    in reverse filtration order; the column of one is its set of
-    cofacets and its pivot the earliest of them.  A new pivot pairs the
-    simplex with that (d+1)-simplex, which then needs no column of its
-    own (clearing); a column that empties is an infinite bar.  Pairs
+    in reverse filtration order; the column of one is its cofacets in
+    ascending order, and its pivot the earliest of them.  A new pivot
+    pairs the simplex with that (d+1)-simplex, which then needs no column
+    of its own (clearing); a column that empties is an infinite bar.
+    ValueError if m_d * m_{d+1} reaches 2**63, where a cofacet key could
+    overflow.  Pairs
     (value of creating simplex, value of destroying simplex) per finite
     class; unpaired creators of dimension < k give infinite bars.
     Zero-persistence pairs are dropped unless ``keep_zero_pairs``.
@@ -105,27 +110,38 @@ def compute_persistence(f: SparseFiltration,
     pair(0, np.zeros(len(root) - len(cleared), dtype=np.intp), None)
 
     for d in range(1, f.k):
-        # cofacets of d-simplex i: cofacets[start[i]:start[i + 1]], in any order
-        flat = facets[d + 1].ravel()
-        cofacets = np.argsort(flat) // (d + 2)
-        start = np.r_[0, np.cumsum(np.bincount(flat, minlength=len(f.values[d])))]
-        # apparent pairs (s, c): c is the earliest cofacet of s, and s the
-        # latest facet of c; no column reaches c before s, so s keeps its
-        # column, built only if a later column reaches c
+        m, m_up = len(f.values[d]), len(f.values[d + 1])
+        if not m:   # no d-simplex: nothing to pair, and nothing cleared above
+            cleared = []
+            continue
+        if m * m_up >= _KEY_LIMIT:
+            raise ValueError(f"{m} simplices of dimension {d} and {m_up} of dimension "
+                             f"{d + 1} are too many to index")
+        # cofacets of d-simplex i: cofacets[start[i]:start[i + 1]], ascending;
+        # one sort of the keys facet * m_up + cofacet, then the remainder
+        cofacets = facets[d + 1] * m_up
+        cofacets += np.arange(m_up)[:, None]
+        cofacets = cofacets.ravel()
+        cofacets.sort()
+        start = np.searchsorted(cofacets, np.arange(m + 1) * m_up)   # no bincount: it copies
+        cofacets %= m_up
+        # apparent pairs (s, c): c is the earliest cofacet of s, its row's
+        # first, and s the latest facet of c; no column reaches c before s,
+        # so s keeps its column, built only if a later column reaches c
         s = np.flatnonzero(start[:-1] < start[1:])
-        c = np.minimum.reduceat(cofacets, start[s])
+        c = cofacets[start[s]]
         apparent = facets[d + 1][c].max(axis=1) == s
         s, c = s[apparent], c[apparent]
         pair(d, s, c)
-        pivot_col: dict[int, int | set[int]] = dict(zip(c.tolist(), s.tolist()))
-        todo = np.ones(len(f.values[d]), dtype=bool)
+        pivot_col: dict[int, int | np.ndarray] = dict(zip(c.tolist(), s.tolist()))
+        todo = np.ones(m, dtype=bool)
         todo[cleared] = todo[s] = False
         start = start.tolist()
         creators, destroyers, essential = [], [], []
         for i in np.flatnonzero(todo)[::-1].tolist():
-            col = set(cofacets[start[i]:start[i + 1]].tolist())
-            while col:
-                low = min(col)
+            col = cofacets[start[i]:start[i + 1]]
+            while len(col):
+                low = int(col[0])
                 other = pivot_col.get(low)
                 if other is None:
                     pivot_col[low] = col
@@ -133,8 +149,8 @@ def compute_persistence(f: SparseFiltration,
                     destroyers.append(low)
                     break
                 if isinstance(other, int):   # the column of an apparent pair
-                    other = cofacets[start[other]:start[other + 1]].tolist()
-                col.symmetric_difference_update(other)
+                    other = cofacets[start[other]:start[other + 1]]
+                col = np.setxor1d(col, other, assume_unique=True)
             else:
                 essential.append(i)
         pair(d, creators, destroyers)

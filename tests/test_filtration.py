@@ -335,6 +335,28 @@ def test_clique_expand_accepts_a_negative_zero_birth():
     assert_built_facets(f)
 
 
+def test_signed_zero_births_keep_their_bits():
+    # an edge keeps the bits of its birth; a simplex of value 0 takes the bits
+    # of its last edge (x_{d-1}, x_d), as the maximum of its births gave them
+    edges = [(0, 1, -0.0), (0, 2, 0.0), (1, 2, -0.0), (0, 3, 0.0), (1, 3, 0.0),
+             (2, 3, -0.0), (0, 4, 1.0), (1, 4, -0.0), (2, 4, 0.0), (3, 4, -0.0)]
+    expect = {
+        1: ([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4], [0, 4]],
+            [1, 0, 0, 1, 0, 1, 1, 0, 1, 0]),
+        2: ([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4],
+             [0, 1, 4], [0, 2, 4], [0, 3, 4]], [1, 0, 1, 1, 0, 1, 1, 0, 0, 0]),
+        3: ([[0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4]],
+            [1, 1, 0, 0, 0]),
+    }
+    for order in (edges, edges[::-1]):
+        f = clique_expand(order, 5, 3)
+        for d, (rows, negative) in expect.items():
+            assert f.vertices[d].tolist() == rows
+            assert f.values[d].tolist() == [float({0, 4} <= set(r)) for r in rows]
+            assert np.signbit(f.values[d]).astype(int).tolist() == negative
+        assert_built_facets(f)
+
+
 def test_a_vertex_value_of_negative_zero_is_refused(tmp_path):
     # the writer would write it back as "-0.0" and the diagram would carry it
     message = "vertex (0,) has value -0.0, not 0.0"
@@ -365,6 +387,38 @@ def test_clique_expand_refuses_keys_that_could_overflow(monkeypatch):
     with pytest.raises(ValueError,
                        match="^3 simplices of dimension 1 on 3 vertices are too many to index$"):
         clique_expand(edges, 3, 2)
+
+
+def test_clique_expand_refuses_sort_keys_that_could_overflow(monkeypatch):
+    # a d-simplex sorts by its value rank * m_d + its vertex-order position,
+    # and a rank is below the edge count: K5 has 10 edges and 10 triangles
+    edges = [(a, b, float(a + b)) for a, b in combinations(range(5), 2)]
+    monkeypatch.setattr(filtration, "_KEY_LIMIT", 101)
+    assert clique_expand(edges, 5, 2).counts_by_dim() == [5, 10, 10]
+    monkeypatch.setattr(filtration, "_KEY_LIMIT", 100)   # growth keys stay below 10 * 5
+    with pytest.raises(ValueError,
+                       match="^10 simplices of dimension 2 over 10 edges are too many to sort$"):
+        clique_expand(edges, 5, 2)
+
+
+def test_a_shuffled_edge_list_builds_the_same_filtration():
+    # edges in vertex order skip the sort into it; any other order takes it
+    rng = np.random.default_rng(65)
+    for n, ties in ((60, False), (40, True)):
+        grid = np.argwhere(np.ones((8, 8)))[rng.choice(64, n, replace=False)]   # ties
+        m = from_points(grid if ties else rng.random((n, 2)))
+        ctx = WeightContext.build(m, 1 / 3)
+        edges = sparse_edges(m, ctx)
+        assert (np.diff(edges["p"] * n + edges["q"]) > 0).all()
+        f = clique_expand(edges, n, 3, vertex_caps=ctx.schedule.t)
+        shuffled = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        shuffled["p"], shuffled["q"] = (np.where(flip, shuffled["q"], shuffled["p"]),
+                                        np.where(flip, shuffled["p"], shuffled["q"]))
+        g = clique_expand(shuffled, n, 3, vertex_caps=ctx.schedule.t)
+        assert_same_filtration(f, g)
+        assert_same_facets(f.facets, g.facets)
+        assert f.counts_by_dim()[3] > 0
 
 
 @pytest.mark.parametrize("edge", [(-1, 2), (2, -1), (0, 3), (3, 1)])
@@ -925,9 +979,9 @@ def test_reading_a_large_header_k_does_no_key_work_on_empty_dimensions(tmp_path,
     # dimension, as they did when every empty dimension ran its key chains
     lookup, calls = filtration._lookup, []
 
-    def counted(keys, queries):
-        calls.append(keys)
-        return lookup(keys, queries)
+    def counted(hashed, queries):
+        calls.append(hashed)
+        return lookup(hashed, queries)
 
     monkeypatch.setattr(filtration, "_lookup", counted)
     counts = []
@@ -938,6 +992,43 @@ def test_reading_a_large_header_k_does_no_key_work_on_empty_dimensions(tmp_path,
         assert read_filtration(path).counts_by_dim() == [2, 1] + [0] * (k - 1)
         counts.append(len(calls) - before)
     assert 0 < counts[1] <= 2 * counts[0]
+
+
+def test_a_large_header_k_reads_and_reduces_to_the_right_diagram(tmp_path):
+    # 19,999 empty dimensions: each costs an empty array, not a check or a column
+    path = tmp_path / "k20000.txt"
+    path.write_text("# k=20000\n0.0 0\n0.0 1\n1.0 0 1\n")
+    f = read_filtration(path)
+    assert f.k == 20000 and f.counts_by_dim() == [2, 1] + [0] * 19999
+    dgm = compute_persistence(f)
+    assert dgm.k == 20000 and dgm.in_dim(0) == [(0.0, 1.0), (0.0, INF)]
+    assert dgm.total_points() == 2
+
+
+def test_the_read_path_checks_the_vertex_order_once(tmp_path, monkeypatch):
+    # the reader checks the order of the flat list: (value, dimension) once and
+    # the vertex order once per dimension that has simplices; the face check
+    # does not check it again, but checks a hand-made copy itself
+    breaks, calls = filtration._order_breaks, []
+
+    def counted(rows, values):
+        calls.append(len(rows))
+        return breaks(rows, values)
+
+    f = TEXT_CASES["sparse_k2"]
+    path = tmp_path / "filt.txt"
+    write_filtration(f, path)
+    monkeypatch.setattr(filtration, "_order_breaks", counted)
+    g = read_filtration(path)
+    assert len(calls) == 1 + 3
+    assert_same_facets(g.facets, f.facets)
+    del calls[:]
+    h = SparseFiltration.from_simplices(f.simplices(), f.k, f.kind, f.alpha_max)
+    assert_same_facets(validate_filtration(h), f.facets)
+    assert len(calls) == 1 + 3
+    del calls[:]
+    validate_filtration(replace(h, kind="copy"))
+    assert calls == f.counts_by_dim()
 
 
 @pytest.mark.parametrize("amax", ["nan", "-1", "0"])
@@ -1157,7 +1248,7 @@ def brute_facets(f):
 
 def colliding(n):
     """n distinct int64 keys that all have the same home slot in the hash
-    table of filtration._lookup: i times the inverse of its multiplier, mod
+    table of filtration._hash_table: i times the inverse of its multiplier, mod
     2**64, is i after the multiplication, so the top bits are 0 for i < 2**16."""
     inverse = pow(int(filtration._FIB), -1, 2**64)
     return [(x + 2**63) % 2**64 - 2**63 for x in (i * inverse % 2**64 for i in range(n))]
@@ -1197,7 +1288,7 @@ def test_hashed_lookup_matches_a_dict_index():
     for keys, queries in lookup_cases():
         index = {x: i for i, x in enumerate(keys.tolist())}
         assert len(index) == len(keys)
-        got = filtration._lookup(keys, queries)
+        got = filtration._lookup(filtration._hash_table(keys), queries)
         assert got.dtype == np.int64
         assert got.tolist() == [index.get(q, -1) for q in queries.tolist()]
         seen.add(len(keys))
@@ -1220,7 +1311,7 @@ def test_keys_that_share_one_home_slot_take_the_sorted_fallback(monkeypatch):
     monkeypatch.setattr(filtration, "_search", counted)
     queries = np.r_[keys, keys + 1, -1]
     index = {x: i for i, x in enumerate(keys.tolist())}
-    got = filtration._lookup(keys, queries)
+    got = filtration._lookup(filtration._hash_table(keys), queries)
     assert got.tolist() == [index.get(q, -1) for q in queries.tolist()]
     assert searched == [40 - filtration._PROBES]
 

@@ -3,13 +3,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          SparseFiltration, WeightContext, betti_numbers,
                          build_sparse, compute_persistence, diagram_from_csv,
                          diagram_from_json, diagram_to_csv, diagram_to_json,
-                         from_points, full_rips, read_filtration, static_complex)
-from sparse_rips import persistence
+                         clique_expand, from_points, full_rips, read_filtration,
+                         static_complex)
+from sparse_rips import filtration, persistence
 
 INF = math.inf
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -304,6 +307,53 @@ def test_integer_grid_rips_prefixes_match_naive_reduction():
             prefix = SparseFiltration.from_simplices(full.simplices()[:stop], k,
                                                      full.kind)
             assert_matches_naive(prefix)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """A graph on at most 9 vertices with integer births 0..3, as an edge list
+    in random order, each edge with its endpoints either way round."""
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    births = draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]),
+                           min_size=len(pairs), max_size=len(pairs)))
+    edges = [(p, q, float(b)) for (p, q), b in zip(pairs, births) if b is not None]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(q, p, b) if flip else (p, q, b) for (p, q, b), flip in zip(edges, flips)]
+    return n, draw(st.permutations(edges))
+
+
+@given(tie_heavy_graphs())
+@settings(max_examples=120, deadline=None)
+def test_tie_heavy_flag_filtrations_match_the_oracles(graph):
+    # values tie in large groups, so the order rests on the vertex-order tie break
+    n, edges = graph
+    f = clique_expand(edges, n, 3)
+    births = {(min(p, q), max(p, q)): b for p, q, b in edges}
+    for d in range(4):   # every clique, listed in vertex order, stably sorted by value
+        cliques = [c for c in combinations(range(n), d + 1)
+                   if all(e in births for e in combinations(c, 2))]
+        expect = sorted(((c, max((births[e] for e in combinations(c, 2)), default=0.0))
+                         for c in cliques), key=lambda s: s[1])
+        assert f.vertices[d].tolist() == [list(c) for c, _ in expect]
+        assert f.values[d].tobytes() == np.array([v for _, v in expect], dtype=float).tobytes()
+    unchecked = SparseFiltration(f.vertices, f.values, f.k, f.kind)
+    for a, b in zip(f.facets, filtration._facets(unchecked), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+    assert_matches_naive(f)
+
+
+def test_cofacet_keys_that_could_overflow_are_refused(monkeypatch):
+    # the cofacet index sorts facet * m_{d+1} + cofacet: K5 has 10 edges and
+    # 10 triangles
+    f = clique_expand([(a, b, float(a + b)) for a, b in combinations(range(5), 2)], 5, 2)
+    monkeypatch.setattr(persistence, "_KEY_LIMIT", 101)
+    expect = compute_persistence(f)
+    assert expect.pairs == naive_diagram(f).pairs
+    monkeypatch.setattr(persistence, "_KEY_LIMIT", 100)
+    with pytest.raises(ValueError, match="^10 simplices of dimension 1 and 10 of dimension 2 "
+                                         "are too many to index$"):
+        compute_persistence(f)
 
 
 def test_pairing_accounting():

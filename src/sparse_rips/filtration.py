@@ -9,9 +9,10 @@ Static snapshots for rank comparisons are constant-0 filtrations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from numbers import Real
 
 import numpy as np
@@ -41,9 +42,18 @@ class SparseFiltration:
     Vertices always have value 0.  The arrays are made read-only on
     construction, so the cached :attr:`facets` cannot go stale, and the
     header fields are checked, so that :func:`read_filtration` reads back
-    the header that :func:`write_filtration` writes."""
+    the header that :func:`write_filtration` writes.
 
-    vertices: tuple[np.ndarray, ...]
+    Made from outside input (this constructor or :meth:`from_simplices`),
+    a filtration holds the rows it was given and is checked once, when its
+    facets are first asked for.  Built by :func:`clique_expand` (all the
+    builders) or read by :func:`read_filtration`, it is stored as its face
+    index: the dimension-0 labels, ``values`` and :attr:`facets`.  Its
+    ``vertices`` is then a view that derives the rows of dimension d on
+    each access, read-only, by two gathers per dimension from those of
+    dimension d - 1 (:class:`_FaceRows`)."""
+
+    vertices: Sequence[np.ndarray]
     values: tuple[np.ndarray, ...]
     k: int
     kind: str
@@ -60,7 +70,8 @@ class SparseFiltration:
         if not (isinstance(self.kind, str) and self.kind.split() == [self.kind]):
             raise MalformedFiltrationError(
                 f"kind must be one word without whitespace, got {self.kind!r}")
-        for a in (*self.vertices, *self.values):
+        rows = () if isinstance(self.vertices, _FaceRows) else self.vertices
+        for a in (*rows, *self.values):
             a.setflags(write=False)
 
     @classmethod
@@ -69,39 +80,29 @@ class SparseFiltration:
         """Filtration of (vertex tuple, value) pairs listed in the global order;
         MalformedFiltrationError at the first pair out of that order."""
         pairs = list(pairs)
-        return cls._from_flat(np.array([v for _, v in pairs], dtype=float),
-                              np.array([len(s) for s, _ in pairs], dtype=np.int64),
-                              list(chain.from_iterable(s for s, _ in pairs)),
-                              k, kind, alpha_max)
-
-    @classmethod
-    def _from_flat(cls, values: np.ndarray, sizes: np.ndarray, labels, k: int,
-                   kind: str, alpha_max: float | None) -> "SparseFiltration":
-        """Filtration of simplices listed in the global order: simplex i has
-        value ``values[i]`` and the next ``sizes[i]`` entries of ``labels``
-        as its vertices.  MalformedFiltrationError at the first simplex out
-        of that order.  The result is marked as checked for that order, so
-        the face check does not check it again; a dimension without
-        simplices costs one empty array."""
         try:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = np.array(list(chain.from_iterable(s for s, _ in pairs)), dtype=np.int64)
         except OverflowError:
             raise MalformedFiltrationError("vertex label outside the int64 range") from None
-        dims = sizes - 1
-        _reject(dims < 0, lambda i: f"empty simplex at position {i}")
-        first = np.cumsum(sizes) - sizes   # position in labels of each simplex's first vertex
-        top = max(k, dims.max(initial=0))
-        by_dim = np.argsort(dims, kind="stable")   # dimension d: by_dim[cut[d]:cut[d + 1]]
-        cut = np.searchsorted(dims[by_dim], np.arange(top + 2))
-        rows = [np.zeros((0, d + 1), dtype=np.int64) for d in range(top + 1)]
-        vals = [np.zeros(0) for _ in range(top + 1)]
-        bad = np.r_[False, _order_breaks(dims[:, None], values)]   # by (value, dim)
-        for d in np.flatnonzero(np.diff(cut)).tolist():   # then by vertices: the first
-            pos = by_dim[cut[d]:cut[d + 1]]                # True is the first break
-            rows[d], vals[d] = labels[first[pos, None] + np.arange(d + 1)], values[pos]
-            bad[pos[1:]] |= _order_breaks(rows[d], vals[d])
-        _reject(bad, lambda i: f"simplices out of order at position {i}")
-        f = cls(tuple(rows), tuple(vals), k, kind, alpha_max)
+        return cls._from_dimensions(*_by_dimension([(
+            np.array([v for _, v in pairs], dtype=float),
+            np.array([len(s) for s, _ in pairs], dtype=np.int64), labels)]),
+            k, kind, alpha_max)
+
+    @classmethod
+    def _from_dimensions(cls, rows: list, values: list, bad: int, k: int, kind: str,
+                         alpha_max: float | None) -> "SparseFiltration":
+        """Filtration of the rows and values per dimension of
+        :func:`_by_dimension`, with empty dimensions up to k;
+        MalformedFiltrationError if the simplex at position ``bad`` >= 0 was
+        out of the global order.  The result is marked as checked for that
+        order, so the face check does not check it again."""
+        if bad >= 0:
+            raise MalformedFiltrationError(f"simplices out of order at position {bad}")
+        for d in range(len(rows), k + 1):
+            rows.append(np.zeros((0, d + 1), dtype=np.int64))
+            values.append(np.zeros(0))
+        f = cls(tuple(rows), tuple(values), k, kind, alpha_max)
         vars(f)["_ordered"] = True
         return f
 
@@ -110,12 +111,6 @@ class SparseFiltration:
         """The result of :func:`validate_filtration`: set by :func:`clique_expand`
         on a filtration it builds, else found by the checks, run once."""
         return _facets(self)
-
-    def simplices(self) -> list[tuple[tuple[int, ...], float]]:
-        """(vertex tuple, value) pairs in the global order."""
-        rows = [r for v in self.vertices for r in map(tuple, v.tolist())]
-        values = np.concatenate(self.values).tolist()
-        return [(rows[i], values[i]) for i in self._merge_order().tolist()]
 
     def _merge_order(self) -> np.ndarray:
         """The global order: the dimensions, concatenated in order, stably sorted by value."""
@@ -126,6 +121,95 @@ class SparseFiltration:
 
     def counts_by_dim(self) -> list[int]:
         return [len(v) for v in self.values]
+
+
+class _FaceRows(Sequence):
+    """The vertex rows of a filtration stored as its face index, derived on
+    each access and read-only: dimension 0 is the labels, and the row of a
+    d-simplex is the row of its facet without its last vertex (column d of
+    its facets), then the last vertex of its facet without its first
+    (column 0).  Iteration derives each dimension from the one before."""
+
+    def __init__(self, labels: np.ndarray, facets: list[np.ndarray]):
+        self.labels, self.facets = labels, facets
+
+    def __len__(self) -> int:
+        return len(self.facets)
+
+    def __getitem__(self, d):
+        if isinstance(d, slice):
+            return tuple(self)[d]
+        return next(islice(self, range(len(self))[d], None))
+
+    def __add__(self, other):   # joins with a tuple, as the stored rows do
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other):
+        return tuple(other) + tuple(self)
+
+    def __iter__(self):
+        rows = self.labels[:, None]
+        for d, facets in enumerate(self.facets):
+            if d:
+                rows = np.c_[rows[facets[:, d]], rows[facets[:, 0], -1]]
+                rows.setflags(write=False)
+            yield rows
+
+
+def _indexed(labels: np.ndarray, values, facets: list[np.ndarray], k: int, kind: str,
+             alpha_max: float | None = None) -> SparseFiltration:
+    """The filtration stored as its face index: the sorted dimension-0
+    ``labels``, ``values`` and the facet positions its builder found, set
+    read-only as its :attr:`~SparseFiltration.facets`, so that it is not
+    checked again."""
+    for a in (labels, *facets):
+        a.setflags(write=False)
+    f = SparseFiltration(_FaceRows(labels, facets), tuple(values), k, kind, alpha_max)
+    vars(f)["facets"] = facets
+    return f
+
+
+def _by_dimension(blocks):
+    """The simplices listed in the global order in ``blocks``, each a flat
+    (values, vertex counts, labels) of the simplices after those of the
+    blocks before it, as rows and values per dimension, split block by
+    block, so no flat array outlives its block.  Also the position of the
+    first simplex out of order, by (value, dimension) against the simplex
+    before it or by vertex order against the one before it in its
+    dimension; -1 if none.  MalformedFiltrationError for an empty
+    simplex."""
+    rows, vals = [], []   # rows[d], vals[d]: the pieces of dimension d, block after block
+    before = np.zeros(0), np.zeros(0, dtype=np.int64)   # the value and dimension of the last simplex
+    offset, first_bad = 0, -1
+    for values, sizes, labels in blocks:
+        dims = sizes - 1
+        _reject(dims < 0, lambda i: f"empty simplex at position {offset + i}")
+        bad = np.zeros(len(dims), dtype=bool)
+        if len(dims):
+            breaks = _order_breaks(np.r_[before[1], dims][:, None], np.r_[before[0], values])
+            bad[len(bad) - len(breaks):] = breaks
+            before = values[-1:], dims[-1:]
+        first = np.cumsum(sizes) - sizes   # position in labels of each simplex's first vertex
+        by_dim = np.argsort(dims, kind="stable")   # dimension d: by_dim[cut[d]:cut[d + 1]]
+        cut = np.searchsorted(dims[by_dim], np.arange(dims.max(initial=-1) + 2))
+        for d in np.flatnonzero(np.diff(cut)).tolist():
+            pos = by_dim[cut[d]:cut[d + 1]]
+            r, v = labels[first[pos, None] + np.arange(d + 1)], values[pos]
+            rows += [[] for _ in range(d + 1 - len(rows))]
+            vals += [[] for _ in range(d + 1 - len(vals))]
+            if rows[d]:   # against the last simplex of dimension d in the blocks before
+                bad[pos] |= _order_breaks(np.r_[rows[d][-1][-1:], r], np.r_[vals[d][-1][-1:], v])
+            else:
+                bad[pos[1:]] |= _order_breaks(r, v)
+            rows[d].append(r)
+            vals[d].append(v)
+        if first_bad < 0 and bad.any():
+            first_bad = offset + int(np.argmax(bad))
+        offset += len(dims)
+    for d in range(len(rows)):   # one dimension at a time, so its pieces go as it is joined
+        rows[d] = np.concatenate(rows[d]) if rows[d] else np.zeros((0, d + 1), dtype=np.int64)
+        vals[d] = np.concatenate(vals[d]) if vals[d] else np.zeros(0)
+    return rows, vals, first_bad
 
 
 def _reject(bad: np.ndarray, message, error=MalformedFiltrationError) -> None:
@@ -344,11 +428,15 @@ def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(np.arange(len(rows)), size), _ranges(start[rows], size)
 
 
+#: clique_expand grows each dimension from about this many candidates at a time
+_GROW_BLOCK = 1 << 16
+
+
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
                   kind: str = KIND_SPARSE, alpha_max: float | None = None) -> SparseFiltration:
     """Clique (flag) filtration of an edge list (:func:`_as_edges`), in any
-    order, on the vertices 0..n-1; ValueError for an edge outside them or
-    a birth that is not a finite number >= 0.
+    order, on the vertices 0..n-1; ValueError for an edge outside them, a
+    birth that is not a finite number >= 0 or a vertex cap that is NaN.
 
     Every clique of at most k + 1 vertices enters at the maximum of its
     edge births.  With ``vertex_caps`` a clique is admitted only while
@@ -359,22 +447,27 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     edges to u lie in its facet without x_{d-1}, an admitted clique found
     by binary search.  Edges that arrive in vertex order, as from
     :func:`sparse_edges` and :func:`_edges_within`, are not sorted into it.
+    Each dimension grows from blocks of parents with about ``_GROW_BLOCK``
+    candidates in all, and keeps, per simplex, its facets, its key (the
+    parent's position * n + u, which ascends in vertex order and gives u
+    back as key mod n), its value rank and its cap: no vertex rows.
 
-    Rows come out in vertex order.  The edges go into filtration order by
-    one stable sort of their births, and each simplex carries a value
-    rank, the first position of its value in that order: the largest rank
-    of its edges.  Each dimension d >= 2 goes into filtration order by one
-    in-place sort of the int64 keys rank * m_d + vertex-order position,
-    then their remainder mod m_d; the values are gathered once, from the
-    ranks.  A simplex of value 0 keeps the sign of its last edge's birth
-    (x_{d-1}, x_d), +0.0 or -0.0.  ValueError if a key could reach 2**63.
+    The edges go into filtration order by one stable sort of their
+    births, and each simplex carries a value rank, the first position of
+    its value in that order: the largest rank of its edges.  Each
+    dimension d >= 2 goes into filtration order by one in-place sort of
+    the int64 keys rank * m_d + vertex-order position, then their
+    remainder mod m_d; the values are gathered once, from the ranks.  A
+    simplex of value 0 keeps the sign of its last edge's birth, +0.0 or
+    -0.0: that edge (x_{d-1}, x_d) is its face reached by dropping the
+    first vertex d - 1 times.  ValueError if a key could reach 2**63.
 
-    The result carries its :attr:`~SparseFiltration.facets`, found as the
-    cliques grow, and is not checked again: the facet without u is the
-    parent, the one without x_{d-1} is found as above, and the one without
-    another x_v is the parent's facet without x_v grown by u (for a
-    triangle, the edge (x_1, u)).  A grown simplex is keyed by parent
-    position * n + u, which ascends in vertex order."""
+    The result is stored as its face index (:class:`SparseFiltration`):
+    the labels 0..n-1, the values and the :attr:`~SparseFiltration.facets`
+    found as the cliques grow, and is not checked again.  The facet
+    without u is the parent, the one without x_{d-1} is found as above,
+    and the one without another x_v is the parent's facet without x_v
+    grown by u (for a triangle, the edge (x_1, u))."""
     if k < 1:
         raise ValueError("dimension cap k must be >= 1")
     edges = _as_edges(edges)
@@ -386,15 +479,16 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
             lambda i: f"edge {tuple(ends[i].tolist())} outside vertices 0..{n - 1}", ValueError)
     _reject(~(np.isfinite(births) & (births >= 0)),
             lambda i: f"bad birth {births[i]} for edge {tuple(ends[i].tolist())}", ValueError)
+    caps = np.full(n, np.inf) if vertex_caps is None else np.asarray(vertex_caps, dtype=float)
+    _reject(np.isnan(caps), lambda i: f"bad cap {caps[i]} for vertex {i}", ValueError)
     key = ends[:, 0] * n + ends[:, 1]   # below n**2, ascending in vertex order
     if not (key[1:] > key[:-1]).all():   # sparse_edges and _edges_within emit that order
         order = np.argsort(key)
         ends, births, key = ends[order], births[order], key[order]
     _reject(key[1:] == key[:-1], lambda i: f"duplicate edge {tuple(ends[i].tolist())}",
             ValueError)
-    caps = np.full(n, np.inf) if vertex_caps is None else np.asarray(vertex_caps, dtype=float)
     cap = np.minimum(caps[ends[:, 0]], caps[ends[:, 1]])
-    keep = ~(births > cap)
+    keep = births <= cap
     ends, key, births, cap = ends[keep], key[keep], births[keep], cap[keep]
     a, c = ends.T
     start = np.searchsorted(a, np.arange(n + 1))   # upper neighbours of a: c[start[a]:start[a+1]]
@@ -406,42 +500,57 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     first[1:][ascending[1:] == ascending[:-1]] = 0   # (-0.0 ties with 0.0)
     rank = np.empty_like(first)
     rank[by_birth] = np.maximum.accumulate(first)
+    del first, births
 
-    # each dimension in vertex order, with its facet positions and ranks in that order
-    rows, ranks = [np.arange(n)[:, None], ends], [None, rank]
-    facets, keys = [np.zeros((n, 0), dtype=np.int64), ends[:, ::-1]], [None, key]
+    # each dimension in vertex order: its facet positions and value ranks, and,
+    # to grow the next, its keys and caps
+    facets, ranks = [np.zeros((n, 0), dtype=np.int64), ends[:, ::-1]], [None, rank]
     for d in range(2, k + 1):
-        if len(rows[-1]) * n >= _KEY_LIMIT:
-            raise ValueError(f"{len(rows[-1])} simplices of dimension {d - 1} on {n} "
+        m = len(key)
+        if m * n >= _KEY_LIMIT:
+            raise ValueError(f"{m} simplices of dimension {d - 1} on {n} "
                              f"vertices are too many to index")
-        src, slot = _row_slots(start, rows[-1][:, -1])
-        u = c[slot]
-        at = _search(keys[-1], facets[-1][src, d - 1] * n + u)   # the facet without x_{d-1}
-        hit = at >= 0
-        src, slot, u, at = src[hit], slot[hit], u[hit], at[hit]
-        value = np.maximum(np.maximum(ranks[-1][src], ranks[-1][at]), rank[slot])
-        cap = np.minimum(cap[src], caps[u])
-        keep = ~(ascending[value] > cap)
-        src, slot, u, at, value, cap = (x[keep] for x in (src, slot, u, at, value, cap))
-        grown = ([slot] if d == 2 else   # a triangle's first facet is the edge
-                 [_search(keys[-1], facets[-1][src, v] * n + u) for v in range(d - 1)])
-        facets.append(np.column_stack([*grown, at, src]))
-        keys.append(src * n + u)
-        rows.append(np.c_[np.take(rows[-1], src, axis=0), u])
-        ranks.append(value)
-        del src, slot, u, at, grown   # not to be held while the dimensions are sorted
-    del keys, cap
+        size = np.diff(start)[key % n]   # each parent's candidates: its last vertex's upper neighbours
+        cut = np.searchsorted(np.cumsum(size), np.arange(_GROW_BLOCK, size.sum(), _GROW_BLOCK))
+        del size
+        grown = []   # per block: the facets, ranks, keys and caps of the simplices it admits
+        for lo, hi in zip(np.r_[0, cut], np.r_[cut, m]):
+            src, slot = _row_slots(start, key[lo:hi] % n)
+            src += lo
+            u = c[slot]
+            at = _search(key, facets[-1][src, d - 1] * n + u)   # the facet without x_{d-1}
+            hit = at >= 0
+            src, slot, u, at = src[hit], slot[hit], u[hit], at[hit]
+            value = np.maximum(np.maximum(ranks[-1][src], ranks[-1][at]), rank[slot])
+            capped = np.minimum(cap[src], caps[u])
+            keep = ascending[value] <= capped
+            src, slot, u, at, value, capped = (x[keep] for x in (src, slot, u, at, value, capped))
+            other = ([slot] if d == 2 else   # a triangle's first facet is the edge
+                     [_search(key, facets[-1][src, v] * n + u) for v in range(d - 1)])
+            grown.append([np.column_stack([*other, at, src]), value]
+                         + ([src * n + u, capped] if d < k else []))
+        grown = [list(x) for x in zip(*grown)]
+        del key, cap   # the dimension below's: its parents are grown
+        for j in range(len(grown)):   # one array at a time, so its pieces go as it is joined
+            grown[j] = np.concatenate(grown[j])
+        facets.append(grown[0])
+        ranks.append(grown[1])
+        key, cap = grown[2:] or (None, None)
+        del grown
+    del key, cap, start, ends, a, c
+
     # filtration order: the edges by birth, stably; each dimension above by one
     # sort of rank * m_d + vertex-order position, then the remainder
     values = [np.zeros(n), ascending]
-    rows[1], facets[1] = rows[1][by_birth], facets[1][by_birth]
-    position = np.empty_like(by_birth)   # position[i]: where row i of the dimension below ends up
+    facets[1] = facets[1][by_birth]
+    position = np.empty_like(by_birth)   # position[i]: where simplex i of the dimension below ends up
     position[by_birth] = np.arange(len(by_birth))
+    del by_birth
     for d in range(2, k + 1):
         o, m = ranks[d], len(ranks[d])
         ranks[d] = None
-        if len(births) * m >= _KEY_LIMIT:
-            raise ValueError(f"{m} simplices of dimension {d} over {len(births)} edges "
+        if len(ascending) * m >= _KEY_LIMIT:
+            raise ValueError(f"{m} simplices of dimension {d} over {len(ascending)} edges "
                              f"are too many to sort")
         o *= m
         o += np.arange(m)
@@ -451,27 +560,21 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
         values.append(ascending[rank])
         rank *= m
         o -= rank   # the remainder, the vertex-order position, faster than o %= m
-        rows[d] = np.take(rows[d], o, axis=0)
-        if np.signbit(births).any():
+        del rank
+        facets[d] = position[facets[d]]   # in two steps, each dropping the array before
+        facets[d] = np.take(facets[d], o, axis=0)
+        position = np.empty_like(o)
+        position[o] = np.arange(m)
+        del o
+        if np.signbit(ascending).any():
             # np.maximum of equal births gave the last, so a simplex of value 0
             # has the sign of the birth of its last edge (x_{d-1}, x_d)
             zero = np.flatnonzero(values[d] == 0)
-            edge = rows[d][zero, -2:]
-            values[d][zero] = births[_search(key, edge[:, 0] * n + edge[:, 1])]
-        facets[d] = np.take(position[facets[d]], o, axis=0)
-        position = np.empty_like(o)
-        position[o] = np.arange(m)
-    return _with_facets(SparseFiltration(tuple(rows), tuple(values), k, kind, alpha_max),
-                        facets)
-
-
-def _with_facets(f: SparseFiltration, facets: list[np.ndarray]) -> SparseFiltration:
-    """``f`` with :attr:`~SparseFiltration.facets` set, read-only, to the
-    facet positions its builder found, so that it is not checked again."""
-    for a in facets:
-        a.setflags(write=False)
-    vars(f)["facets"] = facets
-    return f
+            edge = facets[d][zero, 0]
+            for e in range(d - 1, 1, -1):
+                edge = facets[e][edge, 0]
+            values[d][zero] = ascending[edge]
+    return _indexed(np.arange(n), values, facets, k, kind, alpha_max)
 
 
 def build_sparse(m: MetricInput, epsilon: float, k: int,
@@ -531,7 +634,7 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
                           + w[:, None] + w[None, :], alpha)
     edges["birth"] = 0.0
     f = clique_expand(edges, len(verts), k, kind=kind)
-    return _with_facets(replace(f, vertices=tuple(verts[r] for r in f.vertices)), f.facets)
+    return _indexed(verts, f.values, f.facets, k, kind)
 
 
 def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
@@ -548,6 +651,9 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     ``SparseFiltration.from_simplices`` or a hand-made
     :class:`SparseFiltration`.  One built in-process by
     :func:`clique_expand` (all the builders) carries the facets it found.
+    A filtration that :func:`read_filtration` made drops each dimension's
+    rows once their labels are ranked, and keeps the face index: its
+    ``vertices`` then derives the rows from the facets.
 
     Faces are indexed by one int64 key per simplex, kept in the order of
     its dimension: the key of a d-simplex is the position of its prefix
@@ -560,7 +666,7 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     keys are duplicates, found by one sort of each dimension's keys.  A
     filtration with m_{d-1} * nv >= 2**63 is refused, so no key
     overflows.  A dimension without simplices costs nothing, and the
-    order of one that ``SparseFiltration._from_flat`` made (the reader and
+    order of one that :func:`_by_dimension` split (the reader and
     ``from_simplices``) is not checked again."""
     return f.facets
 
@@ -574,71 +680,89 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
             r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(f.vertices, f.values))):
         raise MalformedFiltrationError(
             f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{f.k} or more")
-    ordered = vars(f).get("_ordered", False)   # by SparseFiltration._from_flat
-    facets = [np.zeros((len(f.values[0]), 0), dtype=np.int64)]
+    # each entry d >= 1 of rows is dropped from the list once its labels are
+    # ranked: the check goes on with the ranks, and a message names a simplex
+    # by the labels at its ranks, or by its row if a label is not a vertex
+    rows, values, k = list(f.vertices), f.values, f.k
+    ordered = vars(f).get("_ordered", False)   # by SparseFiltration._from_dimensions
+    read = vars(f).pop("_read", False)   # by read_filtration: nothing else holds its rows,
+    if read:                             # so they go, and the face index stays
+        object.__setattr__(f, "vertices", ())
+    facets = [np.zeros((len(values[0]), 0), dtype=np.int64)]
     keys = [None]   # keys[d]: the key of each simplex of dimension d, in its order
-    for d, (rows, values) in enumerate(zip(f.vertices, f.values)):
-        if d and not len(rows):   # nothing to check: a simplex above misses a face, found as usual
+    for d, vals in enumerate(values):
+        r = rows[d]
+        if d and not len(r):   # nothing to check: a simplex above misses a face, found as usual
             facets.append(np.zeros((0, d + 1), dtype=np.int64))
             keys.append(np.zeros(0, dtype=np.int64))
             continue
-        _reject(np.full(len(rows), d > f.k),
-                lambda i: f"simplex {tuple(rows[i].tolist())} exceeds dimension cap {f.k}")
-        _reject((rows[:, 1:] <= rows[:, :-1]).any(axis=1),
-                lambda i: f"vertices not strictly increasing: {tuple(rows[i].tolist())}")
-        _reject(~(np.isfinite(values) & (values >= 0)),
-                lambda i: f"bad value {values[i]} for simplex {tuple(rows[i].tolist())}")
-        _reject((values != 0.0) & (d == 0),
-                lambda i: f"vertex {tuple(rows[i].tolist())} has nonzero value {values[i]}")
-        _reject(np.signbit(values) & (d == 0),
-                lambda i: f"vertex {tuple(rows[i].tolist())} has value -0.0, not 0.0")
+        _reject(np.full(len(r), d > k),
+                lambda i: f"simplex {tuple(r[i].tolist())} exceeds dimension cap {k}")
+        _reject((r[:, 1:] <= r[:, :-1]).any(axis=1),
+                lambda i: f"vertices not strictly increasing: {tuple(r[i].tolist())}")
+        _reject(~(np.isfinite(vals) & (vals >= 0)),
+                lambda i: f"bad value {vals[i]} for simplex {tuple(r[i].tolist())}")
+        _reject((vals != 0.0) & (d == 0),
+                lambda i: f"vertex {tuple(r[i].tolist())} has nonzero value {vals[i]}")
+        _reject(np.signbit(vals) & (d == 0),
+                lambda i: f"vertex {tuple(r[i].tolist())} has value -0.0, not 0.0")
         if not ordered:
-            _reject(_order_breaks(rows, values),
+            _reject(_order_breaks(r, vals),
                     lambda i: f"simplices out of order at position {i + 1} of dimension {d}")
         if d == 0:   # at value 0 the order is the label order
-            labels = rows[:, 0]
+            labels = r[:, 0]
             _reject(labels[1:] == labels[:-1],
-                    lambda i: f"duplicate simplex {tuple(rows[i].tolist())}")
+                    lambda i: f"duplicate simplex {tuple(r[i].tolist())}")
             tables = [_hash_table(labels)]   # tables[e]: of the positions in dimension e
             continue
         nv = len(labels)
-        if len(f.values[d - 1]) * nv >= _KEY_LIMIT:
+        if len(values[d - 1]) * nv >= _KEY_LIMIT:
             raise MalformedFiltrationError(
-                f"{len(f.values[d - 1])} simplices of dimension {d - 1} on {nv} vertices "
+                f"{len(values[d - 1])} simplices of dimension {d - 1} on {nv} vertices "
                 f"are too many to index")
         tables += [_hash_table(keys[e]) for e in range(len(tables), d)]
-        # the rank of each label in column j, -1 for a label that is not a vertex
-        rank = list(_lookup(tables[0], rows.ravel()).reshape(rows.shape).T)
-        below = np.append(f.values[d - 1], np.inf)   # below[-1]: a missing face
-        at = np.empty(rows.shape, dtype=np.int64)
-        ok = np.empty(rows.shape, dtype=bool)
+        # the rank of each label, -1 for a label that is not a vertex
+        rank = _lookup(tables[0], r.ravel()).reshape(r.shape)
+        named = r if rank.min() < 0 else None   # a row to name, else the labels at its ranks
+        rows[d] = r = None
+
+        def simplex(i):
+            return tuple((labels[rank[i]] if named is None else named[i]).tolist())
+
+        column = list(rank.T)
+        below = np.append(values[d - 1], np.inf)   # below[-1]: a missing face
+        at = np.empty(rank.shape, dtype=np.int64)
+        ok = np.empty(rank.shape, dtype=bool)
         for v in reversed(range(d + 1)):   # the prefix facet, v = d, gives the keys
-            at[:, v] = _key_position(tables, nv, rank[:v] + rank[v + 1:])
-            ok[:, v] = below[at[:, v]] <= values
+            at[:, v] = _key_position(tables, nv, column[:v] + column[v + 1:])
+            ok[:, v] = below[at[:, v]] <= vals
             if v == d:
-                key = np.where((at[:, d] >= 0) & (rank[d] >= 0), at[:, d] * nv + rank[d], -1)
+                key = np.where((at[:, d] >= 0) & (column[d] >= 0), at[:, d] * nv + column[d], -1)
                 if key.min() >= 0:   # else a face is missing, reported below
-                    _reject_duplicates(rows, key)
-        del rank, below
+                    _reject_duplicates(rank, key, simplex)
+        del column, below
         _reject(~ok.ravel(), lambda i: (
-            f"missing face {tuple(np.delete(rows[i // (d + 1)], i % (d + 1)).tolist())} "
-            f"before simplex {tuple(rows[i // (d + 1)].tolist())}"))
+            f"missing face {tuple(np.delete(simplex(i // (d + 1)), i % (d + 1)).tolist())} "
+            f"before simplex {simplex(i // (d + 1))}"))
         facets.append(at)
         keys.append(key)
-        del ok
+        del ok, rank
     for a in facets:
         a.setflags(write=False)
+    if read:
+        object.__setattr__(f, "vertices", _FaceRows(labels, facets))
     return facets
 
 
-def _reject_duplicates(rows: np.ndarray, key: np.ndarray) -> None:
-    """MalformedFiltrationError naming the least row, in vertex order, whose
-    key is another row's too."""
+def _reject_duplicates(rank: np.ndarray, key: np.ndarray, simplex) -> None:
+    """MalformedFiltrationError naming, by ``simplex(i)``, the row i of least
+    ranks, so least in vertex order, whose key is another row's too."""
     ascending = np.sort(key)
     twice = ascending[1:][ascending[1:] == ascending[:-1]]
     if len(twice):
-        first = min(map(tuple, rows[np.isin(key, twice)].tolist()))
-        raise MalformedFiltrationError(f"duplicate simplex {first}")
+        at = np.flatnonzero(np.isin(key, twice))
+        first = min(zip(map(tuple, rank[at].tolist()), at.tolist()))[1]
+        raise MalformedFiltrationError(f"duplicate simplex {simplex(first)}")
 
 
 def _key_position(tables: list, nv: int, rank: list[np.ndarray]) -> np.ndarray:
@@ -830,23 +954,28 @@ def read_filtration(path) -> SparseFiltration:
     tokens are separated by the ASCII whitespace of ``bytes.split`` (space,
     ``\t``, ``\v``, ``\f``), so a non-ASCII byte between tokens makes the
     line malformed.  Values and labels are what ``float`` and ``int``
-    accept of a token's bytes."""
+    accept of a token's bytes.  Each block's labels are split into rows by
+    dimension as it is parsed (:func:`_by_dimension`), and the face check
+    drops each dimension's rows once it has ranked them, so the result
+    holds the face index, not the rows."""
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}   # the line that set each header field
-    blocks = []   # (values, sizes, labels) of each block
-    with open(path, "rb") as fh:
+
+    def parsed(fh):
         lineno = 0   # lines before the block
         for block in _line_blocks(fh):
             try:
-                blocks.append(_parse_block(block, lineno, header, header_line))
+                simplices = _parse_block(block, lineno, header, header_line)
             except (ValueError, OverflowError):
                 _raise_at_bad_line(path, block, lineno)
                 raise
+            yield simplices
             lineno += block.count(b"\n")
-    if not sum(len(values) for values, _, _ in blocks):
+
+    with open(path, "rb") as fh:
+        rows, values, bad = _by_dimension(parsed(fh))
+    if not sum(map(len, values)):
         raise ValueError(f"{path}: empty filtration")
-    values, sizes, labels = map(np.concatenate, zip(*blocks))
-    del blocks   # the parse buffers go before the checks run, as do the flat arrays below
 
     def field(key, convert, what):
         try:
@@ -855,12 +984,13 @@ def read_filtration(path) -> SparseFiltration:
             raise ValueError(f"{path}: malformed header line {header_line[key]}: "
                              f"{key}={header[key]!r} is not {what}") from None
 
-    k = field("k", int, "an integer") if "k" in header else int(sizes.max()) - 1
+    k = field("k", int, "an integer") if "k" in header else len(rows) - 1
     amax = (None if header.get("alpha_max", "none") == "none"
             else field("alpha_max", _positive, "a positive number"))
-    f = SparseFiltration._from_flat(values, sizes, labels, k,
-                                    header.get("kind", KIND_SPARSE), amax)
-    del values, sizes, labels
+    f = SparseFiltration._from_dimensions(rows, values, bad, k,
+                                          header.get("kind", KIND_SPARSE), amax)
+    vars(f)["_read"] = True
+    del rows, values
     validate_filtration(f)
     return f
 

@@ -15,6 +15,8 @@ import pytest
 
 import sparse_rips as sr
 
+from filtration_helpers import simplices
+
 INF = math.inf
 
 
@@ -43,7 +45,7 @@ def oracle_relaxed(d, tp, tq, eps, alpha):
 
 def naive_diagram(f, keep_zero_pairs=False):
     """Dense GF(2) reduction, single pass in filtration order, no clearing."""
-    sims = f.simplices()
+    sims = simplices(f)
     n = len(sims)
     index = {verts: i for i, (verts, _) in enumerate(sims)}
     R = np.zeros((n, n), dtype=np.uint8)
@@ -364,7 +366,7 @@ def test_criterion_9_persistence_engine_vs_naive():
         m = sr.from_points(pts)
         k = int(rng.integers(1, 4))
         f = sr.full_rips(m, float(rng.uniform(0.4, 1.8)), k)
-        f = sr.SparseFiltration.from_simplices(f.simplices()[:40], k,
+        f = sr.SparseFiltration.from_simplices(simplices(f)[:40], k,
                                                f.kind, alpha_max=None)
         for keep in (False, True):
             got = sr.compute_persistence(f, keep_zero_pairs=keep)

@@ -4,7 +4,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          SparseFiltration, WeightContext, betti_numbers,
@@ -14,13 +13,15 @@ from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          static_complex)
 from sparse_rips import filtration, persistence
 
+from filtration_helpers import simplices, tie_heavy_graphs
+
 INF = math.inf
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
 def naive_diagram(f, keep_zero_pairs=False):
     """Dense GF(2) reduction, single left-to-right pass, no clearing (oracle)."""
-    sims = f.simplices()
+    sims = simplices(f)
     n = len(sims)
     index = {verts: i for i, (verts, _) in enumerate(sims)}
     R = np.zeros((n, n), dtype=np.uint8)
@@ -71,7 +72,7 @@ def random_filtration(rng, max_sims=40):
     m = from_points(pts)
     k = int(rng.integers(1, 4))
     f = full_rips(m, float(rng.uniform(0.4, 1.8)), k)
-    sims = f.simplices()[:max_sims]  # a prefix is closed under faces
+    sims = simplices(f)[:max_sims]  # a prefix is closed under faces
     return SparseFiltration.from_simplices(sims, k, f.kind, alpha_max=None)
 
 
@@ -215,7 +216,7 @@ def test_face_lookup_takes_labels_beyond_packed_keys(tmp_path):
 
     def write(name, relabel, drop=None):
         sims = [(tuple(relabel[v] for v in verts), value)
-                for i, (verts, value) in enumerate(f.simplices()) if i != drop]
+                for i, (verts, value) in enumerate(simplices(f)) if i != drop]
         path = tmp_path / name
         path.write_text("# k=3 kind=full_rips alpha_max=3.0\n" + "".join(
             " ".join([repr(value)] + [str(v) for v in verts]) + "\n"
@@ -227,7 +228,7 @@ def test_face_lookup_takes_labels_beyond_packed_keys(tmp_path):
     large = compute_persistence(read_filtration(write("large.txt", big)))
     assert diagram_to_json(large) == diagram_to_json(small)
     assert small.pairs == compute_persistence(f).pairs
-    triangle = next(i for i, (verts, _) in enumerate(f.simplices()) if len(verts) == 3)
+    triangle = next(i for i, (verts, _) in enumerate(simplices(f)) if len(verts) == 3)
     with pytest.raises(MalformedFiltrationError, match="missing face"):
         read_filtration(write("holed.txt", big, drop=triangle))
 
@@ -246,7 +247,7 @@ def test_matches_naive_reduction_on_random_filtrations():
     cases = [random_filtration(rng) for _ in range(25)]
     for _ in range(4):  # k = 3 and >= 200 simplices: columns fill in
         full = full_rips(from_points(rng.random((10, 2))), 1.5, 3)
-        sims = full.simplices()[: int(rng.integers(200, len(full) + 1))]
+        sims = simplices(full)[: int(rng.integers(200, len(full) + 1))]
         cases.append(SparseFiltration.from_simplices(sims, 3, full.kind))
     for f in cases:
         for keep in (False, True):
@@ -304,23 +305,9 @@ def test_integer_grid_rips_prefixes_match_naive_reduction():
     for k in (1, 2, 3):
         full = full_rips(grid, 2.0, k)
         for stop in np.linspace(len(full) // 4, len(full), 4).astype(int):
-            prefix = SparseFiltration.from_simplices(full.simplices()[:stop], k,
+            prefix = SparseFiltration.from_simplices(simplices(full)[:stop], k,
                                                      full.kind)
             assert_matches_naive(prefix)
-
-
-@st.composite
-def tie_heavy_graphs(draw):
-    """A graph on at most 9 vertices with integer births 0..3, as an edge list
-    in random order, each edge with its endpoints either way round."""
-    n = draw(st.integers(1, 9))
-    pairs = list(combinations(range(n), 2))
-    births = draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]),
-                           min_size=len(pairs), max_size=len(pairs)))
-    edges = [(p, q, float(b)) for (p, q), b in zip(pairs, births) if b is not None]
-    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-    edges = [(q, p, b) if flip else (p, q, b) for (p, q, b), flip in zip(edges, flips)]
-    return n, draw(st.permutations(edges))
 
 
 @given(tie_heavy_graphs())
@@ -366,12 +353,12 @@ def test_pairing_accounting():
                      if not math.isinf(dth))
         infinite = dgm.total_points() - finite
         counts = [0] * (f.k + 1)
-        for verts, _ in f.simplices():
+        for verts, _ in simplices(f):
             counts[len(verts) - 1] += 1
         killers_of_topm1 = sum(1 for _, dth in dgm.in_dim(f.k - 1)
                                if not math.isinf(dth))
         top_creators = counts[f.k] - killers_of_topm1
-        assert 2 * finite + infinite + top_creators == len(f.simplices())
+        assert 2 * finite + infinite + top_creators == len(simplices(f))
 
 
 def test_diagram_invariant_under_relabeling():
@@ -417,7 +404,7 @@ def test_betti_takes_a_constant_zero_filtration():
     c = static_complex(m, WeightContext.build(m, 0.01), 1.2, "relaxed_full", 2)
     square = [((v,), 0) for v in range(4)] + [((0, 1), 0), ((1, 2), 0),
                                                ((2, 3), 0), ((0, 3), 0)]
-    assert c.simplices() == filt(square, 2).simplices()
+    assert simplices(c) == simplices(filt(square, 2))
     assert betti_numbers(c) == betti_numbers(filt(square, 2)) == [1, 1]
 
 

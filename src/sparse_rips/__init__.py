@@ -24,10 +24,8 @@ from .filtration import (MalformedFiltrationError, SizeStats, SparseFiltration,
                          read_filtration, relaxed_rips, sparse_edges, sparse_size_stats,
                          static_complex, validate_filtration, write_filtration)
 from .persistence import (PersistenceDiagram, betti_numbers, compute_persistence,
-                          diagram_from_csv, diagram_from_json, diagram_to_csv,
-                          diagram_to_json)
-from .compare import (MatchResult, diagram_equal, match_report_json,
-                      multiplicative_match)
+                          diagram_from_json, diagram_to_csv, diagram_to_json)
+from .compare import MatchResult, diagram_equal, multiplicative_match
 from .verify import (CheckResult, OracleSizeError, check_betti,
                      check_c_approximation, check_diagram_equality,
                      check_interleaving, check_nets, run_battery)
@@ -47,9 +45,8 @@ __all__ = [
     "max_edge_degree", "read_filtration", "relaxed_rips", "sparse_edges",
     "sparse_size_stats", "static_complex", "validate_filtration", "write_filtration",
     "MalformedFiltrationError", "PersistenceDiagram", "betti_numbers",
-    "compute_persistence", "diagram_from_csv", "diagram_from_json",
-    "diagram_to_csv", "diagram_to_json",
-    "MatchResult", "diagram_equal", "match_report_json", "multiplicative_match",
+    "compute_persistence", "diagram_from_json", "diagram_to_csv", "diagram_to_json",
+    "MatchResult", "diagram_equal", "multiplicative_match",
     "CheckResult", "OracleSizeError", "check_betti", "check_c_approximation",
     "check_diagram_equality", "check_interleaving", "check_nets", "run_battery",
 ]

@@ -9,8 +9,6 @@ point may be matched to the diagonal when death <= c^2 * birth.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,18 +148,3 @@ def multiplicative_match(a: PersistenceDiagram, b: PersistenceDiagram,
         matching += [(d, None, v) for v in match[na:] if v < nb]
     return MatchResult(ok=True, factor=float(c), matching=matching, witness=None)
 
-
-def match_report_json(result: MatchResult) -> str:
-    doc = {
-        "ok": result.ok,
-        "factor": result.factor,
-        "matching": None if result.matching is None
-        else [list(entry) for entry in result.matching],
-        "witness": None if result.witness is None else {
-            "dim": result.witness[0],
-            "diagram": result.witness[1],
-            "index": result.witness[2],
-            "pair": ["inf" if math.isinf(x) else x for x in result.witness[3]],
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

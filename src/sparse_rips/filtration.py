@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -41,8 +41,7 @@ class SparseFiltration:
     the global order (value, dimension, vertex order) restricted to it.
     Vertices always have value 0.  The arrays are made read-only on
     construction, so the cached :attr:`facets` cannot go stale, and the
-    header fields are checked, so that :func:`read_filtration` reads back
-    the header that :func:`write_filtration` writes.
+    header fields are checked (:func:`_check_header`).
 
     Made from outside input (this constructor or :meth:`from_simplices`),
     a filtration holds the rows it was given and is checked once, when its
@@ -50,8 +49,7 @@ class SparseFiltration:
     builders) or read by :func:`read_filtration`, it is stored as its face
     index: the dimension-0 labels, ``values`` and :attr:`facets`.  Its
     ``vertices`` is then a view that derives the rows of dimension d on
-    each access, read-only, by two gathers per dimension from those of
-    dimension d - 1 (:class:`_FaceRows`)."""
+    each access, read-only (:class:`_FaceRows`)."""
 
     vertices: Sequence[np.ndarray]
     values: tuple[np.ndarray, ...]
@@ -60,16 +58,7 @@ class SparseFiltration:
     alpha_max: float | None = None
 
     def __post_init__(self):
-        amax = self.alpha_max
-        if not (amax is None or isinstance(amax, Real) and not isinstance(amax, bool)
-                and amax > 0):
-            raise MalformedFiltrationError(
-                f"alpha_max must be None or a positive number, got {amax!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise MalformedFiltrationError(f"k must be an integer, got {self.k!r}")
-        if not (isinstance(self.kind, str) and self.kind.split() == [self.kind]):
-            raise MalformedFiltrationError(
-                f"kind must be one word without whitespace, got {self.kind!r}")
+        _check_header(self.alpha_max, self.k, self.kind)
         rows = () if isinstance(self.vertices, _FaceRows) else self.vertices
         for a in (*rows, *self.values):
             a.setflags(write=False)
@@ -84,32 +73,19 @@ class SparseFiltration:
             labels = np.array(list(chain.from_iterable(s for s, _ in pairs)), dtype=np.int64)
         except OverflowError:
             raise MalformedFiltrationError("vertex label outside the int64 range") from None
-        return cls._from_dimensions(*_by_dimension([(
+        rows, values, bad = _by_dimension([(
             np.array([v for _, v in pairs], dtype=float),
-            np.array([len(s) for s, _ in pairs], dtype=np.int64), labels)]),
-            k, kind, alpha_max)
-
-    @classmethod
-    def _from_dimensions(cls, rows: list, values: list, bad: int, k: int, kind: str,
-                         alpha_max: float | None) -> "SparseFiltration":
-        """Filtration of the rows and values per dimension of
-        :func:`_by_dimension`, with empty dimensions up to k;
-        MalformedFiltrationError if the simplex at position ``bad`` >= 0 was
-        out of the global order.  The result is marked as checked for that
-        order, so the face check does not check it again."""
-        if bad >= 0:
-            raise MalformedFiltrationError(f"simplices out of order at position {bad}")
-        for d in range(len(rows), k + 1):
-            rows.append(np.zeros((0, d + 1), dtype=np.int64))
-            values.append(np.zeros(0))
+            np.array([len(s) for s, _ in pairs], dtype=np.int64), labels)])
+        _pad(rows, values, bad, k)
         f = cls(tuple(rows), tuple(values), k, kind, alpha_max)
-        vars(f)["_ordered"] = True
+        vars(f)["_ordered"] = True   # _by_dimension checked the order; the face check skips it
         return f
 
     @cached_property
     def facets(self) -> list[np.ndarray]:
         """The result of :func:`validate_filtration`: set by :func:`clique_expand`
-        on a filtration it builds, else found by the checks, run once."""
+        and :func:`read_filtration` on a filtration they make, else found by
+        the checks, run once."""
         return _facets(self)
 
     def _merge_order(self) -> np.ndarray:
@@ -123,12 +99,26 @@ class SparseFiltration:
         return [len(v) for v in self.values]
 
 
+def _check_header(alpha_max, k, kind) -> None:
+    """MalformedFiltrationError unless ``alpha_max`` is None or a positive
+    number, ``k`` an integer and ``kind`` one word without whitespace, so
+    that :func:`read_filtration` reads back the header that
+    :func:`write_filtration` writes."""
+    if not (alpha_max is None or isinstance(alpha_max, Real) and not isinstance(alpha_max, bool)
+            and alpha_max > 0):
+        raise MalformedFiltrationError(
+            f"alpha_max must be None or a positive number, got {alpha_max!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise MalformedFiltrationError(f"k must be an integer, got {k!r}")
+    if not (isinstance(kind, str) and kind.split() == [kind]):
+        raise MalformedFiltrationError(
+            f"kind must be one word without whitespace, got {kind!r}")
+
+
 class _FaceRows(Sequence):
     """The vertex rows of a filtration stored as its face index, derived on
-    each access and read-only: dimension 0 is the labels, and the row of a
-    d-simplex is the row of its facet without its last vertex (column d of
-    its facets), then the last vertex of its facet without its first
-    (column 0).  Iteration derives each dimension from the one before."""
+    each access and read-only: the labels at the :func:`_positions` of
+    every simplex of the dimension."""
 
     def __init__(self, labels: np.ndarray, facets: list[np.ndarray]):
         self.labels, self.facets = labels, facets
@@ -137,36 +127,51 @@ class _FaceRows(Sequence):
         return len(self.facets)
 
     def __getitem__(self, d):
-        if isinstance(d, slice):
-            return tuple(self)[d]
-        return next(islice(self, range(len(self))[d], None))
+        d = range(len(self))[d]   # IndexError past the last dimension
+        rows = self.labels[_positions(self.facets, d, np.arange(len(self.facets[d])))]
+        rows.setflags(write=False)
+        return rows
 
-    def __add__(self, other):   # joins with a tuple, as the stored rows do
-        return tuple(self) + tuple(other)
 
-    def __radd__(self, other):
-        return tuple(other) + tuple(self)
-
-    def __iter__(self):
-        rows = self.labels[:, None]
-        for d, facets in enumerate(self.facets):
-            if d:
-                rows = np.c_[rows[facets[:, d]], rows[facets[:, 0], -1]]
-                rows.setflags(write=False)
-            yield rows
+def _positions(facets: list[np.ndarray], d: int, at: np.ndarray) -> np.ndarray:
+    """The dimension-0 positions of the vertices of the d-simplices at
+    positions ``at`` of dimension d, one row each.  Vertex j is the face
+    on vertices 0..j (the simplex with its last vertex dropped d - j
+    times, column e of ``facets[e]``) with its first vertex dropped j
+    times (column 0)."""
+    out = np.empty((len(at), d + 1), dtype=np.int64)
+    for j in range(d, -1, -1):   # at: the positions of the faces on vertices 0..j
+        p = at
+        for e in range(j, 0, -1):
+            p = facets[e][p, 0]
+        out[:, j] = p
+        if j:
+            at = facets[j][at, j]
+    return out
 
 
 def _indexed(labels: np.ndarray, values, facets: list[np.ndarray], k: int, kind: str,
              alpha_max: float | None = None) -> SparseFiltration:
     """The filtration stored as its face index: the sorted dimension-0
-    ``labels``, ``values`` and the facet positions its builder found, set
-    read-only as its :attr:`~SparseFiltration.facets`, so that it is not
-    checked again."""
+    ``labels``, ``values`` and the facet positions its builder or reader
+    found, set read-only as its :attr:`~SparseFiltration.facets`, so that
+    it is not checked again."""
     for a in (labels, *facets):
         a.setflags(write=False)
     f = SparseFiltration(_FaceRows(labels, facets), tuple(values), k, kind, alpha_max)
     vars(f)["facets"] = facets
     return f
+
+
+def _pad(rows: list, values: list, bad: int, k: int) -> None:
+    """Complete the rows and values per dimension of :func:`_by_dimension`
+    with empty dimensions up to k; MalformedFiltrationError if the simplex
+    at position ``bad`` >= 0 was out of the global order."""
+    if bad >= 0:
+        raise MalformedFiltrationError(f"simplices out of order at position {bad}")
+    for d in range(len(rows), k + 1):
+        rows.append(np.zeros((0, d + 1), dtype=np.int64))
+        values.append(np.zeros(0))
 
 
 def _by_dimension(blocks):
@@ -436,7 +441,8 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
                   kind: str = KIND_SPARSE, alpha_max: float | None = None) -> SparseFiltration:
     """Clique (flag) filtration of an edge list (:func:`_as_edges`), in any
     order, on the vertices 0..n-1; ValueError for an edge outside them, a
-    birth that is not a finite number >= 0 or a vertex cap that is NaN.
+    birth that is not a finite number >= 0, ``vertex_caps`` of a shape
+    other than (n,) or a vertex cap that is NaN.
 
     Every clique of at most k + 1 vertices enters at the maximum of its
     edge births.  With ``vertex_caps`` a clique is admitted only while
@@ -480,6 +486,8 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     _reject(~(np.isfinite(births) & (births >= 0)),
             lambda i: f"bad birth {births[i]} for edge {tuple(ends[i].tolist())}", ValueError)
     caps = np.full(n, np.inf) if vertex_caps is None else np.asarray(vertex_caps, dtype=float)
+    if caps.shape != (n,):
+        raise ValueError(f"vertex_caps must have shape ({n},), got {caps.shape}")
     _reject(np.isnan(caps), lambda i: f"bad cap {caps[i]} for vertex {i}", ValueError)
     key = ends[:, 0] * n + ends[:, 1]   # below n**2, ascending in vertex order
     if not (key[1:] > key[:-1]).all():   # sparse_edges and _edges_within emit that order
@@ -650,10 +658,9 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
     is checked, once: :func:`read_filtration`,
     ``SparseFiltration.from_simplices`` or a hand-made
     :class:`SparseFiltration`.  One built in-process by
-    :func:`clique_expand` (all the builders) carries the facets it found.
-    A filtration that :func:`read_filtration` made drops each dimension's
-    rows once their labels are ranked, and keeps the face index: its
-    ``vertices`` then derives the rows from the facets.
+    :func:`clique_expand` (all the builders) carries the facets it found,
+    and one that :func:`read_filtration` made carries those of its check,
+    made on the rows it parsed (:func:`_face_index`), which it then drops.
 
     Faces are indexed by one int64 key per simplex, kept in the order of
     its dimension: the key of a d-simplex is the position of its prefix
@@ -676,18 +683,21 @@ _KEY_LIMIT = 2**63
 
 
 def _facets(f: SparseFiltration) -> list[np.ndarray]:
-    if len(f.vertices) != len(f.values) or len(f.values) <= f.k or any(
-            r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(f.vertices, f.values))):
+    """The face check of a filtration made from outside, on its rows."""
+    return _face_index(list(f.vertices), f.values, f.k, vars(f).get("_ordered", False))[1]
+
+
+def _face_index(rows: list, values, k: int, ordered: bool) -> tuple[np.ndarray, list]:
+    """The checks of :func:`validate_filtration` on the rows and values per
+    dimension: the sorted dimension-0 labels and the facet positions.  The
+    order within each dimension is not checked when ``ordered``.  Each entry
+    d >= 1 of ``rows`` is set to None once its labels are ranked: the check
+    goes on with the ranks, and a message names a simplex by the labels at
+    its ranks, or by its row if a label is not a vertex."""
+    if len(rows) != len(values) or len(values) <= k or any(
+            r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(rows, values))):
         raise MalformedFiltrationError(
-            f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{f.k} or more")
-    # each entry d >= 1 of rows is dropped from the list once its labels are
-    # ranked: the check goes on with the ranks, and a message names a simplex
-    # by the labels at its ranks, or by its row if a label is not a vertex
-    rows, values, k = list(f.vertices), f.values, f.k
-    ordered = vars(f).get("_ordered", False)   # by SparseFiltration._from_dimensions
-    read = vars(f).pop("_read", False)   # by read_filtration: nothing else holds its rows,
-    if read:                             # so they go, and the face index stays
-        object.__setattr__(f, "vertices", ())
+            f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{k} or more")
     facets = [np.zeros((len(values[0]), 0), dtype=np.int64)]
     keys = [None]   # keys[d]: the key of each simplex of dimension d, in its order
     for d, vals in enumerate(values):
@@ -749,9 +759,7 @@ def _facets(f: SparseFiltration) -> list[np.ndarray]:
         del ok, rank
     for a in facets:
         a.setflags(write=False)
-    if read:
-        object.__setattr__(f, "vertices", _FaceRows(labels, facets))
-    return facets
+    return labels, facets
 
 
 def _reject_duplicates(rank: np.ndarray, key: np.ndarray, simplex) -> None:
@@ -900,14 +908,9 @@ def _filtration_chunks(f: SparseFiltration):
         values = np.empty(len(flat))
         for d in np.unique(dim).tolist():
             at = np.flatnonzero(dim == d)
-            prefix = [flat[at] - (end[d] - count[d])]   # the faces on vertices 0..d, 0..d-1, ..
-            for e in range(d, 0, -1):
-                prefix.append(facets[e][prefix[-1], e])
-            values[at] = f.values[d][prefix[0]]
-            for j, p in enumerate(reversed(prefix)):   # p: the face on vertices 0..j
-                for e in range(j, 0, -1):
-                    p = facets[e][p, 0]   # less its first vertex
-                ids[first[at] + 1 + j] = p
+            pos = flat[at] - (end[d] - count[d])   # the positions in dimension d
+            values[at] = f.values[d][pos]
+            ids[first[at, None] + 1 + np.arange(d + 1)] = _positions(facets, d, pos)
         bits = values.view(np.int64)
         new = np.r_[True, bits[1:] != bits[:-1]]   # the file is in value order: runs
         ids[first] = len(labels) + np.cumsum(new)   # after the labels and "\n"
@@ -955,9 +958,10 @@ def read_filtration(path) -> SparseFiltration:
     ``\t``, ``\v``, ``\f``), so a non-ASCII byte between tokens makes the
     line malformed.  Values and labels are what ``float`` and ``int``
     accept of a token's bytes.  Each block's labels are split into rows by
-    dimension as it is parsed (:func:`_by_dimension`), and the face check
-    drops each dimension's rows once it has ranked them, so the result
-    holds the face index, not the rows."""
+    dimension as it is parsed (:func:`_by_dimension`).  The header is
+    checked as a :class:`SparseFiltration`'s is, and then the rows, by
+    :func:`_face_index`, which drops each dimension's rows once it has
+    ranked them; the result is the face index it returns, not the rows."""
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}   # the line that set each header field
 
@@ -987,12 +991,11 @@ def read_filtration(path) -> SparseFiltration:
     k = field("k", int, "an integer") if "k" in header else len(rows) - 1
     amax = (None if header.get("alpha_max", "none") == "none"
             else field("alpha_max", _positive, "a positive number"))
-    f = SparseFiltration._from_dimensions(rows, values, bad, k,
-                                          header.get("kind", KIND_SPARSE), amax)
-    vars(f)["_read"] = True
-    del rows, values
-    validate_filtration(f)
-    return f
+    _pad(rows, values, bad, k)
+    kind = header.get("kind", KIND_SPARSE)
+    _check_header(amax, k, kind)
+    labels, facets = _face_index(rows, values, k, ordered=True)
+    return _indexed(labels, values, facets, k, kind, amax)
 
 
 def _line_blocks(fh):

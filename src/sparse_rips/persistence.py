@@ -221,16 +221,3 @@ def diagram_to_csv(dgm: PersistenceDiagram) -> str:
             lines.append(f"{d},{repr(float(b))},{dth_s}")
     return "\n".join(lines) + "\n"
 
-
-def diagram_from_csv(text: str, k: int | None = None,
-                     alpha_max: float | None = None) -> PersistenceDiagram:
-    pairs: dict[int, list[tuple[float, float]]] = {}
-    rows = [r for r in text.strip().splitlines() if r.strip()]
-    for row in rows[1:]:
-        d_s, b_s, dth_s = row.split(",")
-        pairs.setdefault(int(d_s), []).append((_dec(b_s), _dec(dth_s)))
-    if k is None:
-        k = max(pairs) + 1 if pairs else 1
-    for d in range(k):
-        pairs.setdefault(d, [])
-    return PersistenceDiagram(pairs=pairs, k=k, alpha_max=alpha_max)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from sparse_rips import (PersistenceDiagram, build_sparse, compute_persistence,
-                         diagram_equal, from_points, full_rips, match_report_json,
-                         multiplicative_match)
+                         diagram_equal, from_points, full_rips, multiplicative_match)
 
 INF = math.inf
 
@@ -189,15 +188,6 @@ def test_match_censored_deaths():
     b = dgm({1: [(1.0, 50.0)]})
     assert multiplicative_match(a, b, 1.5).ok
     assert not multiplicative_match(a, dgm({1: [(1.0, 1.0 + 1e-9)]}), 1.2).ok
-
-
-def test_match_report_json():
-    res = multiplicative_match(dgm({1: [(1, 2)]}), dgm({1: [(1, 2)]}), 1.5)
-    doc = match_report_json(res)
-    assert '"ok": true' in doc
-    bad = multiplicative_match(dgm({1: [(1, 9)]}), dgm({1: []}), 1.5)
-    doc = match_report_json(bad)
-    assert '"ok": false' in doc and '"witness"' in doc
 
 
 # --- brute-force oracle -----------------------------------------------------

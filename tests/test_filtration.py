@@ -313,6 +313,13 @@ def test_clique_expand_refuses_a_nan_vertex_cap():
         clique_expand(edges, 8, 2, vertex_caps=caps)
 
 
+@pytest.mark.parametrize("caps", [[1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0, 1.0, 1.0, 1.0]])
+def test_clique_expand_refuses_vertex_caps_of_another_shape(caps):
+    # two caps for three vertices raised a bare IndexError, and four were taken
+    with pytest.raises(ValueError, match=r"^vertex_caps must have shape \(3,\), got "):
+        clique_expand([(0, 1, 0.5), (1, 2, 0.5)], 3, 2, vertex_caps=caps)
+
+
 def test_clique_expand_vertex_caps_prune():
     # triangle whose longest edge outlives the earliest-deleted vertex
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 5.0)]
@@ -845,7 +852,7 @@ def reference_text(f):
 def assert_same_filtration(f, g):
     assert (f.k, f.kind, f.alpha_max) == (g.k, g.kind, g.alpha_max)
     assert len(f.vertices) == len(g.vertices) == len(f.values) == len(g.values)
-    for a, b in zip(f.vertices + f.values, g.vertices + g.values):
+    for a, b in zip((*f.vertices, *f.values), (*g.vertices, *g.values)):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
@@ -1085,6 +1092,15 @@ def test_a_header_field_the_reader_would_refuse_is_refused_on_construction(field
         replace(f, **{field: value})
 
 
+def test_a_header_error_comes_before_a_face_error_on_read(tmp_path):
+    # the reader checks the header as the constructor does, before the faces
+    path = tmp_path / "filt.txt"
+    path.write_text("# k=2 kind=\n0.0 0\n0.0 1\n1.0 0 2\n")   # vertex 2 is missing
+    with pytest.raises(MalformedFiltrationError) as exc:
+        read_filtration(path)
+    assert str(exc.value) == "kind must be one word without whitespace, got ''"
+
+
 def test_clique_expand_refuses_an_alpha_max_the_reader_would_refuse():
     with pytest.raises(MalformedFiltrationError) as exc:
         clique_expand([(0, 1, 1.0)], 2, 1, alpha_max=-1.0)
@@ -1230,20 +1246,26 @@ def test_writer_and_reader_memory_stay_within_a_few_file_sizes(tmp_path):
     assert read_peak < 3.2 * size
 
 
-def test_read_and_persistence_check_the_filtration_once(tmp_path, monkeypatch):
+def counted_face_checks(monkeypatch) -> list:
+    """The calls of the face check from here on, one entry each."""
     calls = []
 
-    def counted(f):
-        calls.append(f)
-        return facets(f)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return face_index(*args, **kwargs)
 
-    facets = filtration._facets
-    monkeypatch.setattr(filtration, "_facets", counted)
+    face_index = filtration._face_index
+    monkeypatch.setattr(filtration, "_face_index", counted)
+    return calls
+
+
+def test_read_and_persistence_check_the_filtration_once(tmp_path, monkeypatch):
+    calls = counted_face_checks(monkeypatch)   # TEXT_CASES["sparse_k2"] is built
     path = tmp_path / "filt.txt"
     write_filtration(TEXT_CASES["sparse_k2"], path)
     g = read_filtration(path)
     assert compute_persistence(g).pairs == compute_persistence(TEXT_CASES["sparse_k2"]).pairs
-    assert calls.count(g) == 1 and validate_filtration(g) is g.facets
+    assert len(calls) == 1 and validate_filtration(g) is g.facets
 
 
 def test_filtration_arrays_are_read_only():
@@ -1518,14 +1540,7 @@ def test_vertex_rows_are_the_cliques_on_every_path(graph):
 
 def test_built_filtrations_are_not_checked_again(tmp_path, monkeypatch):
     # a builder sets the facets; a filtration read back is checked exactly once
-    calls = []
-
-    def counted(f):
-        calls.append(f)
-        return facets(f)
-
-    facets = filtration._facets
-    monkeypatch.setattr(filtration, "_facets", counted)
+    calls = counted_face_checks(monkeypatch)
     m = from_points(np.random.default_rng(62).random((40, 2)))
     f = build_sparse(m, 1 / 3, 3)
     dgm = compute_persistence(f)
@@ -1536,7 +1551,7 @@ def test_built_filtrations_are_not_checked_again(tmp_path, monkeypatch):
     write_filtration(f, path)
     g = read_filtration(path)
     assert compute_persistence(g).pairs == dgm.pairs
-    assert len(calls) == 1 and calls[0] is g
+    assert len(calls) == 1
 
 
 def test_facet_keys_that_could_overflow_are_refused(monkeypatch):

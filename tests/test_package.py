@@ -2,9 +2,11 @@
 
 import ast
 import inspect
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import sparse_rips as sr
 
@@ -31,6 +33,13 @@ def test_exports_have_no_duplicates():
 
 def test_exports_are_the_names_bound_in_init():
     assert set(sr.__all__) == names_bound_in_init()
+
+
+def test_readme_api_lists_every_export_once():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed)) and set(listed) == set(sr.__all__)
 
 
 def test_import_leaves_the_graph_routines_unloaded():

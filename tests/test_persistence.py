@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          SparseFiltration, WeightContext, betti_numbers,
-                         build_sparse, compute_persistence, diagram_from_csv,
-                         diagram_from_json, diagram_to_csv, diagram_to_json,
+                         build_sparse, compute_persistence, diagram_from_json,
+                         diagram_to_csv, diagram_to_json,
                          clique_expand, from_points, full_rips, read_filtration,
                          static_complex)
 from sparse_rips import filtration, persistence
@@ -478,10 +478,16 @@ def test_json_round_trip():
 
 
 def test_csv_round_trip():
+    # each value is written as its repr, or "inf", so it parses back to itself
     dgm = compute_persistence(full_rips(from_points(SQUARE), 2.0, 2))
-    back = diagram_from_csv(diagram_to_csv(dgm), k=dgm.k,
-                            alpha_max=dgm.alpha_max)
-    assert back.pairs == dgm.pairs
+    header, *lines = diagram_to_csv(dgm).splitlines()
+    back = {d: [] for d in range(dgm.k)}
+    for line in lines:
+        d, birth, death = line.split(",")
+        assert birth == repr(float(birth)) and death in ("inf", repr(float(death)))
+        back[int(d)].append((float(birth), float(death)))
+    assert header == "dim,birth,death" and back == dgm.pairs
+    assert any(math.isinf(death) for pairs in back.values() for _, death in pairs)
 
 
 def test_json_encodes_infinity_as_string():

@@ -18,7 +18,7 @@ import numpy as np
 from . import filtration as filt
 from . import metric as met
 from .generators import GENERATORS
-from .greedy import deletion_times, greedy_permutation, schedule_to_csv
+from .greedy import _schedule_csv, deletion_times, greedy_permutation
 from .persistence import compute_persistence, diagram_to_csv, diagram_to_json
 from .relaxed import WeightContext
 from .verify import OracleSizeError, run_battery
@@ -93,7 +93,7 @@ def cmd_build(parser, args) -> int:
 
     _atomic_write(args.out, filt._filtration_chunks(f))
     if args.schedule_out:
-        schedule_to_csv(gp, schedule, args.schedule_out)
+        _atomic_write(args.schedule_out, _schedule_csv(gp, schedule))
 
     counts = f.counts_by_dim()
     print(f"n={m.n} epsilon={args.epsilon} k={args.k} seed={args.seed}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from numbers import Real
 
@@ -33,60 +32,60 @@ class MalformedFiltrationError(ValueError):
     """A filtration breaks the order, value, face or header rules of its format."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SparseFiltration:
-    """Simplices of dimension 0..k: ``vertices[d]``, an int64 (m_d, d + 1)
-    array of strictly increasing rows, and ``values[d]``, their float64
-    births.  Each dimension is sorted by (value, vertex order), which is
-    the global order (value, dimension, vertex order) restricted to it.
-    Vertices always have value 0.  The arrays are made read-only on
-    construction, so the cached :attr:`facets` cannot go stale, and the
-    header fields are checked (:func:`_check_header`).
+    """Simplices of dimension 0..k, stored as their face index: the sorted
+    dimension-0 labels, ``values[d]``, the float64 births of dimension d,
+    and ``facets[d]`` (:func:`validate_filtration`).  Each dimension is
+    sorted by (value, vertex order), the global order (value, dimension,
+    vertex order) restricted to it; vertices have value 0.  ``vertices[d]``
+    derives the int64 (m_d, d + 1) rows of dimension d, strictly
+    increasing, on each access (:class:`_FaceRows`).  The fields cannot be
+    set, and the arrays are read-only.
 
-    Made from outside input (this constructor or :meth:`from_simplices`),
-    a filtration holds the rows it was given and is checked once, when its
-    facets are first asked for.  Built by :func:`clique_expand` (all the
-    builders) or read by :func:`read_filtration`, it is stored as its face
-    index: the dimension-0 labels, ``values`` and :attr:`facets`.  Its
-    ``vertices`` is then a view that derives the rows of dimension d on
-    each access, read-only (:class:`_FaceRows`)."""
+    This constructor checks outside input as it is made, as
+    :meth:`from_simplices` and :func:`read_filtration` do: the header
+    (:func:`_check_header`), then the rows (:func:`_face_index`), whose
+    arrays it makes read-only.  The builders store the face index they
+    found (:func:`_indexed`).  ``dataclasses.replace`` raises."""
 
-    vertices: Sequence[np.ndarray]
+    _labels: np.ndarray
     values: tuple[np.ndarray, ...]
+    facets: tuple[np.ndarray, ...]
     k: int
     kind: str
-    alpha_max: float | None = None
+    alpha_max: float | None
 
-    def __post_init__(self):
-        _check_header(self.alpha_max, self.k, self.kind)
-        rows = () if isinstance(self.vertices, _FaceRows) else self.vertices
-        for a in (*rows, *self.values):
+    def __init__(self, vertices: Sequence[np.ndarray], values: Sequence[np.ndarray], k: int,
+                 kind: str, alpha_max: float | None = None):
+        _check_header(alpha_max, k, kind)
+        rows = list(vertices)
+        for a in (*rows, *values):
             a.setflags(write=False)
+        _fill(self, *_face_index(rows, values, k, ordered=False), values, k, kind, alpha_max)
+
+    def __reduce__(self):   # unpickled by _indexed, so its arrays are read-only again
+        return _indexed, (self._labels, self.facets, self.values, self.k, self.kind,
+                          self.alpha_max)
 
     @classmethod
     def from_simplices(cls, pairs, k: int, kind: str,
                        alpha_max: float | None = None) -> "SparseFiltration":
         """Filtration of (vertex tuple, value) pairs listed in the global order;
-        MalformedFiltrationError at the first pair out of that order."""
+        MalformedFiltrationError at the first pair out of that order, or
+        where the face check fails, as for :func:`read_filtration`."""
         pairs = list(pairs)
         try:
             labels = np.array(list(chain.from_iterable(s for s, _ in pairs)), dtype=np.int64)
         except OverflowError:
             raise MalformedFiltrationError("vertex label outside the int64 range") from None
-        rows, values, bad = _by_dimension([(
+        return _listed(*_by_dimension([(
             np.array([v for _, v in pairs], dtype=float),
-            np.array([len(s) for s, _ in pairs], dtype=np.int64), labels)])
-        _pad(rows, values, bad, k)
-        f = cls(tuple(rows), tuple(values), k, kind, alpha_max)
-        vars(f)["_ordered"] = True   # _by_dimension checked the order; the face check skips it
-        return f
+            np.array([len(s) for s, _ in pairs], dtype=np.int64), labels)]), k, kind, alpha_max)
 
-    @cached_property
-    def facets(self) -> list[np.ndarray]:
-        """The result of :func:`validate_filtration`: set by :func:`clique_expand`
-        and :func:`read_filtration` on a filtration they make, else found by
-        the checks, run once."""
-        return _facets(self)
+    @property
+    def vertices(self) -> _FaceRows:
+        return _FaceRows(self._labels, self.facets)
 
     def _merge_order(self) -> np.ndarray:
         """The global order: the dimensions, concatenated in order, stably sorted by value."""
@@ -97,6 +96,44 @@ class SparseFiltration:
 
     def counts_by_dim(self) -> list[int]:
         return [len(v) for v in self.values]
+
+
+def _fill(f: SparseFiltration, labels: np.ndarray, facets, values, k: int, kind: str,
+          alpha_max: float | None) -> SparseFiltration:
+    """Set the fields of the new filtration ``f``, the face index and the
+    header, read-only: the one place they are written."""
+    for a in (labels, *values, *facets):
+        a.setflags(write=False)
+    vars(f).update(_labels=labels, values=tuple(values), facets=tuple(facets), k=k,
+                   kind=kind, alpha_max=alpha_max)
+    return f
+
+
+def _indexed(labels: np.ndarray, facets, values, k: int, kind: str,
+             alpha_max: float | None = None) -> SparseFiltration:
+    """The filtration stored as the face index its builder found: the
+    sorted dimension-0 ``labels``, the facet positions and ``values``,
+    with only the header checked."""
+    _check_header(alpha_max, k, kind)
+    return _fill(SparseFiltration.__new__(SparseFiltration), labels, facets, values, k, kind,
+                 alpha_max)
+
+
+def _listed(rows: list, values: list, bad: int, k: int, kind: str,
+            alpha_max: float | None) -> SparseFiltration:
+    """The filtration of simplices listed in the global order, as
+    :func:`_by_dimension` split them (``from_simplices`` and the reader):
+    MalformedFiltrationError if the simplex at position ``bad`` >= 0 was
+    out of that order; else completed with empty dimensions up to k, its
+    header checked, then its rows by the face check."""
+    if bad >= 0:
+        raise MalformedFiltrationError(f"simplices out of order at position {bad}")
+    for d in range(len(rows), k + 1):
+        rows.append(np.zeros((0, d + 1), dtype=np.int64))
+        values.append(np.zeros(0))
+    _check_header(alpha_max, k, kind)
+    return _fill(SparseFiltration.__new__(SparseFiltration),
+                 *_face_index(rows, values, k, ordered=True), values, k, kind, alpha_max)
 
 
 def _check_header(alpha_max, k, kind) -> None:
@@ -120,7 +157,7 @@ class _FaceRows(Sequence):
     each access and read-only: the labels at the :func:`_positions` of
     every simplex of the dimension."""
 
-    def __init__(self, labels: np.ndarray, facets: list[np.ndarray]):
+    def __init__(self, labels: np.ndarray, facets: tuple[np.ndarray, ...]):
         self.labels, self.facets = labels, facets
 
     def __len__(self) -> int:
@@ -133,7 +170,7 @@ class _FaceRows(Sequence):
         return rows
 
 
-def _positions(facets: list[np.ndarray], d: int, at: np.ndarray) -> np.ndarray:
+def _positions(facets: tuple[np.ndarray, ...], d: int, at: np.ndarray) -> np.ndarray:
     """The dimension-0 positions of the vertices of the d-simplices at
     positions ``at`` of dimension d, one row each.  Vertex j is the face
     on vertices 0..j (the simplex with its last vertex dropped d - j
@@ -148,30 +185,6 @@ def _positions(facets: list[np.ndarray], d: int, at: np.ndarray) -> np.ndarray:
         if j:
             at = facets[j][at, j]
     return out
-
-
-def _indexed(labels: np.ndarray, values, facets: list[np.ndarray], k: int, kind: str,
-             alpha_max: float | None = None) -> SparseFiltration:
-    """The filtration stored as its face index: the sorted dimension-0
-    ``labels``, ``values`` and the facet positions its builder or reader
-    found, set read-only as its :attr:`~SparseFiltration.facets`, so that
-    it is not checked again."""
-    for a in (labels, *facets):
-        a.setflags(write=False)
-    f = SparseFiltration(_FaceRows(labels, facets), tuple(values), k, kind, alpha_max)
-    vars(f)["facets"] = facets
-    return f
-
-
-def _pad(rows: list, values: list, bad: int, k: int) -> None:
-    """Complete the rows and values per dimension of :func:`_by_dimension`
-    with empty dimensions up to k; MalformedFiltrationError if the simplex
-    at position ``bad`` >= 0 was out of the global order."""
-    if bad >= 0:
-        raise MalformedFiltrationError(f"simplices out of order at position {bad}")
-    for d in range(len(rows), k + 1):
-        rows.append(np.zeros((0, d + 1), dtype=np.int64))
-        values.append(np.zeros(0))
 
 
 def _by_dimension(blocks):
@@ -470,7 +483,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
 
     The result is stored as its face index (:class:`SparseFiltration`):
     the labels 0..n-1, the values and the :attr:`~SparseFiltration.facets`
-    found as the cliques grow, and is not checked again.  The facet
+    found as the cliques grow, with only its header checked.  The facet
     without u is the parent, the one without x_{d-1} is found as above,
     and the one without another x_v is the parent's facet without x_v
     grown by u (for a triangle, the edge (x_1, u))."""
@@ -582,7 +595,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
             for e in range(d - 1, 1, -1):
                 edge = facets[e][edge, 0]
             values[d][zero] = ascending[edge]
-    return _indexed(np.arange(n), values, facets, k, kind, alpha_max)
+    return _indexed(np.arange(n), facets, values, k, kind, alpha_max)
 
 
 def build_sparse(m: MetricInput, epsilon: float, k: int,
@@ -642,39 +655,15 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
                           + w[:, None] + w[None, :], alpha)
     edges["birth"] = 0.0
     f = clique_expand(edges, len(verts), k, kind=kind)
-    return _indexed(verts, f.values, f.facets, k, kind)
+    return _indexed(verts, f.facets, f.values, k, kind)
 
 
-def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
-    """Check a filtration and return the facet positions of its simplices.
-
-    Raises MalformedFiltrationError unless every simplex has strictly
-    increasing vertices, dimension <= k and a finite value >= 0; each
-    dimension is sorted by (value, vertex order) without duplicates;
-    vertices have value 0.0 (not -0.0); and every facet is present with a
-    value at most its coface's, so listed earlier.  Entry d of the result,
+def validate_filtration(f: SparseFiltration) -> tuple[np.ndarray, ...]:
+    """The facet positions of the simplices of ``f``, ``f.facets``: entry d,
     (m_d, d + 1), holds in column v the position of the facet without
-    vertex v.  The result is ``f.facets``.  Only a filtration from outside
-    is checked, once: :func:`read_filtration`,
-    ``SparseFiltration.from_simplices`` or a hand-made
-    :class:`SparseFiltration`.  One built in-process by
-    :func:`clique_expand` (all the builders) carries the facets it found,
-    and one that :func:`read_filtration` made carries those of its check,
-    made on the rows it parsed (:func:`_face_index`), which it then drops.
-
-    Faces are indexed by one int64 key per simplex, kept in the order of
-    its dimension: the key of a d-simplex is the position of its prefix
-    facet (all vertices but the last) in dimension d - 1, times the number
-    of vertices nv, plus the rank of its last label among the sorted vertex
-    labels.  A rank, and each step of the chain that finds an e-simplex by
-    its keys in dimensions 1 .. e, is a hash lookup (:func:`_lookup`) in
-    one table per key array (:func:`_hash_table`), built once, so the
-    lookups take expected O(m) time for m simplices at a fixed k.  Equal
-    keys are duplicates, found by one sort of each dimension's keys.  A
-    filtration with m_{d-1} * nv >= 2**63 is refused, so no key
-    overflows.  A dimension without simplices costs nothing, and the
-    order of one that :func:`_by_dimension` split (the reader and
-    ``from_simplices``) is not checked again."""
+    vertex v.  Nothing is checked here: a filtration holds the facets its
+    builder found (:func:`clique_expand`) or those of the check that
+    outside input passed when it was made (:func:`_face_index`)."""
     return f.facets
 
 
@@ -682,18 +671,29 @@ def validate_filtration(f: SparseFiltration) -> list[np.ndarray]:
 _KEY_LIMIT = 2**63
 
 
-def _facets(f: SparseFiltration) -> list[np.ndarray]:
-    """The face check of a filtration made from outside, on its rows."""
-    return _face_index(list(f.vertices), f.values, f.k, vars(f).get("_ordered", False))[1]
-
-
 def _face_index(rows: list, values, k: int, ordered: bool) -> tuple[np.ndarray, list]:
-    """The checks of :func:`validate_filtration` on the rows and values per
-    dimension: the sorted dimension-0 labels and the facet positions.  The
-    order within each dimension is not checked when ``ordered``.  Each entry
-    d >= 1 of ``rows`` is set to None once its labels are ranked: the check
-    goes on with the ranks, and a message names a simplex by the labels at
-    its ranks, or by its row if a label is not a vertex."""
+    """The sorted dimension-0 labels and the facet positions of the rows
+    and values per dimension, or MalformedFiltrationError unless every
+    simplex has strictly increasing vertices, dimension <= k and a finite
+    value >= 0; each dimension is sorted by (value, vertex order) without
+    duplicates; vertices have value 0.0 (not -0.0); and every facet is
+    present with a value at most its coface's, so listed earlier.
+
+    Faces are indexed by one int64 key per simplex, kept in the order of
+    its dimension: the position of its prefix facet (all vertices but the
+    last) one dimension down, times the number of vertices nv, plus the
+    rank of its last label.  A rank, and each step of the chain that finds
+    an e-simplex by its keys in dimensions 1 .. e, is a hash lookup
+    (:func:`_lookup`) in one table per key array (:func:`_hash_table`), so
+    the check takes expected O(m) time for m simplices at a fixed k.
+    Equal keys are duplicates, found by one sort of each dimension's keys;
+    m_{d-1} * nv >= 2**63 is refused, so no key overflows.  A dimension
+    without simplices costs nothing, and the order within each dimension
+    is not checked when ``ordered`` (:func:`_by_dimension` checked it).
+    Each entry d >= 1 of ``rows`` is set to None once its labels are
+    ranked: the check goes on with the ranks, and a message names a
+    simplex by the labels at its ranks, or by its row if a label is not a
+    vertex."""
     if len(rows) != len(values) or len(values) <= k or any(
             r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(rows, values))):
         raise MalformedFiltrationError(
@@ -757,8 +757,6 @@ def _face_index(rows: list, values, k: int, ordered: bool) -> tuple[np.ndarray, 
         facets.append(at)
         keys.append(key)
         del ok, rank
-    for a in facets:
-        a.setflags(write=False)
     return labels, facets
 
 
@@ -862,8 +860,7 @@ _WRITE_ROWS = 1 << 14
 
 
 def filtration_text(f: SparseFiltration) -> str:
-    """The text that :func:`write_filtration` writes, as one string; the
-    same MalformedFiltrationError for a filtration that fails the check."""
+    """The text that :func:`write_filtration` writes, as one string."""
     return b"".join(_filtration_chunks(f)).decode()
 
 
@@ -873,12 +870,10 @@ def write_filtration(f: SparseFiltration, path) -> None:
     integer.  A leading comment line records k / kind / alpha_max so that
     the file round-trips; readers that ignore comments still get valid data.
 
-    The filtration is checked first (:func:`validate_filtration`), so one
-    that :func:`read_filtration` would reject raises its error and leaves
-    the path untouched.  The file is written a chunk of lines at a time, so
-    beyond the filtration the writer holds an index array per simplex and
-    one chunk."""
-    validate_filtration(f)
+    A filtration was checked when it was made, so the writer checks
+    nothing; :func:`read_filtration` reads back what it writes, unless
+    that has no simplex.  The file is written a chunk of lines at a time, so beyond the filtration
+    the writer holds an index array per simplex and one chunk."""
     with open(path, "wb") as fh:
         fh.writelines(_filtration_chunks(f))
 
@@ -891,10 +886,9 @@ def _filtration_chunks(f: SparseFiltration):
     ``" %d"`` of each vertex label and ``"\\n"``.  A vertex's token is its
     position in dimension 0, read off the checked face index, so no label
     is searched for."""
-    facets = validate_filtration(f)
     amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
     yield f"# k={f.k} kind={f.kind} alpha_max={amax}\n".encode()
-    labels = f.vertices[0][:, 0]   # sorted and unique, as checked
+    labels = f._labels
     pool, start, size = _tokens([" %d" % x for x in labels.tolist()] + ["\n"])
     count = f.counts_by_dim()
     end = np.cumsum(count)
@@ -910,7 +904,7 @@ def _filtration_chunks(f: SparseFiltration):
             at = np.flatnonzero(dim == d)
             pos = flat[at] - (end[d] - count[d])   # the positions in dimension d
             values[at] = f.values[d][pos]
-            ids[first[at, None] + 1 + np.arange(d + 1)] = _positions(facets, d, pos)
+            ids[first[at, None] + 1 + np.arange(d + 1)] = _positions(f.facets, d, pos)
         bits = values.view(np.int64)
         new = np.r_[True, bits[1:] != bits[:-1]]   # the file is in value order: runs
         ids[first] = len(labels) + np.cumsum(new)   # after the labels and "\n"
@@ -958,10 +952,11 @@ def read_filtration(path) -> SparseFiltration:
     ``\t``, ``\v``, ``\f``), so a non-ASCII byte between tokens makes the
     line malformed.  Values and labels are what ``float`` and ``int``
     accept of a token's bytes.  Each block's labels are split into rows by
-    dimension as it is parsed (:func:`_by_dimension`).  The header is
-    checked as a :class:`SparseFiltration`'s is, and then the rows, by
-    :func:`_face_index`, which drops each dimension's rows once it has
-    ranked them; the result is the face index it returns, not the rows."""
+    dimension as it is parsed (:func:`_by_dimension`).  The result is made
+    as ``SparseFiltration.from_simplices`` makes one (:func:`_listed`): the
+    header is checked, then the rows, by :func:`_face_index`, which drops
+    each dimension's rows once it has ranked them, and the filtration
+    stores the face index it returns."""
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}   # the line that set each header field
 
@@ -991,11 +986,7 @@ def read_filtration(path) -> SparseFiltration:
     k = field("k", int, "an integer") if "k" in header else len(rows) - 1
     amax = (None if header.get("alpha_max", "none") == "none"
             else field("alpha_max", _positive, "a positive number"))
-    _pad(rows, values, bad, k)
-    kind = header.get("kind", KIND_SPARSE)
-    _check_header(amax, k, kind)
-    labels, facets = _face_index(rows, values, k, ordered=True)
-    return _indexed(labels, values, facets, k, kind, amax)
+    return _listed(rows, values, bad, k, header.get("kind", KIND_SPARSE), amax)
 
 
 def _line_blocks(fh):

@@ -167,10 +167,15 @@ def check_net_conditions(m: MetricInput, s: DeletionSchedule,
 
 def schedule_to_csv(gp: GreedyPermutation, s: DeletionSchedule, path) -> None:
     """Write the schedule as CSV: index, greedy_position, insertion_radius, deletion_time."""
+    with open(path, "w") as fh:
+        fh.write(_schedule_csv(gp, s))
+
+
+def _schedule_csv(gp: GreedyPermutation, s: DeletionSchedule) -> str:
+    """The text that :func:`schedule_to_csv` writes."""
     position = np.empty(gp.n, dtype=int)
     position[gp.order] = np.arange(gp.n)
     rows = zip(position.tolist(), gp.insertion_radius[position].tolist(), s.t.tolist())
     lines = ["index,greedy_position,insertion_radius,deletion_time"]
     lines += [f"{p},{pos},{lam!r},{t!r}" for p, (pos, lam, t) in enumerate(rows)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

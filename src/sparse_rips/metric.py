@@ -137,13 +137,15 @@ def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
     if not np.all(np.isfinite(pts)):
         raise MetricFormatError("points contain non-finite coordinates")
     # each coordinate difference is at most the box side, and the kernel adds
-    # them in the same order, so the box diagonal bounds every distance
+    # them in the same order, so a finite box diagonal bounds every distance;
+    # else the exact kernel decides, one row at a time
     box = MetricInput(metric_kind=metric_kind, n=2, points=np.array([pts.min(0), pts.max(0)]))
+    raw = MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts)
     with np.errstate(over="ignore"):
-        if not np.isfinite(box.distances(0, 1)):
+        if not (np.isfinite(box.distances(0, 1))
+                or all(np.isfinite(raw.distances(i)).all() for i in range(raw.n))):
             raise MetricFormatError(f"{metric_kind} distances overflow: the distance "
                                     f"across the bounding box of the points is not finite")
-    raw = MetricInput(metric_kind=metric_kind, n=pts.shape[0], points=pts)
     pairs = cKDTree(pts).query_pairs(_DUPLICATE_RADIUS, p=np.inf, output_type="ndarray")
     iu, ju = pairs[raw.distances(pairs[:, 0], pairs[:, 1]) == 0.0].T
     keep, remap = _deduplicate(raw.n, iu, ju)

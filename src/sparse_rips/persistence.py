@@ -6,9 +6,9 @@ components: a union-find over the edges in filtration order finds the
 merging edges, exactly the edges that destroy a class, each paired with
 a birth of 0 (no elder rule is needed to choose among them).  Above
 dimension 0 the column of a simplex is its cofacets, taken by inverting
-the facet positions ``f.facets``: a filtration built in-process carries
-the ones its clique expansion found, and any other is checked once by
-``validate_filtration``, which finds them.  The inversion is one in-place
+the facet positions ``f.facets``, which every filtration stores: the ones
+its clique expansion found, or those of the check that outside input
+passed when it was made.  The inversion is one in-place
 sort of the int64 keys facet * m_{d+1} + cofacet, then their remainder
 mod m_{d+1}, so each simplex's cofacets ascend: a column is a sorted
 integer array, its pivot is its first entry, and adding two columns is
@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .filtration import _KEY_LIMIT, SparseFiltration, validate_filtration
+from .filtration import _KEY_LIMIT, SparseFiltration
 
 INF = math.inf
 _EDGE_BLOCK = 1024   # edges the dimension-0 union-find converts to Python ints at a time
@@ -80,7 +80,7 @@ def compute_persistence(f: SparseFiltration,
     class; unpaired creators of dimension < k give infinite bars.
     Zero-persistence pairs are dropped unless ``keep_zero_pairs``.
     """
-    facets = validate_filtration(f)
+    facets = f.facets
     pairs: dict[int, list[tuple[float, float]]] = {d: [] for d in range(f.k)}
     if f.k == 0:   # vertices only: no dimension is reported
         return PersistenceDiagram(pairs=pairs, k=0, alpha_max=f.alpha_max)

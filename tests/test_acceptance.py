@@ -15,7 +15,7 @@ import pytest
 
 import sparse_rips as sr
 
-from filtration_helpers import simplices
+from filtration_helpers import naive_diagram, simplices
 
 INF = math.inf
 
@@ -41,40 +41,6 @@ def oracle_weight(alpha, t, eps):
 
 def oracle_relaxed(d, tp, tq, eps, alpha):
     return d + oracle_weight(alpha, tp, eps) + oracle_weight(alpha, tq, eps)
-
-
-def naive_diagram(f, keep_zero_pairs=False):
-    """Dense GF(2) reduction, single pass in filtration order, no clearing."""
-    sims = simplices(f)
-    n = len(sims)
-    index = {verts: i for i, (verts, _) in enumerate(sims)}
-    R = np.zeros((n, n), dtype=np.uint8)
-    for j, (verts, _) in enumerate(sims):
-        for v in range(len(verts)) if len(verts) > 1 else []:
-            face = verts[:v] + verts[v + 1:]
-            R[index[face], j] = 1
-    pivot_of_row, pivots = {}, {}
-    for j in range(n):
-        while R[:, j].any():
-            low = int(np.flatnonzero(R[:, j]).max())
-            if low not in pivot_of_row:
-                pivot_of_row[low] = j
-                pivots[j] = low
-                break
-            R[:, j] ^= R[:, pivot_of_row[low]]
-    pairs = {d: [] for d in range(f.k)}
-    for j, low in pivots.items():
-        d = len(sims[low][0]) - 1
-        if d < f.k:
-            b, dth = sims[low][1], sims[j][1]
-            if b != dth or keep_zero_pairs:
-                pairs[d].append((b, dth))
-    for j in range(n):
-        if j not in pivots and j not in pivot_of_row and len(sims[j][0]) - 1 < f.k:
-            pairs[len(sims[j][0]) - 1].append((sims[j][1], INF))
-    for d in pairs:
-        pairs[d].sort()
-    return sr.PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)
 
 
 def exact_context(m, eps_exact, seed=0):

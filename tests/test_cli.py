@@ -89,6 +89,50 @@ def test_a_failed_build_leaves_the_old_file_and_no_temporary(tmp_path, monkeypat
     assert os.listdir(out_dir) == ["filt.txt"]
 
 
+def test_a_failed_schedule_write_leaves_the_old_schedule_and_no_temporary(tmp_path,
+                                                                         monkeypatch, capsys):
+    # the schedule is written after the filtration file, through a temporary
+    # that replaces it only once it is whole, as --out is
+    src = write_random(tmp_path, 12, seed=9)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out, schedule = out_dir / "filt.txt", out_dir / "schedule.csv"
+    schedule.write_bytes(b"index,greedy_position\r\nan older schedule\n")
+    fdopen, opened = os.fdopen, []
+
+    class Full:   # part of the text goes out, then the disk fills up
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            self.fh.write(b"".join(chunks)[:20])
+            raise OSError(28, "No space left on device")
+
+    def second_fails(fd, *args, **kwargs):   # the filtration file is opened first
+        opened.append(fd)
+        fh = fdopen(fd, *args, **kwargs)
+        return Full(fh) if len(opened) == 2 else fh
+
+    args = ["build", "--input", str(src), "--epsilon", "0.25", "--out", str(out),
+            "--schedule-out", str(schedule)]
+    monkeypatch.setattr(os, "fdopen", second_fails)
+    assert main(args) == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert schedule.read_bytes() == b"index,greedy_position\r\nan older schedule\n"
+    assert sorted(os.listdir(out_dir)) == ["filt.txt", "schedule.csv"]
+    written = out.read_bytes()
+    assert main(args) == 0
+    assert out.read_bytes() == written
+    assert schedule.read_bytes().startswith(b"index,greedy_position,insertion_radius,")
+
+
 def test_build_epsilon_usage_error(tmp_path):
     src = write_square(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,9 @@
 import math
+import pickle
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,14 +38,21 @@ def manual_ctx(points, t_values, eps):
     return m, WeightContext(epsilon=eps, schedule=s, metric=m)
 
 
-def brute_cliques(edge_set, n, k):
-    """All cliques of the edge graph up to k + 1 vertices (oracle)."""
-    out = set()
+def brute_flag_filtration(edge_set, verts, k, caps):
+    """Every admitted clique on ``verts`` with its value (oracle).
+
+    A clique of two or more vertices enters at its largest edge birth
+    and is admitted iff that is at most every vertex cap.
+    """
+    out = {}
     for size in range(1, k + 2):
-        for combo in combinations(range(n), size):
-            if all((a, b) in edge_set or (b, a) in edge_set
-                   for a, b in combinations(combo, 2)):
-                out.add(combo)
+        for combo in combinations(sorted(verts), size):
+            pairs = list(combinations(combo, 2))
+            if not all(e in edge_set for e in pairs):
+                continue
+            value = max((edge_set[e] for e in pairs), default=0.0)
+            if size == 1 or caps is None or value <= min(caps[v] for v in combo):
+                out[combo] = value
     return out
 
 
@@ -251,30 +259,12 @@ def test_clique_expand_matches_brute_force_enumeration():
                 edge_set[(a, b)] = float(rng.uniform(0.1, 2.0))
         f = clique_expand([(a, b, v) for (a, b), v in edge_set.items()], n, k)
         got = {verts for verts, _ in simplices(f)}
-        assert got == brute_cliques(set(edge_set), n, k)
+        assert got == set(brute_flag_filtration(edge_set, range(n), k, None))
         for verts, value in simplices(f):  # value = max over edges
             if len(verts) >= 2:
                 expect = max(edge_set[e] for e in combinations(verts, 2))
                 assert value == expect
         assert_built_facets(f)
-
-
-def brute_flag_filtration(edge_set, verts, k, caps):
-    """Every admitted clique on ``verts`` with its value (oracle).
-
-    A clique of two or more vertices enters at its largest edge birth
-    and is admitted iff that is at most every vertex cap.
-    """
-    out = {}
-    for size in range(1, k + 2):
-        for combo in combinations(sorted(verts), size):
-            pairs = list(combinations(combo, 2))
-            if not all(e in edge_set for e in pairs):
-                continue
-            value = max((edge_set[e] for e in pairs), default=0.0)
-            if size == 1 or caps is None or value <= min(caps[v] for v in combo):
-                out[combo] = value
-    return out
 
 
 def test_clique_expand_matches_brute_force_with_caps_and_ties():
@@ -388,16 +378,10 @@ def test_a_vertex_value_of_negative_zero_is_refused(tmp_path):
     with pytest.raises(MalformedFiltrationError) as exc:
         read_filtration(path)
     assert str(exc.value) == message
-    f = SparseFiltration((np.array([[0], [1]]), np.array([[0, 1]])),
+    with pytest.raises(MalformedFiltrationError) as exc:   # so no writer can meet it
+        SparseFiltration((np.array([[0], [1]]), np.array([[0, 1]])),
                          (np.array([-0.0, 0.0]), np.array([1.0])), 1, "sparse_S")
-    with pytest.raises(MalformedFiltrationError) as exc:
-        validate_filtration(f)
     assert str(exc.value) == message
-    path.write_bytes(b"an older file\n")
-    with pytest.raises(MalformedFiltrationError) as exc:
-        write_filtration(f, path)
-    assert str(exc.value) == message
-    assert path.read_bytes() == b"an older file\n"
 
 
 def test_clique_expand_refuses_keys_that_could_overflow(monkeypatch):
@@ -1031,7 +1015,7 @@ def test_a_large_header_k_reads_and_reduces_to_the_right_diagram(tmp_path):
 def test_the_read_path_checks_the_vertex_order_once(tmp_path, monkeypatch):
     # the reader checks the order of the flat list: (value, dimension) once and
     # the vertex order once per dimension that has simplices; the face check
-    # does not check it again, but checks a hand-made copy itself
+    # does not check it again, but checks a hand-made copy itself when it is made
     breaks, calls = filtration._order_breaks, []
 
     def counted(rows, values):
@@ -1050,7 +1034,7 @@ def test_the_read_path_checks_the_vertex_order_once(tmp_path, monkeypatch):
     assert_same_facets(validate_filtration(h), f.facets)
     assert len(calls) == 1 + 3
     del calls[:]
-    validate_filtration(replace(h, kind="copy"))
+    SparseFiltration(h.vertices, h.values, h.k, "copy", h.alpha_max)
     assert calls == f.counts_by_dim()
 
 
@@ -1088,7 +1072,7 @@ def test_a_header_field_the_reader_would_refuse_is_refused_on_construction(field
     with pytest.raises(MalformedFiltrationError, match=f"^{field} must be "):
         two_vertices(**{field: value})
     f = two_vertices()
-    with pytest.raises(MalformedFiltrationError, match=f"^{field} must be "):
+    with pytest.raises(TypeError, match="_labels"):   # no copy escapes the check
         replace(f, **{field: value})
 
 
@@ -1152,22 +1136,26 @@ def test_adversarial_filtration_has_the_cases_it_claims():
 
 
 def hand_made(rows, values, k):
-    """A SparseFiltration made directly, unchecked: ``rows[d]`` lists the
-    labels of dimension d row after row."""
+    """A SparseFiltration made directly, so checked when it is made:
+    ``rows[d]`` lists the labels of dimension d row after row."""
     return SparseFiltration(
         tuple(np.array(r, dtype=np.int64).reshape(-1, d + 1) for d, r in enumerate(rows)),
         tuple(np.array(v, dtype=float) for v in values), k, "sparse_S")
 
 
 # hand-made filtrations on labels that no vertex line has, some between the
-# vertex labels, some beyond them up to the int64 limits: each fails the
-# check, so the writer refuses it as the reader would, at any chunk size
+# vertex labels, some beyond them up to the int64 limits, as the arguments
+# of hand_made and the message of the check: each fails it, so none can be
+# made, let alone written
 MISSING_LABELS = {
-    "dense": hand_made([[0, 1, 2, 4], [-4, 1, 1, 3, 2, 7], [1, 3, 7]],
-                       [[0.0] * 4, [0.5, 1.0, 1.5], [2.0]], 2),
-    "sparse": hand_made([[0, 10**12], [-2**63, 0, 5, 10**12, 10**12, 2**63 - 1], []],
-                        [[0.0, 0.0], [1.0, 1.0, 2.0], []], 2),
-    "no_vertices": hand_made([[], [0, 1, 1, 2]], [[], [0.5, 0.25]], 1),
+    "dense": (([[0, 1, 2, 4], [-4, 1, 1, 3, 2, 7], [1, 3, 7]],
+               [[0.0] * 4, [0.5, 1.0, 1.5], [2.0]], 2),
+              "missing face (-4,) before simplex (-4, 1)"),
+    "sparse": (([[0, 10**12], [-2**63, 0, 5, 10**12, 10**12, 2**63 - 1], []],
+                [[0.0, 0.0], [1.0, 1.0, 2.0], []], 2),
+               f"missing face ({-2**63},) before simplex ({-2**63}, 0)"),
+    "no_vertices": (([[], [0, 1, 1, 2]], [[], [0.5, 0.25]], 1),
+                    "simplices out of order at position 1 of dimension 1"),
 }
 
 
@@ -1182,19 +1170,15 @@ EMPTY = {"empty_from_simplices": SparseFiltration.from_simplices([], 1, "sparse_
 def test_written_text_does_not_depend_on_the_chunk_size(case, rows, tmp_path, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(filtration, "_WRITE_ROWS", rows)
-    f = adversarial_filtration() if case == "adversarial" else {
-        **TEXT_CASES, **MISSING_LABELS, **EMPTY}[case]
+    if case in MISSING_LABELS:   # refused when it is made, so no writer meets it
+        args, message = MISSING_LABELS[case]
+        with pytest.raises(MalformedFiltrationError) as exc:
+            hand_made(*args)
+        assert str(exc.value) == message
+        return
+    f = adversarial_filtration() if case == "adversarial" else {**TEXT_CASES, **EMPTY}[case]
     path = tmp_path / "filt.txt"
     path.write_bytes(b"0.0 0\nan older file\n")
-    if case in MISSING_LABELS:   # refused before the path is opened
-        with pytest.raises(MalformedFiltrationError) as checked:
-            validate_filtration(f)
-        for write in (lambda: write_filtration(f, path), lambda: filtration_text(f)):
-            with pytest.raises(MalformedFiltrationError) as exc:
-                write()
-            assert str(exc.value) == str(checked.value)
-        assert path.read_bytes() == b"0.0 0\nan older file\n"
-        return
     write_filtration(f, path)
     assert path.read_bytes() == filtration_text(f).encode() == reference_text(f).encode()
 
@@ -1278,6 +1262,40 @@ def test_filtration_arrays_are_read_only():
         f.facets[1][0, 0] = 0
 
 
+def test_every_filtration_is_frozen_and_read_only(tmp_path):
+    # made by hand, from simplices, read, built or snapshot: one stored form,
+    # whose fields cannot be set and whose arrays cannot be written, also
+    # after a pickle round trip
+    path = tmp_path / "filt.txt"
+    write_filtration(TEXT_CASES["sparse_k2"], path)
+    sims = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
+            ((1, 2), 2.0), ((0, 1, 2), 2.0)]
+    m = from_points(SQUARE)
+    made = {
+        "hand_made": hand_made([[0, 1, 2], [0, 1, 0, 2, 1, 2], [0, 1, 2]],
+                               [[0.0] * 3, [1.0, 1.0, 2.0], [2.0]], 2),
+        "from_simplices": SparseFiltration.from_simplices(sims, 2, "sparse_S"),
+        "read_filtration": read_filtration(path),
+        "clique_expand": clique_expand([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0)], 3, 2),
+        "static_complex": static_complex(m, WeightContext.build(m, 0.25), 2.0, "Q_closed", 2),
+    }
+    for name, f in made.items():
+        for g in (f, pickle.loads(pickle.dumps(f))):
+            assert g.counts_by_dim()[2] > 0, name
+            for field in ("values", "facets", "k", "kind", "alpha_max", "_labels"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(g, field, getattr(g, field))
+                with pytest.raises(FrozenInstanceError):
+                    delattr(g, field)
+            for arrays in (g.values, g.facets, g.vertices):
+                for d in range(g.k + 1):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arrays[d][:1] = 0
+            with pytest.raises(TypeError):
+                replace(g)
+        assert_same_filtration(pickle.loads(pickle.dumps(f)), f)
+
+
 # --- facet lookup ----------------------------------------------------------
 
 def assert_same_facets(got, expect):
@@ -1286,10 +1304,15 @@ def assert_same_facets(got, expect):
         assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
 
 
+def checked_facets(f):
+    """The facets the full check finds on a hand-made copy of ``f``."""
+    return SparseFiltration(f.vertices, f.values, f.k, f.kind, f.alpha_max).facets
+
+
 def assert_built_facets(f):
     """The facets a builder set, read-only, are the ones the full check finds."""
     assert all(not a.flags.writeable for a in f.facets)
-    assert_same_facets(f.facets, filtration._facets(f))
+    assert_same_facets(f.facets, checked_facets(f))
 
 
 def brute_facets(f):
@@ -1407,31 +1430,28 @@ def test_a_simplex_on_a_label_that_is_no_vertex_has_a_missing_face(vertices, abo
     # dimension d holds the rows given for it, each with value d
     rows = [np.array(vertices, dtype=np.int64).reshape(-1, 1)]
     rows += [np.array(r, dtype=np.int64) for r in above]
-    f = SparseFiltration(tuple(rows), tuple(np.full(len(r), float(d)) for d, r in enumerate(rows)),
-                         len(above), "sparse_S")
     with pytest.raises(MalformedFiltrationError) as exc:
-        validate_filtration(f)
+        SparseFiltration(tuple(rows), tuple(np.full(len(r), float(d)) for d, r in enumerate(rows)),
+                         len(above), "sparse_S")
     assert str(exc.value) == message
 
 
 def test_a_simplex_above_an_empty_dimension_misses_a_face():
     # an empty dimension does no key work; the face is found missing above it
-    f = hand_made([[0, 1, 2, 3], [0, 1, 0, 2, 1, 2], [], [0, 1, 2, 3]],
-                  [[0.0] * 4, [1.0] * 3, [], [3.0]], 3)
     with pytest.raises(MalformedFiltrationError) as exc:
-        validate_filtration(f)
+        hand_made([[0, 1, 2, 3], [0, 1, 0, 2, 1, 2], [], [0, 1, 2, 3]],
+                  [[0.0] * 4, [1.0] * 3, [], [3.0]], 3)
     assert str(exc.value) == "missing face (1, 2, 3) before simplex (0, 1, 2, 3)"
 
 
 def test_a_duplicate_without_its_faces_is_reported_as_one_or_the_other():
     # the duplicate has no key while its prefix facet is missing
-    f = SparseFiltration((np.array([[0], [1], [2]]), np.array([[0, 2], [1, 2]]),
-                          np.array([[0, 1, 2], [0, 1, 2]])),
-                         (np.zeros(3), np.ones(2), np.full(2, 2.0)), 2, "sparse_S")
     with pytest.raises(MalformedFiltrationError,
                        match=r"^(duplicate simplex \(0, 1, 2\)|"
                              r"missing face \(0, 1\) before simplex \(0, 1, 2\))$"):
-        validate_filtration(f)
+        SparseFiltration((np.array([[0], [1], [2]]), np.array([[0, 2], [1, 2]]),
+                          np.array([[0, 1, 2], [0, 1, 2]])),
+                         (np.zeros(3), np.ones(2), np.full(2, 2.0)), 2, "sparse_S")
 
 
 def built_cases():
@@ -1470,36 +1490,31 @@ def test_built_facets_match_the_checked_ones():
 
 
 def brute_rows(births, labels, k):
-    """Rows of dimensions 0..k of the cliques on the sorted ``labels`` of the
-    graph with edge births ``births`` ({(p, q): birth} for p < q), in the
-    global order: in vertex order, stably sorted by value, the largest
-    birth of a clique's edges (oracle)."""
-    def value(c):
-        return max((births[e] for e in combinations(c, 2)), default=0.0)
-
-    return [[list(c) for c in sorted((c for c in combinations(labels, d + 1)
-                                      if all(e in births for e in combinations(c, 2))),
-                                     key=value)]
+    """Rows of dimensions 0..k of the cliques of :func:`brute_flag_filtration`
+    on ``labels`` of the graph with edge births ``births`` ({(p, q): birth}
+    for p < q), in the global order: in vertex order, stably sorted by
+    value."""
+    cliques = brute_flag_filtration(births, labels, k, None)   # in vertex order
+    return [[list(c) for c in sorted((c for c in cliques if len(c) == d + 1), key=cliques.get)]
             for d in range(k + 1)]
 
 
 def assert_derived_rows(f, expect):
     """``f.vertices`` holds the rows ``expect``, read-only, and the facets of
-    ``f`` are the ones the full check finds on an unchecked copy."""
+    ``f`` are the ones the full check finds on a hand-made copy."""
     assert len(f.vertices) == len(expect)
     for d, rows in enumerate(expect):
         got = f.vertices[d]
         assert got.dtype == np.int64 and got.shape == (len(rows), d + 1)
         assert got.tolist() == rows and not got.flags.writeable
-    unchecked = SparseFiltration(tuple(f.vertices), f.values, f.k, f.kind, f.alpha_max)
-    assert_same_facets(f.facets, filtration._facets(unchecked))
+    assert_same_facets(f.facets, checked_facets(f))
 
 
 @given(tie_heavy_graphs())
 @settings(max_examples=60, deadline=None)
 def test_vertex_rows_are_the_cliques_on_every_path(graph):
-    # builders and the reader store the face index and derive the rows from
-    # it; from_simplices keeps the rows it is given.  Values tie in large
+    # every filtration stores the face index and derives the rows from it.
+    # Values tie in large
     # groups, so the order rests on the vertex-order tie break
     n, edges = graph
     births = {(min(p, q), max(p, q)): b for p, q, b in edges}
@@ -1558,10 +1573,10 @@ def test_facet_keys_that_could_overflow_are_refused(monkeypatch):
     # a key is below m_{d-1} * nv, so that product must stay below the limit
     f = full_rips(from_points(SQUARE[:3]), 2.0, 2)   # 3 vertices, 3 edges, 1 triangle
     monkeypatch.setattr(filtration, "_KEY_LIMIT", 10)
-    validate_filtration(SparseFiltration(f.vertices, f.values, f.k, f.kind))
+    SparseFiltration(f.vertices, f.values, f.k, f.kind)
     monkeypatch.setattr(filtration, "_KEY_LIMIT", 9)
     with pytest.raises(MalformedFiltrationError) as exc:
-        validate_filtration(SparseFiltration(f.vertices, f.values, f.k, f.kind))
+        SparseFiltration(f.vertices, f.values, f.k, f.kind)
     assert str(exc.value) == "3 simplices of dimension 0 on 3 vertices are too many to index"
 
 

@@ -335,6 +335,16 @@ def test_points_whose_distances_overflow_are_refused(kind):
     assert from_points([[x], [-x]], metric_kind=kind).distance(0, 1) == 2 * x
 
 
+@pytest.mark.parametrize("kind, scale", [("euclidean", 1.2e154), ("manhattan", 1e308)])
+def test_points_whose_box_diagonal_overflows_are_taken_if_no_distance_does(kind, scale):
+    # a diamond: the diagonal of its bounding box is not finite, yet its
+    # largest distance is the box side; chebyshev has no such case, since
+    # its box diagonal is the distance of two of the points
+    m = from_points(np.array([[1, 0.5], [0, 0.5], [0.5, 1], [0.5, 0]]) * scale,
+                    metric_kind=kind)
+    assert m.distance_matrix().max() == scale
+
+
 @pytest.mark.parametrize("kind", KERNELS)
 def test_cli_refuses_points_whose_distances_overflow(tmp_path, capsys, kind):
     src = tmp_path / "far.csv"

@@ -11,48 +11,12 @@ from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          diagram_to_csv, diagram_to_json,
                          clique_expand, from_points, full_rips, read_filtration,
                          static_complex)
-from sparse_rips import filtration, persistence
+from sparse_rips import persistence
 
-from filtration_helpers import simplices, tie_heavy_graphs
+from filtration_helpers import naive_diagram, simplices, tie_heavy_graphs
 
 INF = math.inf
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-
-
-def naive_diagram(f, keep_zero_pairs=False):
-    """Dense GF(2) reduction, single left-to-right pass, no clearing (oracle)."""
-    sims = simplices(f)
-    n = len(sims)
-    index = {verts: i for i, (verts, _) in enumerate(sims)}
-    R = np.zeros((n, n), dtype=np.uint8)
-    for j, (verts, _) in enumerate(sims):
-        for v in range(len(verts)) if len(verts) > 1 else []:
-            face = verts[:v] + verts[v + 1:]
-            R[index[face], j] = 1
-    pivot_of_row = {}
-    pivots = {}
-    for j in range(n):
-        while R[:, j].any():
-            low = int(np.flatnonzero(R[:, j]).max())
-            if low not in pivot_of_row:
-                pivot_of_row[low] = j
-                pivots[j] = low
-                break
-            R[:, j] ^= R[:, pivot_of_row[low]]
-    pairs = {d: [] for d in range(f.k)}
-    destroyed = set(pivot_of_row)
-    for j, low in pivots.items():
-        d = len(sims[low][0]) - 1
-        if d < f.k:
-            b, dth = sims[low][1], sims[j][1]
-            if b != dth or keep_zero_pairs:
-                pairs[d].append((b, dth))
-    for j in range(n):
-        if j not in pivots and j not in destroyed and len(sims[j][0]) - 1 < f.k:
-            pairs[len(sims[j][0]) - 1].append((sims[j][1], INF))
-    for d in pairs:
-        pairs[d].sort()
-    return PersistenceDiagram(pairs=pairs, k=f.k, alpha_max=f.alpha_max)
 
 
 def filt(simplices, k):
@@ -105,9 +69,8 @@ def test_vertex_only_filtration_has_an_empty_diagram():
 def test_missing_face_reported():
     sims = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0),
             ((0, 1, 2), 2.0)]
-    f = SparseFiltration.from_simplices(sims, 2, "sparse_S")
     with pytest.raises(MalformedFiltrationError, match=r"\(1, 2\)"):
-        compute_persistence(f)
+        SparseFiltration.from_simplices(sims, 2, "sparse_S")
 
 
 MALFORMED = {
@@ -200,12 +163,11 @@ def test_from_simplices_rejects_the_first_simplex_out_of_order(sims, position):
 
 def test_face_born_after_its_coface_rejected():
     # each dimension is sorted, but the edges are born after their triangle
-    f = SparseFiltration(
-        vertices=(np.array([[0], [1], [2]]), np.array([[0, 1], [0, 2], [1, 2]]),
-                  np.array([[0, 1, 2]])),
-        values=(np.zeros(3), np.full(3, 5.0), np.array([1.0])), k=2, kind="sparse_S")
     with pytest.raises(MalformedFiltrationError, match=r"missing face \(1, 2\)"):
-        compute_persistence(f)
+        SparseFiltration(
+            vertices=(np.array([[0], [1], [2]]), np.array([[0, 1], [0, 2], [1, 2]]),
+                      np.array([[0, 1, 2]])),
+            values=(np.zeros(3), np.full(3, 5.0), np.array([1.0])), k=2, kind="sparse_S")
 
 
 def test_face_lookup_takes_labels_beyond_packed_keys(tmp_path):
@@ -324,8 +286,8 @@ def test_tie_heavy_flag_filtrations_match_the_oracles(graph):
                          for c in cliques), key=lambda s: s[1])
         assert f.vertices[d].tolist() == [list(c) for c, _ in expect]
         assert f.values[d].tobytes() == np.array([v for _, v in expect], dtype=float).tobytes()
-    unchecked = SparseFiltration(f.vertices, f.values, f.k, f.kind)
-    for a, b in zip(f.facets, filtration._facets(unchecked), strict=True):
+    checked = SparseFiltration(f.vertices, f.values, f.k, f.kind).facets   # a hand-made copy
+    for a, b in zip(f.facets, checked, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
     assert_matches_naive(f)
 

@@ -22,7 +22,7 @@ from .filtration import (MalformedFiltrationError, SizeStats, SparseFiltration,
                          build_sparse, build_sparse_from_context, charged_degrees,
                          clique_expand, filtration_text, full_rips, max_edge_degree,
                          read_filtration, relaxed_rips, sparse_edges, sparse_size_stats,
-                         static_complex, validate_filtration, write_filtration)
+                         static_complex, write_filtration)
 from .persistence import (PersistenceDiagram, betti_numbers, compute_persistence,
                           diagram_from_json, diagram_to_csv, diagram_to_json)
 from .compare import MatchResult, diagram_equal, multiplicative_match
@@ -43,7 +43,7 @@ __all__ = [
     "SizeStats", "SparseFiltration", "build_sparse", "build_sparse_from_context",
     "charged_degrees", "clique_expand", "filtration_text", "full_rips",
     "max_edge_degree", "read_filtration", "relaxed_rips", "sparse_edges",
-    "sparse_size_stats", "static_complex", "validate_filtration", "write_filtration",
+    "sparse_size_stats", "static_complex", "write_filtration",
     "MalformedFiltrationError", "PersistenceDiagram", "betti_numbers",
     "compute_persistence", "diagram_from_json", "diagram_to_csv", "diagram_to_json",
     "MatchResult", "diagram_equal", "multiplicative_match",

@@ -58,7 +58,7 @@ def _add_input_opts(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--format", choices=["csv", "whitespace"], default="csv")
     p.add_argument("--header", action="store_true", help="skip the first line")
     p.add_argument("--metric",
-                   choices=["euclidean", "manhattan", "chebyshev", "matrix"],
+                   choices=[*met._KERNELS, "matrix"],
                    default="euclidean")
 
 

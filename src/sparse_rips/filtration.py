@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .greedy import net_at
-from .metric import EXPLICIT_MATRIX, MetricInput
+from .metric import EXPLICIT_MATRIX, MetricInput, _KERNELS
 from .relaxed import WeightContext, _births_within_caps, birth_matrix, weight_batch
 
 KIND_SPARSE = "sparse_S"
@@ -36,7 +36,8 @@ class MalformedFiltrationError(ValueError):
 class SparseFiltration:
     """Simplices of dimension 0..k, stored as their face index: the sorted
     dimension-0 labels, ``values[d]``, the float64 births of dimension d,
-    and ``facets[d]`` (:func:`validate_filtration`).  Each dimension is
+    and ``facets[d]``, whose column v holds the position in dimension
+    d - 1 of the facet without vertex v.  Each dimension is
     sorted by (value, vertex order), the global order (value, dimension,
     vertex order) restricted to it; vertices have value 0.  ``vertices[d]``
     derives the int64 (m_d, d + 1) rows of dimension d, strictly
@@ -138,15 +139,15 @@ def _listed(rows: list, values: list, bad: int, k: int, kind: str,
 
 def _check_header(alpha_max, k, kind) -> None:
     """MalformedFiltrationError unless ``alpha_max`` is None or a positive
-    number, ``k`` an integer and ``kind`` one word without whitespace, so
+    number, ``k`` an integer >= 0 and ``kind`` one word without whitespace, so
     that :func:`read_filtration` reads back the header that
     :func:`write_filtration` writes."""
     if not (alpha_max is None or isinstance(alpha_max, Real) and not isinstance(alpha_max, bool)
             and alpha_max > 0):
         raise MalformedFiltrationError(
             f"alpha_max must be None or a positive number, got {alpha_max!r}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise MalformedFiltrationError(f"k must be an integer, got {k!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise MalformedFiltrationError(f"k must be an integer >= 0, got {k!r}")
     if not (isinstance(kind, str) and kind.split() == [kind]):
         raise MalformedFiltrationError(
             f"kind must be one word without whitespace, got {kind!r}")
@@ -387,10 +388,6 @@ def sparse_edges(m: MetricInput, ctx: WeightContext) -> np.ndarray:
     return _edge_list(a[at], b[at], births)
 
 
-#: Minkowski p of the KD-tree for each point kernel
-_TREE_P = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
-
-
 def _candidate_pairs(m: MetricInput, t: np.ndarray):
     """Pairs a < b with d(a, b) <= min(t_a, t_b), in row-major order, and
     their distances.  A sparse edge is one of them, since its birth is >= d.
@@ -411,7 +408,7 @@ def _candidate_pairs(m: MetricInput, t: np.ndarray):
     level[np.isinf(t)] = 1100
     by_level = np.argsort(-level, kind="stable")
     ends = np.flatnonzero(np.diff(level[by_level])) + 1
-    p_norm = _TREE_P[m.metric_kind]
+    p_norm = _KERNELS[m.metric_kind]
     found = []
     for lo, hi in zip(np.r_[0, ends], np.r_[ends, n]):
         query, above = by_level[lo:hi], by_level[:lo]
@@ -651,20 +648,11 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
              else net_at(ctx.schedule, alpha, closed=(kind == "Q_closed")))
 
     w = weight_batch(alpha, ctx.schedule.t[verts], ctx.epsilon)
-    edges = _edges_within(m.distance_matrix()[np.ix_(verts, verts)]
+    edges = _edges_within(m.distances(verts[:, None], verts[None, :])
                           + w[:, None] + w[None, :], alpha)
     edges["birth"] = 0.0
     f = clique_expand(edges, len(verts), k, kind=kind)
     return _indexed(verts, f.facets, f.values, k, kind)
-
-
-def validate_filtration(f: SparseFiltration) -> tuple[np.ndarray, ...]:
-    """The facet positions of the simplices of ``f``, ``f.facets``: entry d,
-    (m_d, d + 1), holds in column v the position of the facet without
-    vertex v.  Nothing is checked here: a filtration holds the facets its
-    builder found (:func:`clique_expand`) or those of the check that
-    outside input passed when it was made (:func:`_face_index`)."""
-    return f.facets
 
 
 #: a facet key is an int64 below this
@@ -871,9 +859,9 @@ def write_filtration(f: SparseFiltration, path) -> None:
     the file round-trips; readers that ignore comments still get valid data.
 
     A filtration was checked when it was made, so the writer checks
-    nothing; :func:`read_filtration` reads back what it writes, unless
-    that has no simplex.  The file is written a chunk of lines at a time, so beyond the filtration
-    the writer holds an index array per simplex and one chunk."""
+    nothing; :func:`read_filtration` reads back what it writes.  The file
+    is written a chunk of lines at a time, so beyond the filtration the
+    writer holds an index array per simplex and one chunk."""
     with open(path, "wb") as fh:
         fh.writelines(_filtration_chunks(f))
 
@@ -942,7 +930,9 @@ def read_filtration(path) -> SparseFiltration:
     ValueError naming the line for a line that does not parse, a header
     ``k`` that is not an integer or an ``alpha_max`` that is not ``none`` or
     a positive number, MalformedFiltrationError for a label beyond int64,
-    simplices out of order or against :func:`validate_filtration`.
+    simplices out of order or against the face check (:func:`_face_index`),
+    and ValueError ``empty filtration`` for a file with neither a simplex
+    nor a header ``k``; a header ``k`` alone reads as the empty filtration.
     Comment lines (``#``) may appear anywhere; their ``key=value`` fields
     form the header, the last value of a key winning.
 
@@ -973,7 +963,7 @@ def read_filtration(path) -> SparseFiltration:
 
     with open(path, "rb") as fh:
         rows, values, bad = _by_dimension(parsed(fh))
-    if not sum(map(len, values)):
+    if not (sum(map(len, values)) or "k" in header):
         raise ValueError(f"{path}: empty filtration")
 
     def field(key, convert, what):

@@ -137,14 +137,14 @@ def check_net_conditions(m: MetricInput, s: DeletionSchedule,
     """
     net = net_at(s, alpha, closed=False)   # ValueError for a negative or NaN alpha
     bound = s.epsilon * (1.0 - 2.0 * s.epsilon) * alpha
-    dmat = m.distance_matrix()
+    dist = m.distances(np.arange(m.n)[:, None], net[None, :])   # the net columns only
 
-    to_net = dmat[:, net].min(axis=1)
+    to_net = dist.min(axis=1)
     worst_point = int(np.argmax(to_net))
     worst_cover = float(to_net[worst_point])
 
     if len(net) >= 2:
-        sub = dmat[np.ix_(net, net)].copy()
+        sub = dist[net]
         np.fill_diagonal(sub, math.inf)
         flat = int(np.argmin(sub))
         i, j = np.unravel_index(flat, sub.shape)

@@ -15,16 +15,11 @@ from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 EXPLICIT_MATRIX = "explicit_matrix"
 
-# scipy names for the supported coordinate kernels
-_KERNELS = {
-    "euclidean": "euclidean",
-    "manhattan": "cityblock",
-    "chebyshev": "chebyshev",
-}
+#: the coordinate kernels and the Minkowski p of each, for KD-tree queries
+_KERNELS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
 
 #: absolute tolerance for symmetry / zero-diagonal checks on explicit matrices
 MATRIX_TOL = 1e-9
@@ -41,7 +36,9 @@ class MetricInput:
     Instances are immutable after construction and safe for concurrent
     read-only use.  Exact duplicate points (pairwise distance exactly 0)
     are removed at construction; ``dedup_map`` sends each original index
-    to the index of its surviving representative.
+    to the index of its surviving representative.  Every distance, of the
+    sparse build and of the reference checks alike, comes from
+    :meth:`distances`; no distance is cached.
     """
 
     metric_kind: str
@@ -51,35 +48,39 @@ class MetricInput:
     dedup_map: tuple[int, ...] = ()
 
     @cached_property
-    def _dmat(self) -> np.ndarray:
-        if self.metric_kind == EXPLICIT_MATRIX:
-            return self.matrix
-        return cdist(self.points, self.points, metric=_KERNELS[self.metric_kind])
-
-    @cached_property
     def _columns(self) -> np.ndarray:
         return np.ascontiguousarray(self.points.T)
 
     def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix (cached, do not mutate).  For point
-        input it takes O(n^2) memory; the sparse build does not call it."""
-        return self._dmat
+        """The full pairwise distance matrix, O(n^2) memory, for the dense
+        reference ``full_rips``; the sparse build does not call it.
+        An explicit matrix is returned as it is stored, read-only.  For
+        point input each call builds a new array from :meth:`distances`,
+        one row at a time, so the temporaries take O(nD) memory."""
+        if self.metric_kind == EXPLICIT_MATRIX:
+            return self.matrix
+        out = np.empty((self.n, self.n))
+        for i in range(self.n):
+            out[i] = self.distances(i)
+        return out
 
     def distances(self, p, q=None) -> np.ndarray:
         """Distances d(p, q) of index arrays that broadcast together, or the
-        row d(p, .) of one index p when ``q`` is omitted.
+        row d(p, .) of one index p when ``q`` is omitted: the one distance
+        kernel of the package.
 
-        Explicit matrices are indexed.  For point kernels each value is
-        bit-identical to the ``cdist`` entry: the coordinates are accumulated
-        one at a time, in order, as scipy does (a numpy ``sum`` would add
-        them pairwise and change the last bit)."""
+        Explicit matrices are indexed.  For point kernels the coordinates
+        are accumulated one at a time, in order, so a value does not depend
+        on the shape in which it is asked for (a numpy ``sum`` would add
+        them pairwise)."""
         if self.metric_kind == EXPLICIT_MATRIX:
             return self.matrix[p] if q is None else self.matrix[p, q]
         cols = self._columns
         if q is None:
             diff = cols[:, p, None] - cols
-        else:   # np.take gathers faster than cols[:, p]
-            diff = np.take(cols, p, axis=1) - np.take(cols, q, axis=1)
+        else:   # one shape first: the index axes follow the coordinate axis
+            p, q = np.broadcast_arrays(p, q)
+            diff = np.take(cols, p, axis=1) - np.take(cols, q, axis=1)   # faster than cols[:, p]
         if self.metric_kind == "chebyshev":
             return np.abs(diff).max(axis=0)
         if self.metric_kind == "euclidean":

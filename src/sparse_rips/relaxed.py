@@ -202,5 +202,5 @@ def birth_matrix(m: MetricInput, ctx: WeightContext) -> np.ndarray:
     t = ctx.schedule.t
     p, q = np.triu_indices(m.n, k=1)
     out = np.full((m.n, m.n), _INF)
-    out[p, q] = _births_exact_at_caps(m.distance_matrix()[p, q], t[p], t[q], ctx.epsilon)
+    out[p, q] = _births_exact_at_caps(m.distances(p, q), t[p], t[q], ctx.epsilon)
     return np.minimum(out, out.T)

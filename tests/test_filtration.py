@@ -18,8 +18,8 @@ from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          from_matrix, from_points, full_rips, net_at, pair_birth,
                          pair_relaxed_distance, point_weight, read_filtration,
                          relaxed_rips, sparse_edges,
-                         sparse_size_stats, static_complex, validate_filtration,
-                         write_filtration, weight_batch)
+                         sparse_size_stats, static_complex, write_filtration,
+                         weight_batch)
 from sparse_rips import filtration
 from sparse_rips.greedy import DeletionSchedule
 from sparse_rips.metric import MetricInput
@@ -818,7 +818,7 @@ def reference_read(path):
                 sims.append((tuple(map(int, parts[1:])), float(parts[0])))
             except ValueError:
                 raise ValueError(f"{path}: malformed line {lineno}: {line!r}") from None
-    if not sims:
+    if not (sims or "k" in header):
         raise ValueError(f"{path}: empty filtration")
     k = int(header["k"]) if "k" in header else max(len(v) for v, _ in sims) - 1
     amax = header.get("alpha_max", "none")
@@ -973,11 +973,16 @@ def test_non_ascii_whitespace_between_tokens_is_malformed(bad, tmp_path):
 
 @pytest.mark.parametrize("text", ["", "# k=2 kind=sparse_S alpha_max=none\n\n#\n  \n"])
 def test_read_filtration_rejects_an_empty_filtration(text, tmp_path):
+    # without simplices, only the header k makes a filtration
     path = tmp_path / "empty.txt"
     path.write_text(text)
-    with pytest.raises(ValueError) as exc:
-        read_filtration(path)
-    assert str(exc.value) == f"{path}: empty filtration"
+    if not text:
+        with pytest.raises(ValueError) as exc:
+            read_filtration(path)
+        assert str(exc.value) == f"{path}: empty filtration"
+        return
+    f = read_filtration(path)
+    assert (f.k, f.kind, f.alpha_max, f.counts_by_dim()) == (2, "sparse_S", None, [0, 0, 0])
 
 
 def test_reading_a_large_header_k_does_no_key_work_on_empty_dimensions(tmp_path,
@@ -1031,7 +1036,7 @@ def test_the_read_path_checks_the_vertex_order_once(tmp_path, monkeypatch):
     assert_same_facets(g.facets, f.facets)
     del calls[:]
     h = SparseFiltration.from_simplices(simplices(f), f.k, f.kind, f.alpha_max)
-    assert_same_facets(validate_filtration(h), f.facets)
+    assert_same_facets(h.facets, f.facets)
     assert len(calls) == 1 + 3
     del calls[:]
     SparseFiltration(h.vertices, h.values, h.k, "copy", h.alpha_max)
@@ -1064,7 +1069,7 @@ def two_vertices(**fields):
 @pytest.mark.parametrize("field, value", [
     ("alpha_max", -1.0), ("alpha_max", 0.0), ("alpha_max", -math.inf), ("alpha_max", math.nan),
     ("alpha_max", "1.5"), ("alpha_max", True),
-    ("k", 1.0), ("k", True), ("k", "2"), ("k", None),
+    ("k", 1.0), ("k", True), ("k", "2"), ("k", None), ("k", -1),
     ("kind", "my kind"), ("kind", ""), ("kind", "a\tb"), ("kind", "line\n"), ("kind", None),
 ])
 def test_a_header_field_the_reader_would_refuse_is_refused_on_construction(field, value):
@@ -1164,6 +1169,21 @@ EMPTY = {"empty_from_simplices": SparseFiltration.from_simplices([], 1, "sparse_
          "empty_clique_expand": clique_expand([], 0, 2)}
 
 
+@pytest.mark.parametrize("case", sorted(EMPTY))
+def test_an_empty_filtration_round_trips(case, tmp_path):
+    f, path = EMPTY[case], tmp_path / "empty.txt"
+    write_filtration(f, path)
+    g = read_filtration(path)
+    assert (g.k, g.kind, g.alpha_max) == (f.k, f.kind, f.alpha_max)
+    assert g.counts_by_dim() == f.counts_by_dim() == [0] * (f.k + 1)
+    text = path.read_bytes()
+    write_filtration(g, path)
+    assert path.read_bytes() == text
+    path.write_text("# k=-1\n")   # no dimension to be empty in
+    with pytest.raises(MalformedFiltrationError, match="^k must be an integer >= 0, got -1$"):
+        read_filtration(path)
+
+
 @pytest.mark.parametrize("rows", [None, 1, 2, 5])
 @pytest.mark.parametrize("case", sorted(MISSING_LABELS) + sorted(EMPTY) + [
     "adversarial", "sparse_k3", "negative_labels", "int64_ends"])
@@ -1249,7 +1269,7 @@ def test_read_and_persistence_check_the_filtration_once(tmp_path, monkeypatch):
     write_filtration(TEXT_CASES["sparse_k2"], path)
     g = read_filtration(path)
     assert compute_persistence(g).pairs == compute_persistence(TEXT_CASES["sparse_k2"]).pairs
-    assert len(calls) == 1 and validate_filtration(g) is g.facets
+    assert len(calls) == 1
 
 
 def test_filtration_arrays_are_read_only():
@@ -1412,7 +1432,7 @@ def test_facet_lookup_matches_a_dict_index(labels):
     rng = np.random.default_rng([60, len(labels)])
     for n, f in facet_cases(rng):
         g = relabelled(f, LABELS[labels](rng, n))
-        got, expect = validate_filtration(g), brute_facets(g)
+        got, expect = g.facets, brute_facets(g)
         assert len(got) == g.k + 1
         assert_same_facets(got, expect)
         assert_same_facets(f.facets, brute_facets(f))   # set by the builder or checked
@@ -1561,7 +1581,7 @@ def test_built_filtrations_are_not_checked_again(tmp_path, monkeypatch):
     dgm = compute_persistence(f)
     ctx = WeightContext.build(m, 1 / 3)
     betti_numbers(static_complex(m, ctx, 0.2, "Q_open", 2), through_dim=2)
-    assert validate_filtration(f) is f.facets and calls == []
+    assert calls == []
     path = tmp_path / "filt.txt"
     write_filtration(f, path)
     g = read_filtration(path)

@@ -7,12 +7,15 @@ from scipy.spatial.distance import cdist
 
 import sparse_rips.filtration as filtration
 import sparse_rips.metric as metric
-from sparse_rips import (MetricFormatError, WeightContext, build_sparse, from_matrix,
-                         from_points, lint_triangle_inequality, load_matrix, load_points,
+from sparse_rips import (MetricFormatError, WeightContext, build_sparse,
+                         compute_persistence, from_matrix, from_points, full_rips,
+                         lint_triangle_inequality, load_matrix, load_points,
                          max_edge_degree, sparse_size_stats)
 from sparse_rips.cli import main
 
 KERNELS = ("euclidean", "manhattan", "chebyshev")
+#: scipy's name for each kernel, for the cdist oracle
+SCIPY_NAME = {"euclidean": "euclidean", "manhattan": "cityblock", "chebyshev": "chebyshev"}
 
 
 def test_load_points_csv(tmp_path):
@@ -171,13 +174,44 @@ def test_pairwise_kernel_bit_identical_to_cdist(kind):
     for dim in range(1, 17):
         pts = rng.normal(size=(40, dim)) * 10.0 ** int(rng.integers(-3, 4))
         m = from_points(pts, metric_kind=kind)
-        ref = cdist(pts, pts, metric=metric._KERNELS[kind])
+        ref = cdist(pts, pts, metric=SCIPY_NAME[kind])
+        assert np.array_equal(m.distance_matrix(), ref), dim
         assert np.array_equal(m.distances(i, j), ref[i, j]), dim
         assert np.array_equal(m.distances(j, i), ref[j, i]), dim
         for p in (0, 17, 39):
             assert np.array_equal(m.distances(p), ref[p]), dim
         got = m.distance(3, 5)
         assert type(got) is float and got == ref[3, 5]
+
+
+def test_broadcast_index_arrays_read_the_distance_matrix_entries():
+    # the form the reference checks use: each point against a net, a vertex
+    # set against itself; a 1-d q broadcasts as q[None, :] does, also where
+    # p holds as many points (3) as the points have coordinates
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(30, 3))
+    cases = [from_points(pts, metric_kind=kind) for kind in KERNELS]
+    cases.append(from_matrix(cdist(pts, pts, metric="cityblock")))
+    for m in cases:
+        dmat = m.distance_matrix()
+        for p, q in [(np.arange(30), np.array([4, 0, 17])), (np.array([9, 2, 2]),) * 2,
+                     (np.arange(30), np.zeros(0, dtype=int))]:
+            for got in (m.distances(p[:, None], q[None, :]), m.distances(p[:, None], q)):
+                assert got.shape == (len(p), len(q))
+                assert np.array_equal(got, dmat[np.ix_(p, q)]), m.metric_kind
+
+
+def test_a_mutated_distance_matrix_changes_no_later_result():
+    # nothing is cached: a caller that writes into its matrix changes
+    # neither the next matrix nor a reference filtration built after it
+    pts = np.random.default_rng(12).random((12, 2))
+    m = from_points(pts)
+    before = compute_persistence(full_rips(m, math.inf, 2)).pairs
+    dmat = m.distance_matrix()
+    dmat *= 2.0
+    assert np.array_equal(m.distance_matrix(), cdist(pts, pts))
+    assert compute_persistence(full_rips(m, math.inf, 2)).pairs == before
+    assert not from_matrix(cdist(pts, pts)).distance_matrix().flags.writeable
 
 
 def test_distance_of_an_explicit_matrix_indexes_it():
@@ -190,8 +224,7 @@ def test_distance_of_an_explicit_matrix_indexes_it():
 
 def test_point_build_path_builds_no_matrix(monkeypatch, tmp_path, capsys):
     # the sparse build and the size stats of point input are O(n) memory: no
-    # cdist, no n x n distance or birth matrix, in the library or in CLI
-    # build and stats
+    # n x n distance or birth matrix, in the library or in CLI build and stats
     pts = np.random.default_rng(7).random((30, 2))
     csv = tmp_path / "pts.csv"
     csv.write_text("\n".join(f"{x!r},{y!r}" for x, y in pts.tolist()) + "\n")
@@ -200,7 +233,6 @@ def test_point_build_path_builds_no_matrix(monkeypatch, tmp_path, capsys):
         raise AssertionError("an n x n matrix was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(metric, "cdist", refuse)
         patch.setattr(metric.MetricInput, "distance_matrix", refuse)
         patch.setattr(filtration, "birth_matrix", refuse)
         for kind in KERNELS:
@@ -219,7 +251,7 @@ def test_point_build_path_builds_no_matrix(monkeypatch, tmp_path, capsys):
 
 def dense_dedup_map(pts, kind):
     """dedup_map from the components of the graph cdist == 0 (oracle)."""
-    reach = (cdist(pts, pts, metric=metric._KERNELS[kind]) == 0.0).astype(int)
+    reach = (cdist(pts, pts, metric=SCIPY_NAME[kind]) == 0.0).astype(int)
     while True:
         closed = (reach @ reach > 0).astype(int)
         if np.array_equal(closed, reach):

@@ -107,7 +107,7 @@ def test_malformed_filtration_file_rejected_on_read(shape, tmp_path):
 
 # per shape: the message when the simplices are listed in the global order
 # (from_simplices, read_filtration), and when each dimension holds its
-# simplices in the listed order, so that only validate_filtration sees them
+# simplices in the listed order, so that only the face check sees them
 MALFORMED_MESSAGE = {
     "duplicate": ("duplicate simplex (0, 1)",) * 2,
     "vertices-not-increasing": ("vertices not strictly increasing: (1, 0)",) * 2,

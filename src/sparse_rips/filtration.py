@@ -238,11 +238,12 @@ def _reject(bad: np.ndarray, message, error=MalformedFiltrationError) -> None:
 
 
 def _order_breaks(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Entry j: simplex j + 1 sorts before simplex j by (value, vertex order)."""
-    a, b = rows[1:], rows[:-1]
-    first = (a != b).argmax(axis=1)[:, None]   # 0 for equal rows, which are not less
-    less = (np.take_along_axis(a, first, 1) < np.take_along_axis(b, first, 1))[:, 0]
-    return (values[1:] < values[:-1]) | ((values[1:] == values[:-1]) & less)
+    """Entry j: simplex j + 1 sorts before simplex j by (value, vertex order),
+    compared one column at a time from the last."""
+    less = False   # equal rows are not less
+    for a in [*rows.T[::-1], values]:
+        less = (a[1:] < a[:-1]) | ((a[1:] == a[:-1]) & less)
+    return less
 
 
 def _search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -696,7 +697,10 @@ def _face_index(rows: list, values, k: int, ordered: bool) -> tuple[np.ndarray, 
             continue
         _reject(np.full(len(r), d > k),
                 lambda i: f"simplex {tuple(r[i].tolist())} exceeds dimension cap {k}")
-        _reject((r[:, 1:] <= r[:, :-1]).any(axis=1),
+        increasing = np.ones(len(r), dtype=bool)
+        for j in range(d):   # adjacent columns
+            increasing &= r[:, j] < r[:, j + 1]
+        _reject(~increasing,
                 lambda i: f"vertices not strictly increasing: {tuple(r[i].tolist())}")
         _reject(~(np.isfinite(vals) & (vals >= 0)),
                 lambda i: f"bad value {vals[i]} for simplex {tuple(r[i].tolist())}")
@@ -841,9 +845,9 @@ def build_sparse_from_context(m: MetricInput, ctx: WeightContext,
 
 # --- text format ---------------------------------------------------------
 
-#: the writer formats this many lines per chunk; a chunk's temporaries, a
-#: few arrays of its lines, tokens and bytes, take about 17 bytes per byte
-#: of its text: about 9 MB for 16384 lines of 33 bytes
+#: the writer formats this many lines per chunk; a chunk's temporaries, its
+#: word matrix, the mask of its nonzero bytes and the text, take about 6
+#: bytes per byte of its text: about 3.3 MB for 16384 lines of 33 bytes
 _WRITE_ROWS = 1 << 14
 
 
@@ -868,53 +872,51 @@ def write_filtration(f: SparseFiltration, path) -> None:
 
 def _filtration_chunks(f: SparseFiltration):
     """The file of :func:`write_filtration` as bytes: the header line, then
-    each run of ``_WRITE_ROWS`` lines in the global order.  A chunk is one
-    gather of :func:`_ranges` from a pool of :func:`_tokens`: ``repr`` of
-    each of its values (told apart by their bits, so -0.0 keeps its sign),
-    ``" %d"`` of each vertex label and ``"\\n"``.  A vertex's token is its
-    position in dimension 0, read off the checked face index, so no label
-    is searched for."""
+    each run of ``_WRITE_ROWS`` lines in the global order.  A chunk is a
+    (lines, words) uint64 matrix of :func:`_words`, a line to a row: the
+    ``repr`` of its value, made once per run of equal values (told apart
+    by their bits, so -0.0 keeps its sign), the ``" %d"`` token of each
+    vertex label, made once per file, and a newline word.  The text has
+    no zero byte, so the chunk is the nonzero bytes of the matrix, in
+    order.  A vertex's token is its position in dimension 0, read off the
+    checked face index, so no label is searched for."""
     amax = "none" if f.alpha_max is None else repr(float(f.alpha_max))
     yield f"# k={f.k} kind={f.kind} alpha_max={amax}\n".encode()
-    labels = f._labels
-    pool, start, size = _tokens([" %d" % x for x in labels.tolist()] + ["\n"])
+    labels = _words([" %d" % x for x in f._labels.tolist()])
     count = f.counts_by_dim()
     end = np.cumsum(count)
     order = f._merge_order()
     for lo in range(0, len(order), _WRITE_ROWS):
         flat = order[lo:lo + _WRITE_ROWS]   # positions in the concatenated dimensions
         dim = np.searchsorted(end, flat, side="right")
-        tokens = dim + 3   # a value, d + 1 labels and a newline
-        first = np.cumsum(tokens) - tokens   # each line's first token
-        ids = np.empty(first[-1] + tokens[-1], dtype=np.intp)
-        values = np.empty(len(flat))
+        values, rows = np.empty(len(flat)), []
         for d in np.unique(dim).tolist():
             at = np.flatnonzero(dim == d)
             pos = flat[at] - (end[d] - count[d])   # the positions in dimension d
             values[at] = f.values[d][pos]
-            ids[first[at, None] + 1 + np.arange(d + 1)] = _positions(f.facets, d, pos)
+            rows.append((at, labels[_positions(f.facets, d, pos)].reshape(len(at), -1)))
         bits = values.view(np.int64)
         new = np.r_[True, bits[1:] != bits[:-1]]   # the file is in value order: runs
-        ids[first] = len(labels) + np.cumsum(new)   # after the labels and "\n"
-        ids[first + tokens - 1] = len(labels)
-        vpool, vstart, vsize = _tokens(list(map(repr, values[new].tolist())))
-        yield np.concatenate([pool, vpool])[_ranges(np.r_[start, len(pool) + vstart][ids],
-                                                    np.r_[size, vsize][ids])].tobytes()
+        reprs = _words(list(map(repr, values[new].tolist())))
+        width = reprs.shape[1]
+        words = np.zeros((len(flat), width + max(r.shape[1] for _, r in rows) + 1), np.uint64)
+        words[:, :width] = reprs[np.cumsum(new) - 1]
+        for at, row in rows:
+            words[at, width:width + row.shape[1]] = row
+        words[:, -1] = ord("\n")
+        text = words.view(np.uint8)
+        yield text[text != 0].tobytes()
 
 
-def _tokens(words: list[str]):
-    """The bytes of the ASCII ``words`` one after another, and the start and
-    size of each word in them."""
-    size = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    return np.frombuffer("".join(words).encode(), np.uint8), np.cumsum(size) - size, size
+def _words(tokens: list[str]) -> np.ndarray:
+    """The ASCII ``tokens`` as rows of zero-padded 8-byte words, as many
+    words a row as the longest token needs."""
+    width = -(-max(map(len, tokens), default=1) // 8)
+    return np.array(tokens, dtype=f"S{8 * width}").view(np.uint64).reshape(len(tokens), width)
 
 
 _BLOCK_CHARS = 1 << 20   # read_filtration reads and parses about this many bytes at a time
 
-#: False at the ASCII whitespace that ``bytes.split`` splits on: \t \n \v \f \r
-#: and space; a token is a run of the other bytes
-_TOKEN_BYTE = np.ones(256, dtype=bool)
-_TOKEN_BYTE[list(b"\t\n\v\f\r ")] = False
 #: value tokens up to this many bytes are compared with the one before in
 #: 8-byte words; a longer one starts a run of its own
 _RUN_BYTES = 32
@@ -1012,12 +1014,14 @@ def _positive(text: str) -> float:
 def _parse_block(block: bytes, lineno: int, header: dict, header_line: dict):
     r"""Values, vertex counts and labels of the data lines of ``block``, the
     lines after the first ``lineno``, each ending at ``\n``; comment lines
-    go into ``header``.  The tokens are found with one lookup per byte.
+    go into ``header``.  A token is a run of bytes other than the ASCII
+    whitespace that ``bytes.split`` splits on, \t \n \v \f \r (9 to 13)
+    and space, found by two comparisons per byte.
     ValueError or OverflowError if some data line does not parse."""
     n = len(block)
     buf = np.frombuffer(block + bytes(_RUN_BYTES), np.uint8)   # padded for the gathers
     inside = np.zeros(n + 2, dtype=bool)   # inside[i + 1]: byte i is in a token
-    np.take(_TOKEN_BYTE, buf[:n], out=inside[1:-1])
+    np.logical_and(buf[:n] - 9 > 4, buf[:n] != ord(" "), out=inside[1:-1])   # uint8 wraps below 9
     edge = np.flatnonzero(inside[1:] != inside[:-1])   # token starts and ends, alternating
     start, size = edge[::2], edge[1::2] - edge[::2]
     newline = np.flatnonzero(buf[:n] == ord("\n"))

@@ -801,15 +801,18 @@ def test_read_filtration_infers_k_without_header(tmp_path):
 
 def reference_read(path):
     """The line-at-a-time reader that the block parser replaced: the oracle
-    for its arrays, header fields and malformed-line messages."""
+    for its arrays, header fields and malformed-line messages.  Lines end
+    at universal newlines, and each line is split as bytes, at the ASCII
+    whitespace of ``bytes.split``."""
     header, sims = {}, []
-    with open(path) as fh:
+    with open(path, encoding="latin-1") as fh:   # one character per byte
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.encode("latin-1").strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                header.update(tok.partition("=")[::2] for tok in line[1:].split())
+            if line.startswith(b"#"):
+                header.update(tok.decode(errors="replace").partition("=")[::2]
+                              for tok in line[1:].split())
                 continue
             parts = line.split()
             try:
@@ -817,6 +820,7 @@ def reference_read(path):
                     raise ValueError
                 sims.append((tuple(map(int, parts[1:])), float(parts[0])))
             except ValueError:
+                line = line.decode(errors="replace")
                 raise ValueError(f"{path}: malformed line {lineno}: {line!r}") from None
     if not (sims or "k" in header):
         raise ValueError(f"{path}: empty filtration")
@@ -863,6 +867,13 @@ def text_cases():
     cases["int64_ends"] = relabelled(grid, {0: -2**63, 15: 2**63 - 1,
                                             **{v: 10**12 * v - 7 for v in range(1, 15)}})
     cases["empty_upper_dims"] = full_rips(from_points(pts[:5]), 1e-3, 3)
+    # the longest value reprs (23 bytes) and label tokens (" -2**63" in 21
+    # bytes), three 8-byte words each, next to tokens of one word
+    big, tiny, low, high = 1.7976931348623157e+308, 2.2250738585072014e-308, -2**63, 2**63 - 1
+    cases["longest_tokens"] = SparseFiltration.from_simplices([
+        ((low,), 0.0), ((-1,), 0.0), ((7,), 0.0), ((high,), 0.0), ((low, -1), tiny),
+        ((low, high), tiny), ((7, high), 0.5), ((-1, high), big), ((low, -1, high), big)],
+        2, "sparse_S", big)
     return cases
 
 
@@ -971,6 +982,41 @@ def test_non_ascii_whitespace_between_tokens_is_malformed(bad, tmp_path):
     assert str(exc.value) == f"{path}: malformed line 4: {bad!r}"
 
 
+def read_outcome(read, path):
+    """The filtration ``read(path)`` gives, or the type and message of its error."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("slot", [b"1.0%s0 1 2", b"1.0 0 1%s2"],
+                         ids=["between", "inside_a_label"])
+def test_every_byte_value_splits_tokens_as_bytes_split_does(slot, tmp_path):
+    # a triangle whose line holds one byte value in turn, between its value
+    # and its first label or inside its second label, before a good line
+    head = b"# k=2\n0.0 0\n0.0 1\n0.0 2\n0.0 3\n0.5 0 1\n0.5 0 2\n0.5 1 2\n"
+    path = tmp_path / "filt.txt"
+
+    def written(byte):
+        path.write_bytes(head + slot % byte + b"\n2.0 0 3\n")
+        return path
+
+    spaced = simplices(read_filtration(written(b" ")))
+    same = set()   # the bytes that read as a space does
+    for x in range(256):
+        ours = read_outcome(read_filtration, written(bytes([x])))
+        theirs = read_outcome(reference_read, path)
+        if isinstance(ours, SparseFiltration):
+            assert_same_filtration(ours, theirs)
+            if simplices(ours) == spaced:
+                same.add(x)
+        else:
+            assert ours == theirs, x
+    # \n and \r end the line, so only the other separators keep the triangle whole
+    assert same == set(b"\t\v\f ")
+
+
 @pytest.mark.parametrize("text", ["", "# k=2 kind=sparse_S alpha_max=none\n\n#\n  \n"])
 def test_read_filtration_rejects_an_empty_filtration(text, tmp_path):
     # without simplices, only the header k makes a filtration
@@ -1041,6 +1087,36 @@ def test_the_read_path_checks_the_vertex_order_once(tmp_path, monkeypatch):
     del calls[:]
     SparseFiltration(h.vertices, h.values, h.k, "copy", h.alpha_max)
     assert calls == f.counts_by_dim()
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_order_breaks_match_tuple_comparison(d):
+    # few distinct labels and values, so equal rows, tied values and -0.0
+    # against 0.0 are common; labels at the int64 ends too
+    rng = np.random.default_rng(26 + d)
+    for n in (0, 1, 2, 500):
+        rows = rng.choice(np.array([-2**63, -1, 0, 1, 2, 2**63 - 1]), (n, d + 1))
+        rows[1::3] = rows[:-1:3]   # every third row repeats the row before
+        values = rng.choice([-0.0, 0.0, 0.5, 1.0], n)
+        expected = [(values[j + 1], *rows[j + 1].tolist()) < (values[j], *rows[j].tolist())
+                    for j in range(n - 1)]
+        assert filtration._order_breaks(rows, values).tolist() == expected
+
+
+@pytest.mark.parametrize("bad", ["equal", "decreasing"])
+@pytest.mark.parametrize("d, j", [(d, j) for d in (1, 2, 3) for j in range(d)])
+def test_vertices_not_strictly_increasing_at_any_column_are_refused(d, j, bad):
+    # every face of dimension below d on 6 vertices, then one row of
+    # dimension d whose labels j and j + 1 are equal or swapped
+    row = list(range(d + 1))
+    if bad == "equal":
+        row[j + 1] = row[j]
+    else:
+        row[j], row[j + 1] = row[j + 1], row[j]
+    rows = [list(combinations(range(6), e + 1)) for e in range(d)] + [[tuple(row)]]
+    with pytest.raises(MalformedFiltrationError) as exc:
+        hand_made(rows, [[float(e)] * len(r) for e, r in enumerate(rows)], d)
+    assert str(exc.value) == f"vertices not strictly increasing: {tuple(row)}"
 
 
 @pytest.mark.parametrize("amax", ["nan", "-1", "0"])
@@ -1186,7 +1262,7 @@ def test_an_empty_filtration_round_trips(case, tmp_path):
 
 @pytest.mark.parametrize("rows", [None, 1, 2, 5])
 @pytest.mark.parametrize("case", sorted(MISSING_LABELS) + sorted(EMPTY) + [
-    "adversarial", "sparse_k3", "negative_labels", "int64_ends"])
+    "adversarial", "sparse_k3", "negative_labels", "int64_ends", "longest_tokens"])
 def test_written_text_does_not_depend_on_the_chunk_size(case, rows, tmp_path, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(filtration, "_WRITE_ROWS", rows)
@@ -1235,11 +1311,13 @@ def test_writer_and_reader_memory_stay_within_a_few_file_sizes(tmp_path):
     # before the face index was the stored form, so 2.5 catches either
     assert build_peak < 2.5 * size
     # the writer holds, beyond the filtration, the merge order (8 bytes a
-    # simplex, a quarter of the file at about 33 bytes a line), the value
-    # copy it sorts, and one chunk of 16384 lines (0.6); about 0.9 times
-    # the file.  A Python string per line came to 4.7 times, and the whole
-    # text held at once would be one more file size, so 1.5 is exceeded by
-    # either and leaves room for another numpy's sort buffers
+    # simplex, a quarter of the file at about 33 bytes a line) and, while
+    # it sorts, the value copy: about 0.5 times the file.  One chunk of
+    # 16384 lines (0.22) comes on top of the order alone, so stays below
+    # that (the byte gather of token ranges took 0.8, for 1.0 in all).  A
+    # Python string per line came to 4.7 times, and the whole text held at
+    # once would be one more file size, so 1.5 is exceeded by either and
+    # leaves room for another numpy's sort buffers
     assert write_peak < 1.5 * size
     # the result alone is about 0.94 times the file (labels and values
     # 0.24, the face index 0.7); the rows split by dimension as each block is

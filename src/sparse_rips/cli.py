@@ -9,7 +9,6 @@ battery on an input), ``stats`` (size-scaling table).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import filtration as filt
 from . import metric as met
 from .generators import GENERATORS
-from .greedy import _schedule_csv, deletion_times, greedy_permutation
+from .greedy import deletion_times, greedy_permutation, schedule_to_csv
 from .persistence import compute_persistence, diagram_to_csv, diagram_to_json
 from .relaxed import WeightContext
 from .verify import OracleSizeError, run_battery
@@ -26,24 +25,6 @@ from .verify import OracleSizeError, run_battery
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
-
-
-def _atomic_write(path: str, content) -> None:
-    """Write ``content``, a str or an iterable of bytes chunks, to a new
-    file beside ``path`` that replaces ``path`` once it is whole, so a
-    failed write leaves ``path`` as it was.  The file gets the mode that
-    ``open`` would give it: 0o666 less the umask."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)   # never an existing file
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines([content.encode()] if isinstance(content, str) else content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_input(args) -> met.MetricInput:
@@ -91,9 +72,9 @@ def cmd_build(parser, args) -> int:
     f = filt.clique_expand(edges, m.n, args.k, vertex_caps=schedule.t)
     elapsed = time.perf_counter() - t0
 
-    _atomic_write(args.out, filt._filtration_chunks(f))
+    filt.write_filtration(f, args.out)
     if args.schedule_out:
-        _atomic_write(args.schedule_out, _schedule_csv(gp, schedule))
+        schedule_to_csv(gp, schedule, args.schedule_out)
 
     counts = f.counts_by_dim()
     print(f"n={m.n} epsilon={args.epsilon} k={args.k} seed={args.seed}")
@@ -138,7 +119,7 @@ def cmd_persist(parser, args) -> int:
             f = filt.build_sparse(m, args.epsilon, k, seed=seed)
     dgm = compute_persistence(f, keep_zero_pairs=args.keep_zero_pairs)
     text = diagram_to_csv(dgm) if args.csv else diagram_to_json(dgm) + "\n"
-    _atomic_write(args.out, text)
+    met._atomic_write(args.out, text)
     for d in range(dgm.k):
         print(f"  H{d}: {len(dgm.in_dim(d))} pairs")
     print(f"wrote {args.out}")
@@ -193,7 +174,7 @@ def cmd_stats(parser, args) -> int:
             rows.append(f"{n},{args.epsilon},{args.k},{stats.total},"
                         f"{stats.max_degree},{elapsed:.4f}")
             print(rows[-1])
-    _atomic_write(args.out, "\n".join(rows) + "\n")
+    met._atomic_write(args.out, "\n".join(rows) + "\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .greedy import net_at
-from .metric import EXPLICIT_MATRIX, MetricInput, _KERNELS
+from .metric import EXPLICIT_MATRIX, MetricInput, _KERNELS, _atomic_write
 from .relaxed import WeightContext, _births_within_caps, birth_matrix, weight_batch
 
 KIND_SPARSE = "sparse_S"
@@ -865,9 +865,10 @@ def write_filtration(f: SparseFiltration, path) -> None:
     A filtration was checked when it was made, so the writer checks
     nothing; :func:`read_filtration` reads back what it writes.  The file
     is written a chunk of lines at a time, so beyond the filtration the
-    writer holds an index array per simplex and one chunk."""
-    with open(path, "wb") as fh:
-        fh.writelines(_filtration_chunks(f))
+    writer holds an index array per simplex and one chunk.  A new file
+    beside ``path`` replaces it once whole: a failed write keeps the old
+    file, a symlink is replaced, and the mode is 0o666 less the umask."""
+    _atomic_write(path, _filtration_chunks(f))
 
 
 def _filtration_chunks(f: SparseFiltration):

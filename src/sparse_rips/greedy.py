@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricInput
+from .metric import MetricInput, _atomic_write
 
 
 @dataclass(frozen=True)
@@ -166,16 +166,12 @@ def check_net_conditions(m: MetricInput, s: DeletionSchedule,
 
 
 def schedule_to_csv(gp: GreedyPermutation, s: DeletionSchedule, path) -> None:
-    """Write the schedule as CSV: index, greedy_position, insertion_radius, deletion_time."""
-    with open(path, "w") as fh:
-        fh.write(_schedule_csv(gp, s))
-
-
-def _schedule_csv(gp: GreedyPermutation, s: DeletionSchedule) -> str:
-    """The text that :func:`schedule_to_csv` writes."""
+    """Write the schedule as CSV (index, greedy_position, insertion_radius,
+    deletion_time) to a new file beside ``path`` that replaces it once whole:
+    a failed write keeps the old file, a symlink is replaced, and the mode
+    is 0o666 less the umask."""
     position = np.empty(gp.n, dtype=int)
     position[gp.order] = np.arange(gp.n)
     rows = zip(position.tolist(), gp.insertion_radius[position].tolist(), s.t.tolist())
-    lines = ["index,greedy_position,insertion_radius,deletion_time"]
-    lines += [f"{p},{pos},{lam!r},{t!r}" for p, (pos, lam, t) in enumerate(rows)]
-    return "\n".join(lines) + "\n"
+    lines = [f"{p},{pos},{lam!r},{t!r}\n" for p, (pos, lam, t) in enumerate(rows)]
+    _atomic_write(path, "index,greedy_position,insertion_radius,deletion_time\n" + "".join(lines))

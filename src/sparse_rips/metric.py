@@ -8,6 +8,7 @@ square distance matrix.  Everything downstream only talks to
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +22,7 @@ EXPLICIT_MATRIX = "explicit_matrix"
 #: the coordinate kernels and the Minkowski p of each, for KD-tree queries
 _KERNELS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
 
-#: absolute tolerance for symmetry / zero-diagonal checks on explicit matrices
+#: tolerance of the explicit-matrix checks, relative to the largest absolute entry
 MATRIX_TOL = 1e-9
 
 
@@ -160,9 +161,9 @@ def from_points(points, metric_kind: str = "euclidean") -> MetricInput:
 def from_matrix(matrix) -> MetricInput:
     """Build a MetricInput from an explicit square distance matrix.
 
-    The matrix must be symmetric up to ``MATRIX_TOL`` (entries are averaged),
-    have a zero diagonal up to the same tolerance, and be nonnegative.
-    Triangle-inequality violations are permitted but produce a warning.
+    The matrix must be nonnegative, and symmetric (entries are averaged)
+    with a zero diagonal up to ``MATRIX_TOL`` times its largest absolute
+    entry.  Triangle-inequality violations are permitted but warned of.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -171,15 +172,14 @@ def from_matrix(matrix) -> MetricInput:
         raise MetricFormatError("distance matrix is empty")
     if not np.all(np.isfinite(mat)):
         raise MetricFormatError("distance matrix contains non-finite entries")
+    tol = MATRIX_TOL * np.abs(mat).max()
     asym = np.abs(mat - mat.T)
-    if asym.max() > MATRIX_TOL:
+    if asym.max() > tol:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
-        raise MetricFormatError(
-            f"asymmetry {asym[i, j]:g} > {MATRIX_TOL:g} at entry ({i}, {j})"
-        )
+        raise MetricFormatError(f"asymmetry {asym[i, j]:g} > {tol:g} at entry ({i}, {j})")
     mat = (mat + mat.T) / 2.0
     diag = np.abs(np.diag(mat))
-    if diag.max() > MATRIX_TOL:
+    if diag.max() > tol:
         i = int(np.argmax(diag))
         raise MetricFormatError(f"nonzero diagonal {mat[i, i]:g} at index {i}")
     np.fill_diagonal(mat, 0.0)
@@ -203,8 +203,8 @@ def lint_triangle_inequality(mat: np.ndarray) -> bool:
     """Warn if the matrix violates the triangle inequality.
 
     Checks all midpoints for n <= _LINT_MIDPOINTS, a fixed sample of that
-    many otherwise.  Violations are allowed (downstream constructions still
-    run) but the approximation guarantees assume a true metric.
+    many otherwise, up to ``MATRIX_TOL`` times the largest absolute entry.
+    Violations are allowed, but the approximation guarantees assume a true metric.
     """
     n = mat.shape[0]
     if n < 3:
@@ -213,10 +213,11 @@ def lint_triangle_inequality(mat: np.ndarray) -> bool:
         mids = range(n)
     else:
         mids = np.random.default_rng(0).choice(n, size=_LINT_MIDPOINTS, replace=False)
+    tol = MATRIX_TOL * np.abs(mat).max()
     for k in mids:
         slack = mat - (mat[:, k, None] + mat[None, k, :])
         worst = slack.max()
-        if worst > MATRIX_TOL:
+        if worst > tol:
             i, j = np.unravel_index(np.argmax(slack), slack.shape)
             warnings.warn(
                 f"triangle inequality violated: d({i},{j}) exceeds "
@@ -225,6 +226,25 @@ def lint_triangle_inequality(mat: np.ndarray) -> bool:
             )
             return False
     return True
+
+
+def _atomic_write(path, content) -> None:
+    """Write ``content``, a str or an iterable of bytes chunks, to a new
+    file beside ``path`` that replaces it once whole: a failed write leaves
+    ``path`` as it was, and a symlink there is replaced, not written through.
+    The mode is ``open``'s, 0o666 less the umask.  The one file writer, for
+    ``write_filtration``, ``schedule_to_csv`` and CLI ``persist`` and ``stats``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)   # never an existing file
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([content.encode()] if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_rows(path, fmt: str, header: bool,

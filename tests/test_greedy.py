@@ -1,4 +1,7 @@
+import io
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -214,3 +217,46 @@ def test_schedule_csv_export(tmp_path):
     row3 = lines[4].split(",")
     assert row3[0] == "3" and row3[1] == "1"
     assert float(row3[2]) == 4.0 and float(row3[3]) == 36.0
+
+
+class FullDisk(io.BufferedWriter):
+    """A new file that takes the first 20 bytes, then finds the disk full."""
+
+    def writelines(self, chunks):
+        self.write(b"".join(chunks)[:20])
+        self.flush()
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_schedule_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    m = from_points([[0.0], [1.0], [2.0], [4.0]])
+    gp = greedy_permutation(m, seed=0)
+    s = deletion_times(gp, 1.0 / 3.0)
+    out = tmp_path / "schedule.csv"
+    out.write_bytes(b"index,greedy_position\r\nan older schedule\n")
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(io.FileIO(fd, "w")))
+    with pytest.raises(OSError, match="No space left on device"):
+        schedule_to_csv(gp, s, out)
+    monkeypatch.undo()
+    assert out.read_bytes() == b"index,greedy_position\r\nan older schedule\n"
+    assert os.listdir(tmp_path) == ["schedule.csv"]
+
+
+def test_the_schedule_replaces_a_symlink_and_gets_the_mode_of_the_umask(tmp_path):
+    m = from_points([[0.0], [1.0], [2.0], [4.0]])
+    gp = greedy_permutation(m, seed=0)
+    s = deletion_times(gp, 1.0 / 3.0)
+    target, out, plain = tmp_path / "target.csv", tmp_path / "schedule.csv", tmp_path / "plain.csv"
+    target.write_bytes(b"not to be written through\n")
+    out.symlink_to(target)
+    old = os.umask(0o027)
+    try:
+        schedule_to_csv(gp, s, out)
+        schedule_to_csv(gp, s, plain)
+    finally:
+        os.umask(old)
+    assert target.read_bytes() == b"not to be written through\n"
+    assert not out.is_symlink() and out.read_bytes() == plain.read_bytes()
+    assert out.read_bytes().startswith(b"index,greedy_position,insertion_radius,deletion_time\n")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["plain.csv", "schedule.csv", "target.csv"]

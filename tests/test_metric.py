@@ -103,6 +103,27 @@ def test_matrix_symmetrized_within_tolerance():
     assert m.distance(0, 1) == m.distance(1, 0)
 
 
+def test_matrix_tolerances_scale_with_the_largest_entry():
+    # two entries 1 ulp apart at 1e8 differ by 1.49e-8, above 1e-9 absolute
+    m = from_matrix([[0.0, 1e8], [np.nextafter(1e8, np.inf), 0.0]])
+    assert m.distance(0, 1) == m.distance(1, 0)
+    with pytest.raises(MetricFormatError, match="asymmetry"):
+        from_matrix([[0.0, 1e8], [1e8 + 1.0, 0.0]])
+    with pytest.raises(MetricFormatError, match="nonzero diagonal"):
+        from_matrix([[1e-13, 1e-12], [1e-12, 0.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_triangle_warning_does_not_depend_on_the_scale(scale):
+    mat = scale * np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    with pytest.warns(UserWarning, match=r"d\(0,2\) exceeds d\(0,1\) \+ d\(1,2\)"):
+        from_matrix(mat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat[0, 2] = mat[2, 0] = 2 * scale   # on the triangle inequality
+        assert from_matrix(mat).n == 3
+
+
 def test_distance_examples():
     m = from_points([[0, 0], [3, 4]])
     assert m.distance(0, 1) == pytest.approx(5.0)

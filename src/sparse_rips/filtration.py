@@ -444,8 +444,12 @@ def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(np.arange(len(rows)), size), _ranges(start[rows], size)
 
 
-#: clique_expand grows each dimension from about this many candidates at a time
+#: clique_expand grows each dimension from about this many candidates at a
+#: time, in blocks of parents cut also where a direct-address window ends
 _GROW_BLOCK = 1 << 16
+#: entries of clique_expand's window table, one int32 each (4 MiB): a window
+#: holds the keys of max(1, _WINDOW // n) consecutive prefixes
+_WINDOW = 1 << 20
 
 
 def clique_expand(edges, n: int, k: int, vertex_caps=None,
@@ -461,13 +465,22 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     is monotone under taking cofaces, so a d-simplex (x_0, .., x_{d-1}, u)
     grows from an admitted (d-1)-simplex, its parent, and an upper
     neighbour u of the parent's last vertex (Zomorodian 2010); its other
-    edges to u lie in its facet without x_{d-1}, an admitted clique found
-    by binary search.  Edges that arrive in vertex order, as from
-    :func:`sparse_edges` and :func:`_edges_within`, are not sorted into it.
-    Each dimension grows from blocks of parents with about ``_GROW_BLOCK``
-    candidates in all, and keeps, per simplex, its facets, its key (the
-    parent's position * n + u, which ascends in vertex order and gives u
-    back as key mod n), its value rank and its cap: no vertex rows.
+    edges to u lie in its facet without x_{d-1}, an admitted clique: the
+    parent's prefix (its facet without its last vertex) grown by u.  Edges
+    that arrive in vertex order, as from :func:`sparse_edges` and
+    :func:`_edges_within`, are not sorted into it.  Each dimension grows
+    from blocks of parents with about ``_GROW_BLOCK`` candidates in all,
+    and keeps, per simplex, its facets, its key (the parent's position * n
+    + u, which ascends in vertex order and gives u back as key mod n), its
+    value rank and its cap: no vertex rows.  A parent's prefix is its key
+    // n, so it ascends too, and a block whose prefixes lie in s..s' looks
+    up keys in [s * n, (s' + 1) * n) only: one slice of the sorted keys.
+    The slice is written into a direct-address table at key - s * n, each
+    candidate reads its facet's entry there, and the entries written are
+    zeroed again.  Blocks are also cut where the prefix crosses a multiple
+    of max(1, ``_WINDOW`` // n), so the table has at most ``_WINDOW``
+    entries, or n if n is larger.  Growth stops at the first dimension
+    without simplices, and each dimension above it is one empty array.
 
     The edges go into filtration order by one stable sort of their
     births, and each simplex carries a value rank, the first position of
@@ -484,7 +497,8 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     found as the cliques grow, with only its header checked.  The facet
     without u is the parent, the one without x_{d-1} is found as above,
     and the one without another x_v is the parent's facet without x_v
-    grown by u (for a triangle, the edge (x_1, u))."""
+    grown by u (for a triangle, the edge (x_1, u)); above a triangle that
+    one is found by binary search, for the admitted simplices only."""
     if k < 1:
         raise ValueError("dimension cap k must be >= 1")
     edges = _as_edges(edges)
@@ -522,34 +536,48 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     del first, births
 
     # each dimension in vertex order: its facet positions and value ranks, and,
-    # to grow the next, its keys and caps
+    # to grow the next, its keys and caps; growth stops at the first empty one
     facets, ranks = [np.zeros((n, 0), dtype=np.int64), ends[:, ::-1]], [None, rank]
     for d in range(2, k + 1):
         m = len(key)
+        if not m:
+            break
         if m * n >= _KEY_LIMIT:
             raise ValueError(f"{m} simplices of dimension {d - 1} on {n} "
                              f"vertices are too many to index")
-        size = np.diff(start)[key % n]   # each parent's candidates: its last vertex's upper neighbours
-        cut = np.searchsorted(np.cumsum(size), np.arange(_GROW_BLOCK, size.sum(), _GROW_BLOCK))
+        prefix = key // n   # a parent's facet without its last vertex: ascends with key
+        rows = max(1, _WINDOW // n)   # prefixes per window
+        table = np.zeros(min(rows, prefix[-1] + 1) * n, dtype=np.int32)   # 0: no key
+        size = np.diff(start)[key - prefix * n]   # its last vertex's upper neighbours
+        bounds = np.unique(np.r_[   # cuts by candidates, and where a window ends
+            0, m, np.searchsorted(np.cumsum(size), np.arange(_GROW_BLOCK, size.sum(), _GROW_BLOCK)),
+            np.searchsorted(prefix, np.arange(rows, prefix[-1] + 1, rows))])
         del size
         grown = []   # per block: the facets, ranks, keys and caps of the simplices it admits
-        for lo, hi in zip(np.r_[0, cut], np.r_[cut, m]):
-            src, slot = _row_slots(start, key[lo:hi] % n)
-            src += lo
-            u = c[slot]
-            at = _search(key, facets[-1][src, d - 1] * n + u)   # the facet without x_{d-1}
-            hit = at >= 0
-            src, slot, u, at = src[hit], slot[hit], u[hit], at[hit]
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            # the table maps each key of the block's prefixes to 1 + its offset in that slice
+            low = prefix[lo] * n
+            w0, w1 = np.searchsorted(key, (low, (prefix[hi - 1] + 1) * n))
+            window = key[w0:w1] - low
+            table[window] = np.arange(1, w1 - w0 + 1, dtype=np.int32)
+            parent = key[lo:hi] - low
+            last = parent % n
+            src, slot = _row_slots(start, last)
+            at = table[(parent - last)[src] + c[slot]]   # the facet without x_{d-1}: prefix * n + u
+            table[window] = 0
+            hit = np.flatnonzero(at)
+            src, slot, at = src[hit] + lo, slot[hit], np.add(at[hit], w0 - 1, dtype=np.int64)
             value = np.maximum(np.maximum(ranks[-1][src], ranks[-1][at]), rank[slot])
-            capped = np.minimum(cap[src], caps[u])
-            keep = ascending[value] <= capped
-            src, slot, u, at, value, capped = (x[keep] for x in (src, slot, u, at, value, capped))
+            keep = ascending[value] <= np.minimum(cap[src], caps[c[slot]])
+            src, slot, at, value = src[keep], slot[keep], at[keep], value[keep]
+            u = c[slot]
             other = ([slot] if d == 2 else   # a triangle's first facet is the edge
                      [_search(key, facets[-1][src, v] * n + u) for v in range(d - 1)])
             grown.append([np.column_stack([*other, at, src]), value]
-                         + ([src * n + u, capped] if d < k else []))
+                         + ([src * n + u, np.minimum(cap[src], caps[u])] if d < k else []))
+        del src, slot, at, hit, value, keep, u, other   # the last block's, not kept to the end
         grown = [list(x) for x in zip(*grown)]
-        del key, cap   # the dimension below's: its parents are grown
+        del key, cap, prefix, table   # the dimension below's: its parents are grown
         for j in range(len(grown)):   # one array at a time, so its pieces go as it is joined
             grown[j] = np.concatenate(grown[j])
         facets.append(grown[0])
@@ -565,7 +593,7 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
     position = np.empty_like(by_birth)   # position[i]: where simplex i of the dimension below ends up
     position[by_birth] = np.arange(len(by_birth))
     del by_birth
-    for d in range(2, k + 1):
+    for d in range(2, len(facets)):
         o, m = ranks[d], len(ranks[d])
         ranks[d] = None
         if len(ascending) * m >= _KEY_LIMIT:
@@ -593,6 +621,9 @@ def clique_expand(edges, n: int, k: int, vertex_caps=None,
             for e in range(d - 1, 1, -1):
                 edge = facets[e][edge, 0]
             values[d][zero] = ascending[edge]
+    for d in range(len(facets), k + 1):   # above the first empty dimension
+        facets.append(np.zeros((0, d + 1), dtype=np.int64))
+        values.append(np.zeros(0))
     return _indexed(np.arange(n), facets, values, k, kind, alpha_max)
 
 

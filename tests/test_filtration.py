@@ -4,6 +4,7 @@ import pickle
 import re
 import stat
 import tempfile
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -269,7 +270,10 @@ def test_clique_expand_matches_brute_force_enumeration():
         assert_built_facets(f)
 
 
-def test_clique_expand_matches_brute_force_with_caps_and_ties():
+def check_caps_and_ties():
+    """clique_expand against brute_flag_filtration on 240 graphs of at most 8
+    vertices, k = 1 .. 3, edges either way round in random order, births
+    tied (integers 0..3) or not, vertex caps on half of them."""
     rng = np.random.default_rng(48)
     for trial in range(240):
         n = int(rng.integers(1, 9))
@@ -291,6 +295,98 @@ def test_clique_expand_matches_brute_force_with_caps_and_ties():
         assert sims == sorted(sims, key=lambda s: (s[1], len(s[0]), s[0]))
         expect = brute_flag_filtration(edge_set, range(n), k, caps)
         assert dict(sims) == expect and len(sims) == len(expect)
+
+
+def test_clique_expand_matches_brute_force_with_caps_and_ties():
+    check_caps_and_ties()
+
+
+def small_windows(monkeypatch, block=1, window=1):
+    """Grow from blocks of about ``block`` candidates, each of whose parents'
+    prefixes lie in a window of max(1, window // n) of them: by default a
+    block per parent or fewer, and a window of one key row."""
+    monkeypatch.setattr(filtration, "_GROW_BLOCK", block)
+    monkeypatch.setattr(filtration, "_WINDOW", window)
+
+
+@pytest.mark.parametrize("block, window", [(1, 1), (3, 1), (4, 20)])
+def test_clique_expand_matches_brute_force_across_block_and_window_cuts(
+        monkeypatch, block, window):
+    # a window of 20 holds the keys of 2 .. 20 prefixes on 8 .. 1 vertices
+    small_windows(monkeypatch, block, window)
+    check_caps_and_ties()
+
+
+def same_bits(f, g):
+    """f and g have the same facets and values, bit for bit."""
+    assert len(f.facets) == len(g.facets) == len(f.values) == len(g.values)
+    for a, b in zip(f.facets + f.values, g.facets + g.values):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_clique_expand_does_not_depend_on_the_block_and_window_cuts(monkeypatch):
+    # 200 3-D points at k = 3 (754,296 tetrahedra) with every seventh birth
+    # made -0.0 and every seventh from the third made 0.0, so simplices of
+    # value 0 carry the sign of their last edge (183 of 379 tetrahedra)
+    m = from_points(np.random.default_rng(28).random((200, 3)))
+    ctx = WeightContext.build(m, 1 / 3)
+    edges = sparse_edges(m, ctx)
+    edges["birth"][::7] = -0.0
+    edges["birth"][3::7] = 0.0
+    f = clique_expand(edges, m.n, 3, vertex_caps=ctx.schedule.t)
+    negative = np.signbit(f.values[3]).sum()
+    assert 0 < negative < (f.values[3] == 0).sum()
+    small_windows(monkeypatch, block=1 << 10)
+    same_bits(clique_expand(edges, m.n, 3, vertex_caps=ctx.schedule.t), f)
+
+
+@given(tie_heavy_graphs())
+@settings(max_examples=60, deadline=None)
+def test_tie_heavy_graphs_do_not_depend_on_the_block_and_window_cuts(graph):
+    n, edges = graph
+    f = clique_expand(edges, n, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        small_windows(patch)
+        same_bits(clique_expand(edges, n, 3), f)
+
+
+def test_triangles_grow_without_binary_search(monkeypatch):
+    # a triangle's facet without x_1 is found in the window table; only the
+    # facets of a higher simplex that miss x_{d-1} and u are searched, d - 1
+    # searches per block of dimension d
+    searched = []
+    search = filtration._search
+
+    def counted(sorted_keys, queries):
+        searched.append(len(queries))
+        return search(sorted_keys, queries)
+
+    monkeypatch.setattr(filtration, "_search", counted)
+    edges = [(a, b, float(a + b)) for a, b in combinations(range(6), 2)]   # K6
+    for block, window in ((1 << 16, 1 << 20), (1, 1)):
+        small_windows(monkeypatch, block, window)
+        assert clique_expand(edges, 6, 2).counts_by_dim() == [6, 15, 20]
+        assert searched == []
+    assert clique_expand(edges, 6, 3).counts_by_dim() == [6, 15, 20, 15]
+    assert len(searched) % 2 == 0 and sum(searched) == 2 * 15
+
+
+def test_one_edge_under_a_large_k_builds_in_linear_time(tmp_path):
+    # growth stops at the first empty dimension, and every dimension above it
+    # gets one empty array; each used to cost d - 1 searches, so k = 20,000
+    # took minutes
+    started = time.perf_counter()
+    f = clique_expand([(0, 1, 1.0)], 2, 20000)
+    assert time.perf_counter() - started < 1
+    assert f.counts_by_dim() == [2, 1] + [0] * 19999
+    assert [a.shape for a in f.facets[2:]] == [(0, d + 1) for d in range(2, 20001)]
+    path = tmp_path / "k20000.txt"
+    write_filtration(f, path)
+    assert path.read_bytes() == b"# k=20000 kind=sparse_S alpha_max=none\n0.0 0\n0.0 1\n1.0 0 1\n"
+    g = read_filtration(path)
+    assert (g.k, g.kind, g.alpha_max) == (f.k, f.kind, f.alpha_max)
+    assert g.counts_by_dim() == f.counts_by_dim()
+    same_bits(g, f)
 
 
 def test_clique_expand_refuses_a_nan_vertex_cap():

@@ -44,11 +44,11 @@ class SparseFiltration:
     increasing, on each access (:class:`_FaceRows`).  The fields cannot be
     set, and the arrays are read-only.
 
-    This constructor checks outside input as it is made, as
-    :meth:`from_simplices` and :func:`read_filtration` do: the header
-    (:func:`_check_header`), then the rows (:func:`_face_index`), whose
-    arrays it makes read-only.  The builders store the face index they
-    found (:func:`_indexed`).  ``dataclasses.replace`` raises."""
+    A filtration is made by the builders, which store the face index they
+    found (:func:`_indexed`), or from outside input listed in the global
+    order, by :meth:`from_simplices` and :func:`read_filtration`: both end
+    in :func:`_listed`, which checks it.  The class cannot be called, so
+    ``dataclasses.replace`` raises too."""
 
     _labels: np.ndarray
     values: tuple[np.ndarray, ...]
@@ -57,13 +57,9 @@ class SparseFiltration:
     kind: str
     alpha_max: float | None
 
-    def __init__(self, vertices: Sequence[np.ndarray], values: Sequence[np.ndarray], k: int,
-                 kind: str, alpha_max: float | None = None):
-        _check_header(alpha_max, k, kind)
-        rows = list(vertices)
-        for a in (*rows, *values):
-            a.setflags(write=False)
-        _fill(self, *_face_index(rows, values, k, ordered=False), values, k, kind, alpha_max)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a SparseFiltration is made by from_simplices, read_filtration "
+                        "or a builder")
 
     def __reduce__(self):   # unpickled by _indexed, so its arrays are read-only again
         return _indexed, (self._labels, self.facets, self.values, self.k, self.kind,
@@ -73,9 +69,15 @@ class SparseFiltration:
     def from_simplices(cls, pairs, k: int, kind: str,
                        alpha_max: float | None = None) -> "SparseFiltration":
         """Filtration of (vertex tuple, value) pairs listed in the global order;
-        MalformedFiltrationError at the first pair out of that order, or
-        where the face check fails, as for :func:`read_filtration`."""
+        MalformedFiltrationError at the first pair out of that order, with a
+        label that is not an integer (an ``int`` or a numpy integer, not a
+        ``bool``) or beyond int64, or where the face check fails, as for
+        :func:`read_filtration`."""
         pairs = list(pairs)
+        for pair in pairs:   # np.array would truncate a float label and take a bool
+            if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                       for x in pair[0]):
+                raise MalformedFiltrationError(f"vertex label not an integer: {pair!r}")
         try:
             labels = np.array(list(chain.from_iterable(s for s, _ in pairs)), dtype=np.int64)
         except OverflowError:
@@ -123,18 +125,19 @@ def _indexed(labels: np.ndarray, facets, values, k: int, kind: str,
 def _listed(rows: list, values: list, bad: int, k: int, kind: str,
             alpha_max: float | None) -> SparseFiltration:
     """The filtration of simplices listed in the global order, as
-    :func:`_by_dimension` split them (``from_simplices`` and the reader):
-    MalformedFiltrationError if the simplex at position ``bad`` >= 0 was
-    out of that order; else completed with empty dimensions up to k, its
-    header checked, then its rows by the face check."""
+    :func:`_by_dimension` split them (``from_simplices`` and the reader),
+    the one check of outside input: its header first
+    (:func:`_check_header`), then MalformedFiltrationError if the simplex
+    at position ``bad`` >= 0 was out of that order; else completed with
+    empty dimensions up to k and its rows checked by :func:`_face_index`."""
+    _check_header(alpha_max, k, kind)
     if bad >= 0:
         raise MalformedFiltrationError(f"simplices out of order at position {bad}")
     for d in range(len(rows), k + 1):
         rows.append(np.zeros((0, d + 1), dtype=np.int64))
         values.append(np.zeros(0))
-    _check_header(alpha_max, k, kind)
     return _fill(SparseFiltration.__new__(SparseFiltration),
-                 *_face_index(rows, values, k, ordered=True), values, k, kind, alpha_max)
+                 *_face_index(rows, values, k), values, k, kind, alpha_max)
 
 
 def _check_header(alpha_max, k, kind) -> None:
@@ -691,13 +694,14 @@ def static_complex(m: MetricInput, ctx: WeightContext, alpha: float,
 _KEY_LIMIT = 2**63
 
 
-def _face_index(rows: list, values, k: int, ordered: bool) -> tuple[np.ndarray, list]:
+def _face_index(rows: list, values: list, k: int) -> tuple[np.ndarray, list]:
     """The sorted dimension-0 labels and the facet positions of the rows
-    and values per dimension, or MalformedFiltrationError unless every
-    simplex has strictly increasing vertices, dimension <= k and a finite
-    value >= 0; each dimension is sorted by (value, vertex order) without
-    duplicates; vertices have value 0.0 (not -0.0); and every facet is
-    present with a value at most its coface's, so listed earlier.
+    and values per dimension d = 0..k or more, (m_d, d + 1) and (m_d,), as
+    :func:`_listed` passes them, in the order :func:`_by_dimension`
+    checked; MalformedFiltrationError unless every simplex has strictly
+    increasing vertices, dimension <= k and a finite value >= 0; no
+    simplex is listed twice; vertices have value 0.0 (not -0.0); and every
+    facet is present with a value at most its coface's, so listed earlier.
 
     Faces are indexed by one int64 key per simplex, kept in the order of
     its dimension: the position of its prefix facet (all vertices but the
@@ -708,16 +712,10 @@ def _face_index(rows: list, values, k: int, ordered: bool) -> tuple[np.ndarray, 
     the check takes expected O(m) time for m simplices at a fixed k.
     Equal keys are duplicates, found by one sort of each dimension's keys;
     m_{d-1} * nv >= 2**63 is refused, so no key overflows.  A dimension
-    without simplices costs nothing, and the order within each dimension
-    is not checked when ``ordered`` (:func:`_by_dimension` checked it).
-    Each entry d >= 1 of ``rows`` is set to None once its labels are
-    ranked: the check goes on with the ranks, and a message names a
-    simplex by the labels at its ranks, or by its row if a label is not a
-    vertex."""
-    if len(rows) != len(values) or len(values) <= k or any(
-            r.shape != (len(v), d + 1) for d, (r, v) in enumerate(zip(rows, values))):
-        raise MalformedFiltrationError(
-            f"expected arrays of shapes (m_d, d + 1) and (m_d,) for d = 0..{k} or more")
+    without simplices costs nothing.  Each entry d >= 1 of ``rows`` is set
+    to None once its labels are ranked: the check goes on with the ranks,
+    and a message names a simplex by the labels at its ranks, or by its
+    row if a label is not a vertex."""
     facets = [np.zeros((len(values[0]), 0), dtype=np.int64)]
     keys = [None]   # keys[d]: the key of each simplex of dimension d, in its order
     for d, vals in enumerate(values):
@@ -739,9 +737,6 @@ def _face_index(rows: list, values, k: int, ordered: bool) -> tuple[np.ndarray, 
                 lambda i: f"vertex {tuple(r[i].tolist())} has nonzero value {vals[i]}")
         _reject(np.signbit(vals) & (d == 0),
                 lambda i: f"vertex {tuple(r[i].tolist())} has value -0.0, not 0.0")
-        if not ordered:
-            _reject(_order_breaks(r, vals),
-                    lambda i: f"simplices out of order at position {i + 1} of dimension {d}")
         if d == 0:   # at value 0 the order is the label order
             labels = r[:, 0]
             _reject(labels[1:] == labels[:-1],
@@ -836,7 +831,10 @@ class SizeStats:
 
 def sparse_size_stats(m: MetricInput, ctx: WeightContext, k: int) -> SizeStats:
     """Simplex counts and largest charged degree of the sparse filtration,
-    from :func:`sparse_edges`; only k > 2 materializes the filtration."""
+    from :func:`sparse_edges`; only k > 2 materializes the filtration.
+    ValueError for k < 1, as :func:`build_sparse` raises."""
+    if k < 1:
+        raise ValueError("dimension cap k must be >= 1")
     t = ctx.schedule.t
     edges = sparse_edges(m, ctx)
     if k > 2:   # every sparse edge has birth <= min(t_p, t_q), so all are kept

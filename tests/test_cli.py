@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from sparse_rips import filtration
+from sparse_rips import filtration, load_points
 from sparse_rips.cli import build_parser, main
 from sparse_rips.persistence import diagram_from_json, diagram_to_json
 
@@ -416,12 +416,20 @@ def test_stats_bad_sizes(tmp_path):
 
 
 def test_matrix_input(tmp_path):
+    # the matrix of the points' own distances, each entry by repr, builds the
+    # file and the schedule of the points
+    pts = write_random(tmp_path, 60, seed=3)
     mat = tmp_path / "mat.csv"
-    mat.write_text("0,1,2\n1,0,1\n2,1,0\n")
-    out = tmp_path / "filt.txt"
-    assert main(["build", "--input", str(mat), "--metric", "matrix",
-                 "--epsilon", "0.25", "--k", "1", "--out", str(out)]) == 0
-    assert out.exists()
+    dist = load_points(pts).distance_matrix()
+    mat.write_text("".join(",".join(map(repr, row)) + "\n" for row in dist.tolist()))
+    files = {}
+    for name, source in (("pts", ["--input", str(pts)]),
+                         ("mat", ["--input", str(mat), "--metric", "matrix"])):
+        out, schedule = tmp_path / f"{name}.txt", tmp_path / f"{name}-schedule.csv"
+        assert main(["build", *source, "--epsilon", "0.25", "--k", "2", "--out", str(out),
+                     "--schedule-out", str(schedule)]) == 0
+        files[name] = out.read_bytes(), schedule.read_bytes()
+    assert files["mat"] == files["pts"] and files["pts"][0].count(b"\n") > 200
 
 
 def test_stats_deterministic_except_seconds(tmp_path):

@@ -18,8 +18,8 @@ from sparse_rips import (MalformedFiltrationError, PersistenceDiagram,
                          SparseFiltration, WeightContext,
                          betti_numbers, birth_matrix, build_sparse, charged_degrees,
                          clique_expand, compute_persistence, diagram_equal, filtration_text,
-                         from_matrix, from_points, full_rips, net_at, pair_birth,
-                         pair_relaxed_distance, point_weight, read_filtration,
+                         from_matrix, from_points, full_rips, greedy_permutation, net_at,
+                         pair_birth, pair_relaxed_distance, point_weight, read_filtration,
                          relaxed_rips, sparse_edges,
                          sparse_size_stats, static_complex, write_filtration,
                          weight_batch)
@@ -223,6 +223,24 @@ def test_sparse_edges_of_an_explicit_matrix_match_dense_oracle():
         m = from_matrix(np.abs(pts[:, None] - pts[None, :]).max(axis=2))
         ctx = WeightContext.build(m, 0.2)
         assert sparse_edges(m, ctx).tolist() == dense_edges(m, ctx).tolist()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "chebyshev"])
+def test_an_explicit_matrix_builds_what_its_points_build(kind):
+    # a matrix is masked whole for its candidate pairs, points are queried in
+    # KD-trees by level; a matrix of the kernel's own distances must give the
+    # same greedy order and radii, edges and file
+    m = from_points(np.random.default_rng(64).random((200, 2)), metric_kind=kind)
+    mat = from_matrix(m.distance_matrix())
+    a, b = greedy_permutation(m), greedy_permutation(mat)
+    assert a.order.tolist() == b.order.tolist()
+    assert a.insertion_radius.tobytes() == b.insertion_radius.tobytes()
+    ctx, mat_ctx = WeightContext.build(m, 0.25), WeightContext.build(mat, 0.25)
+    assert ctx.schedule.t.tobytes() == mat_ctx.schedule.t.tobytes()
+    edges = sparse_edges(m, ctx)
+    assert len(edges) > 1000 and edges.tolist() == sparse_edges(mat, mat_ctx).tolist()
+    assert (filtration_text(build_sparse(m, 0.25, 2))
+            == filtration_text(build_sparse(mat, 0.25, 2)))
 
 
 # --- clique_expand --------------------------------------------------------
@@ -477,9 +495,42 @@ def test_a_vertex_value_of_negative_zero_is_refused(tmp_path):
         read_filtration(path)
     assert str(exc.value) == message
     with pytest.raises(MalformedFiltrationError) as exc:   # so no writer can meet it
-        SparseFiltration((np.array([[0], [1]]), np.array([[0, 1]])),
-                         (np.array([-0.0, 0.0]), np.array([1.0])), 1, "sparse_S")
+        SparseFiltration.from_simplices([((0,), -0.0), ((1,), 0.0), ((0, 1), 1.0)],
+                                        1, "sparse_S")
     assert str(exc.value) == message
+
+
+def test_the_class_cannot_be_called():
+    # outside input comes in as a list in the global order, checked once
+    f = TEXT_CASES["sparse_k2"]
+    for call in (lambda: SparseFiltration(f.vertices, f.values, f.k, f.kind),
+                 lambda: SparseFiltration(), lambda: replace(f, k=3)):
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == ("a SparseFiltration is made by from_simplices, "
+                                  "read_filtration or a builder")
+
+
+@pytest.mark.parametrize("label", [1.9, 1.5, 1.0, np.float64(1.0), True, np.bool_(True), "1",
+                                   None, Fraction(1)])
+def test_from_simplices_refuses_a_label_that_is_no_integer(label):
+    # np.array would truncate it to an int64 label, as the reader refuses a 1.5 token
+    pair = ((0, label), 1.0)
+    with pytest.raises(MalformedFiltrationError) as exc:
+        SparseFiltration.from_simplices([((0,), 0.0), ((1,), 0.0), pair], 1, "sparse_S")
+    assert str(exc.value) == f"vertex label not an integer: {pair!r}"
+
+
+def test_from_simplices_takes_every_int64_label_and_no_other():
+    low, high = -2**63, 2**63 - 1
+    for a, b in [(low, high), (np.int64(low), np.uint64(high)), (np.int8(-3), np.uint8(7))]:
+        f = SparseFiltration.from_simplices([((a,), 0.0), ((b,), 0.0), ((a, b), 1.0)],
+                                            1, "sparse_S")
+        assert f.vertices[1].tolist() == [[int(a), int(b)]]
+    for label in (2**63, np.uint64(2**63), -2**63 - 1):
+        with pytest.raises(MalformedFiltrationError) as exc:
+            SparseFiltration.from_simplices([((0,), 0.0), ((label,), 0.0)], 0, "sparse_S")
+        assert str(exc.value) == "vertex label outside the int64 range"
 
 
 def test_clique_expand_refuses_keys_that_could_overflow(monkeypatch):
@@ -847,6 +898,20 @@ def test_size_stats_match_materialized_build():
             assert st.max_degree == int(keep.sum(axis=1).max()), (i, k)
 
 
+def test_size_stats_refuse_the_dimension_caps_build_sparse_refuses():
+    m = from_points(np.random.default_rng(45).random((50, 2)))
+    ctx = WeightContext.build(m, 0.25)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^dimension cap k must be >= 1$"):
+            build_sparse(m, 0.25, k)
+        with pytest.raises(ValueError, match="^dimension cap k must be >= 1$"):
+            sparse_size_stats(m, ctx, k)
+    for k in (1, 2, 3):
+        counts = build_sparse(m, 0.25, k).counts_by_dim()
+        assert sparse_size_stats(m, ctx, k).counts_by_dim == tuple(counts)
+        assert counts[k] > 0
+
+
 def test_size_stats_build_one_birth_matrix(monkeypatch):
     # the stats count on the sparse edge list: no n x n birth matrix for any k
     import sparse_rips.filtration as filtration
@@ -1164,7 +1229,7 @@ def test_a_large_header_k_reads_and_reduces_to_the_right_diagram(tmp_path):
 def test_the_read_path_checks_the_vertex_order_once(tmp_path, monkeypatch):
     # the reader checks the order of the flat list: (value, dimension) once and
     # the vertex order once per dimension that has simplices; the face check
-    # does not check it again, but checks a hand-made copy itself when it is made
+    # does not check it again
     breaks, calls = filtration._order_breaks, []
 
     def counted(rows, values):
@@ -1182,9 +1247,6 @@ def test_the_read_path_checks_the_vertex_order_once(tmp_path, monkeypatch):
     h = SparseFiltration.from_simplices(simplices(f), f.k, f.kind, f.alpha_max)
     assert_same_facets(h.facets, f.facets)
     assert len(calls) == 1 + 3
-    del calls[:]
-    SparseFiltration(h.vertices, h.values, h.k, "copy", h.alpha_max)
-    assert calls == f.counts_by_dim()
 
 
 @pytest.mark.parametrize("d", range(4))
@@ -1237,7 +1299,7 @@ def test_read_filtration_takes_an_alpha_max_that_is_positive(amax, value, tmp_pa
 
 def two_vertices(**fields):
     header = {"k": 0, "kind": "sparse_S", "alpha_max": None, **fields}
-    return SparseFiltration((np.array([[0], [1]]),), (np.zeros(2),), **header)
+    return SparseFiltration.from_simplices([((0,), 0.0), ((1,), 0.0)], **header)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1251,7 +1313,7 @@ def test_a_header_field_the_reader_would_refuse_is_refused_on_construction(field
     with pytest.raises(MalformedFiltrationError, match=f"^{field} must be "):
         two_vertices(**{field: value})
     f = two_vertices()
-    with pytest.raises(TypeError, match="_labels"):   # no copy escapes the check
+    with pytest.raises(TypeError, match="^a SparseFiltration is made by from_simplices"):
         replace(f, **{field: value})
 
 
@@ -1315,11 +1377,13 @@ def test_adversarial_filtration_has_the_cases_it_claims():
 
 
 def hand_made(rows, values, k):
-    """A SparseFiltration made directly, so checked when it is made:
-    ``rows[d]`` lists the labels of dimension d row after row."""
-    return SparseFiltration(
-        tuple(np.array(r, dtype=np.int64).reshape(-1, d + 1) for d, r in enumerate(rows)),
-        tuple(np.array(v, dtype=float) for v in values), k, "sparse_S")
+    """The filtration from_simplices makes of ``rows[d]``, the labels of
+    dimension d row after row, with ``values[d]``, listed in the global
+    order: merged by (value, dimension), each dimension in its own order."""
+    pairs = [(tuple(row), float(x)) for d, (r, v) in enumerate(zip(rows, values))
+             for row, x in zip(np.array(r, dtype=np.int64).reshape(-1, d + 1).tolist(), v)]
+    return SparseFiltration.from_simplices(sorted(pairs, key=lambda s: (s[1], len(s[0]))),
+                                           k, "sparse_S")
 
 
 # hand-made filtrations on labels that no vertex line has, some between the
@@ -1334,7 +1398,7 @@ MISSING_LABELS = {
                 [[0.0, 0.0], [1.0, 1.0, 2.0], []], 2),
                f"missing face ({-2**63},) before simplex ({-2**63}, 0)"),
     "no_vertices": (([[], [0, 1, 1, 2]], [[], [0.5, 0.25]], 1),
-                    "simplices out of order at position 1 of dimension 1"),
+                    "missing face (2,) before simplex (1, 2)"),
 }
 
 
@@ -1539,8 +1603,8 @@ def assert_same_facets(got, expect):
 
 
 def checked_facets(f):
-    """The facets the full check finds on a hand-made copy of ``f``."""
-    return SparseFiltration(f.vertices, f.values, f.k, f.kind, f.alpha_max).facets
+    """The facets the full check finds on a copy of ``f`` made from its simplices."""
+    return SparseFiltration.from_simplices(simplices(f), f.k, f.kind, f.alpha_max).facets
 
 
 def assert_built_facets(f):
@@ -1662,11 +1726,10 @@ def test_facet_lookup_matches_a_dict_index(labels):
 ])
 def test_a_simplex_on_a_label_that_is_no_vertex_has_a_missing_face(vertices, above, message):
     # dimension d holds the rows given for it, each with value d
-    rows = [np.array(vertices, dtype=np.int64).reshape(-1, 1)]
-    rows += [np.array(r, dtype=np.int64) for r in above]
+    sims = [((v,), 0.0) for v in vertices]
+    sims += [(tuple(r), float(d)) for d, rows in enumerate(above, start=1) for r in rows]
     with pytest.raises(MalformedFiltrationError) as exc:
-        SparseFiltration(tuple(rows), tuple(np.full(len(r), float(d)) for d, r in enumerate(rows)),
-                         len(above), "sparse_S")
+        SparseFiltration.from_simplices(sims, len(above), "sparse_S")
     assert str(exc.value) == message
 
 
@@ -1683,9 +1746,8 @@ def test_a_duplicate_without_its_faces_is_reported_as_one_or_the_other():
     with pytest.raises(MalformedFiltrationError,
                        match=r"^(duplicate simplex \(0, 1, 2\)|"
                              r"missing face \(0, 1\) before simplex \(0, 1, 2\))$"):
-        SparseFiltration((np.array([[0], [1], [2]]), np.array([[0, 2], [1, 2]]),
-                          np.array([[0, 1, 2], [0, 1, 2]])),
-                         (np.zeros(3), np.ones(2), np.full(2, 2.0)), 2, "sparse_S")
+        hand_made([[0, 1, 2], [0, 2, 1, 2], [0, 1, 2, 0, 1, 2]],
+                  [[0.0] * 3, [1.0] * 2, [2.0] * 2], 2)
 
 
 def built_cases():
@@ -1807,10 +1869,10 @@ def test_facet_keys_that_could_overflow_are_refused(monkeypatch):
     # a key is below m_{d-1} * nv, so that product must stay below the limit
     f = full_rips(from_points(SQUARE[:3]), 2.0, 2)   # 3 vertices, 3 edges, 1 triangle
     monkeypatch.setattr(filtration, "_KEY_LIMIT", 10)
-    SparseFiltration(f.vertices, f.values, f.k, f.kind)
+    checked_facets(f)
     monkeypatch.setattr(filtration, "_KEY_LIMIT", 9)
     with pytest.raises(MalformedFiltrationError) as exc:
-        SparseFiltration(f.vertices, f.values, f.k, f.kind)
+        checked_facets(f)
     assert str(exc.value) == "3 simplices of dimension 0 on 3 vertices are too many to index"
 
 

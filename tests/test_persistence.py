@@ -105,9 +105,10 @@ def test_malformed_filtration_file_rejected_on_read(shape, tmp_path):
         read_filtration(path)
 
 
-# per shape: the message when the simplices are listed in the global order
-# (from_simplices, read_filtration), and when each dimension holds its
-# simplices in the listed order, so that only the face check sees them
+# per shape: the message when the simplices are listed as given
+# (from_simplices, read_filtration), and when they are first put into the
+# global order, each dimension in the listed order, so that only the face
+# check sees them
 MALFORMED_MESSAGE = {
     "duplicate": ("duplicate simplex (0, 1)",) * 2,
     "vertices-not-increasing": ("vertices not strictly increasing: (1, 0)",) * 2,
@@ -121,14 +122,11 @@ MALFORMED_MESSAGE = {
 }
 
 
-def by_dimension(simplices, k):
-    """The simplices as per-dimension arrays, each in the listed order."""
-    dims = range(max(k, max(len(v) for v, _ in simplices) - 1) + 1)
-    return SparseFiltration(
-        tuple(np.array([v for v, _ in simplices if len(v) == d + 1],
-                       dtype=np.int64).reshape(-1, d + 1) for d in dims),
-        tuple(np.array([x for v, x in simplices if len(v) == d + 1], dtype=float)
-              for d in dims), k, "sparse_S")
+def in_global_order(simplices, k):
+    """The simplices stably sorted by (value, dimension), so each dimension
+    keeps the listed order, then made by from_simplices."""
+    return SparseFiltration.from_simplices(sorted(simplices, key=lambda s: (s[1], len(s[0]))),
+                                           k, "sparse_S")
 
 
 @pytest.mark.parametrize("shape", sorted(MALFORMED))
@@ -146,7 +144,7 @@ def test_malformed_filtration_message_is_exact(shape, tmp_path):
         read_filtration(path)
     assert str(exc.value) == listed
     with pytest.raises(MalformedFiltrationError) as exc:
-        compute_persistence(by_dimension(sims, k))
+        compute_persistence(in_global_order(sims, k))
     assert str(exc.value) == checked
 
 
@@ -162,12 +160,11 @@ def test_from_simplices_rejects_the_first_simplex_out_of_order(sims, position):
 
 
 def test_face_born_after_its_coface_rejected():
-    # each dimension is sorted, but the edges are born after their triangle
+    # in the global order, but the edges are born after their triangle
+    sims = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1, 2), 1.0),
+            ((0, 1), 5.0), ((0, 2), 5.0), ((1, 2), 5.0)]
     with pytest.raises(MalformedFiltrationError, match=r"missing face \(1, 2\)"):
-        SparseFiltration(
-            vertices=(np.array([[0], [1], [2]]), np.array([[0, 1], [0, 2], [1, 2]]),
-                      np.array([[0, 1, 2]])),
-            values=(np.zeros(3), np.full(3, 5.0), np.array([1.0])), k=2, kind="sparse_S")
+        SparseFiltration.from_simplices(sims, 2, "sparse_S")
 
 
 def test_face_lookup_takes_labels_beyond_packed_keys(tmp_path):
@@ -286,7 +283,7 @@ def test_tie_heavy_flag_filtrations_match_the_oracles(graph):
                          for c in cliques), key=lambda s: s[1])
         assert f.vertices[d].tolist() == [list(c) for c, _ in expect]
         assert f.values[d].tobytes() == np.array([v for _, v in expect], dtype=float).tobytes()
-    checked = SparseFiltration(f.vertices, f.values, f.k, f.kind).facets   # a hand-made copy
+    checked = SparseFiltration.from_simplices(simplices(f), f.k, f.kind).facets   # a copy
     for a, b in zip(f.facets, checked, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
     assert_matches_naive(f)
@@ -404,9 +401,10 @@ def test_constant_filtration_reproduces_betti():
 
 def densely_relabelled(f):
     """f with its vertex labels renamed 0 .. nv - 1 in their order."""
-    labels = f.vertices[0][:, 0]
-    return SparseFiltration(tuple(np.searchsorted(labels, r) for r in f.vertices),
-                            f.values, f.k, f.kind, f.alpha_max)
+    rank = {v: i for i, v in enumerate(f.vertices[0][:, 0].tolist())}   # keeps the order
+    return SparseFiltration.from_simplices(
+        [(tuple(rank[v] for v in verts), value) for verts, value in simplices(f)],
+        f.k, f.kind, f.alpha_max)
 
 
 @pytest.mark.parametrize("kind", ["Q_open", "Q_closed"])

@@ -1,10 +1,12 @@
 """Diagram equality and multiplicative matching between persistence diagrams.
 
-Multiplicative comparison works on the log scale: two finite positive
-values are within factor c when max(x, y) <= c * min(x, y).  Births of
-exactly 0 form their own bucket (every vertex class is born at 0) and
-match only each other; infinite deaths match only infinite deaths.  A
-point may be matched to the diagonal when death <= c^2 * birth.
+Multiplicative comparison works on the log scale.  One rule judges births
+and deaths alike: two values are within factor c when
+max(x, y) <= c * min(x, y), so 0 matches only 0 (every vertex class is
+born at 0) and an infinite death only an infinite death.  A point may be
+matched to the diagonal when its birth is positive and
+death <= c^2 * birth.  A diagram's ``alpha_max`` is not read: a class
+still alive at the cap has an infinite death.
 """
 
 from __future__ import annotations
@@ -77,37 +79,24 @@ class MatchResult:
     witness: tuple | None
 
 
-def _within_factor(x, y, c, rtol):
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    return np.where((x == 0.0) | (y == 0.0), x == y, hi <= c * lo * (1.0 + rtol))
+def _within_factor(x, y, c):
+    # values are >= 0, so 0 is within any factor only of 0, and inf only of inf
+    return np.maximum(x, y) <= c * np.minimum(x, y) * (1.0 + DEFAULT_RTOL)
 
 
-def _deaths_compatible(da, db, c, rtol, amax_a, amax_b):
-    censored, censored_ok = False, True
-    for mine, other, amax in ((da, db, amax_a), (db, da, amax_b)):
-        if amax is not None:
-            # censored deaths only witness "death >= alpha_max"
-            cens = mine == amax
-            censored = censored | cens
-            censored_ok = censored_ok & (~cens | (other >= amax / c * (1.0 - rtol)))
-    inf_a, inf_b = np.isinf(da), np.isinf(db)
-    plain = np.where(inf_a | inf_b, inf_a & inf_b, _within_factor(da, db, c, rtol))
-    return np.where(censored, censored_ok, plain)
-
-
-def _compatible(pa, pb, c, rtol, amax_a, amax_b):
+def _compatible(pa, pb, c):
     """Feasible (len(pa), len(pb)) pairs of (birth, death) rows."""
-    return (_within_factor(pa[:, None, 0], pb[:, 0], c, rtol)
-            & _deaths_compatible(pa[:, None, 1], pb[:, 1], c, rtol, amax_a, amax_b))
+    return (_within_factor(pa[:, None, 0], pb[:, 0], c)
+            & _within_factor(pa[:, None, 1], pb[:, 1], c))
 
 
-def _diagonal_ok(p, c, rtol):
+def _diagonal_ok(p, c):
     birth, death = p[:, 0], p[:, 1]
-    return ~np.isinf(death) & (birth > 0.0) & (death <= c * c * birth * (1.0 + rtol))
+    return (birth > 0.0) & (death <= c * c * birth * (1.0 + DEFAULT_RTOL))
 
 
 def multiplicative_match(a: PersistenceDiagram, b: PersistenceDiagram,
-                         c: float, rtol: float = DEFAULT_RTOL) -> MatchResult:
+                         c: float) -> MatchResult:
     """Decide whether the diagrams match within multiplicative factor c.
 
     Per dimension, a bipartite graph pairs points of ``a`` with
@@ -116,8 +105,8 @@ def multiplicative_match(a: PersistenceDiagram, b: PersistenceDiagram,
     the standard doubled graph (real points plus one diagonal slot per
     opposite point).
     """
-    if not c >= 1.0:
-        raise ValueError(f"factor must be >= 1, got {c}")
+    if not 1.0 <= c < np.inf:
+        raise ValueError(f"factor must be a finite number >= 1, got {c}")
     if a.k != b.k:
         raise ValueError(f"dimension caps differ: {a.k} vs {b.k}")
 
@@ -128,9 +117,8 @@ def multiplicative_match(a: PersistenceDiagram, b: PersistenceDiagram,
         # rows: a-points then b-diagonal slots; columns: b-points then
         # a-diagonal slots, where the diagonal slots pair off freely
         graph = np.block([
-            [_compatible(pa, pb, c, rtol, a.alpha_max, b.alpha_max),
-             np.diag(_diagonal_ok(pa, c, rtol))],
-            [np.diag(_diagonal_ok(pb, c, rtol)), np.ones((nb, na), bool)]])
+            [_compatible(pa, pb, c), np.diag(_diagonal_ok(pa, c))],
+            [np.diag(_diagonal_ok(pb, c)), np.ones((nb, na), bool)]])
         match = _max_matching(graph)
         free = np.flatnonzero(match == -1)
         if len(free):

@@ -71,13 +71,17 @@ class SparseFiltration:
         """Filtration of (vertex tuple, value) pairs listed in the global order;
         MalformedFiltrationError at the first pair out of that order, with a
         label that is not an integer (an ``int`` or a numpy integer, not a
-        ``bool``) or beyond int64, or where the face check fails, as for
-        :func:`read_filtration`."""
+        ``bool``) or beyond int64, with a value that is not a real number
+        (an ``int``, a ``float`` or a numpy integer or float, not a ``bool``),
+        or where the face check fails, as for :func:`read_filtration`."""
         pairs = list(pairs)
-        for pair in pairs:   # np.array would truncate a float label and take a bool
+        for pair in pairs:   # np.array would truncate a float label, take a bool, parse a str
             if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                        for x in pair[0]):
                 raise MalformedFiltrationError(f"vertex label not an integer: {pair!r}")
+            if (not isinstance(pair[1], (int, float, np.integer, np.floating))
+                    or isinstance(pair[1], bool)):
+                raise MalformedFiltrationError(f"value not a real number: {pair!r}")
         try:
             labels = np.array(list(chain.from_iterable(s for s, _ in pairs)), dtype=np.int64)
         except OverflowError:

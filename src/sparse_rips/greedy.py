@@ -134,7 +134,10 @@ def check_net_conditions(m: MetricInput, s: DeletionSchedule,
     Covering: every point is within eps (1 - 2 eps) alpha of the net.
     Packing: distinct net points are at least eps (1 - 2 eps) alpha
     apart, the packing constant 1 that the greedy construction achieves.
+    ValueError for an alpha that is not a finite nonnegative number.
     """
+    if alpha == math.inf:   # the open net would be empty
+        raise ValueError("alpha must be finite")
     net = net_at(s, alpha, closed=False)   # ValueError for a negative or NaN alpha
     bound = s.epsilon * (1.0 - 2.0 * s.epsilon) * alpha
     dist = m.distances(np.arange(m.n)[:, None], net[None, :])   # the net columns only

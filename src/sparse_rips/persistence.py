@@ -44,9 +44,10 @@ _EDGE_BLOCK = 1024   # edges the dimension-0 union-find converts to Python ints 
 class PersistenceDiagram:
     """Multisets of (birth, death) pairs per homology dimension 0..k-1.
 
-    death is +inf for classes alive at the end of the filtration.
-    Classes created by dimension-k simplices are not reported: with only
-    a k-skeleton their deaths are unknowable.
+    death is +inf for classes alive at the end of the filtration, at its
+    cap ``alpha_max`` too, so a finite death is a real death even when it
+    equals the cap.  Classes created by dimension-k simplices are not
+    reported: with only a k-skeleton their deaths are unknowable.
     """
 
     pairs: dict[int, list[tuple[float, float]]]

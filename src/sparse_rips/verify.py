@@ -45,13 +45,6 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _exact_eps(epsilon: float) -> Fraction:
-    # recognize 1/3 given as float; other values are exact binary floats
-    if abs(epsilon - 1.0 / 3.0) < 1e-15:
-        return Fraction(1, 3)
-    return Fraction(epsilon)
-
-
 def check_interleaving(m: MetricInput, ctx: WeightContext,
                        n_pairs: int = 100, rng=None) -> CheckResult:
     """Edge form of the interleaving, in exact rational arithmetic.
@@ -65,7 +58,7 @@ def check_interleaving(m: MetricInput, ctx: WeightContext,
     n = m.n
     if n < 2:
         return CheckResult("interleaving", True, "fewer than 2 points, vacuous")
-    eps = _exact_eps(ctx.epsilon)
+    eps = Fraction(ctx.epsilon)   # the float the build used, exactly
     one_minus = 1 - 2 * eps
     t = ctx.schedule.t
     checked = 0

@@ -340,6 +340,21 @@ def test_verify_random_points_pass(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("epsilon, sparse, factor", [("0.3333333333333333", 526, 3),
+                                                     ("0.25", 664, 2)])
+def test_verify_writes_these_lines(tmp_path, capsys, epsilon, sparse, factor):
+    # the interleaving check takes the float epsilon exactly, 1/3 included
+    src = write_random(tmp_path, 20, seed=11)
+    assert main(["verify", "--input", str(src), "--epsilon", epsilon,
+                 "--k", "2", "--samples", "8"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS interleaving: 100 pairs, exact rational arithmetic",
+        "PASS net-conditions: 8 scales, covering and packing hold",
+        "PASS betti-equality: 4 scales, ranks agree in dims 0..1",
+        f"PASS diagram-equality: sparse ({sparse} simplices) vs relaxed (1350), tol=1e-09",
+        f"PASS c-approximation: factor {factor} matching found"]
+
+
 @pytest.mark.parametrize("command", ["build", "persist", "verify"])
 @pytest.mark.parametrize("seed", [4, -1])
 def test_seed_out_of_range_is_data_error(tmp_path, capsys, command, seed):

@@ -136,6 +136,9 @@ def test_match_b_side_witness():
 def test_match_factor_validation():
     with pytest.raises(ValueError):
         multiplicative_match(dgm({}), dgm({}), 0.9)
+    # inf * 0 on a zero birth would be NaN
+    with pytest.raises(ValueError, match=r"^factor must be a finite number >= 1, got inf$"):
+        multiplicative_match(dgm({0: [(0, 1)]}), dgm({0: [(0, 1)]}), INF)
 
 
 def test_match_monotone_in_factor():
@@ -182,43 +185,41 @@ def test_match_long_augmenting_paths_need_no_deep_recursion():
                    a.in_dim(0)[i][0] / b.in_dim(0)[j][0]) <= 1.5
 
 
-def test_match_censored_deaths():
-    # a death equal to the truncation scale may match any later death
-    a = dgm({1: [(1.0, 2.0)]}, alpha_max=2.0)
-    b = dgm({1: [(1.0, 50.0)]})
-    assert multiplicative_match(a, b, 1.5).ok
-    assert not multiplicative_match(a, dgm({1: [(1.0, 1.0 + 1e-9)]}), 1.2).ok
+def grid_diagram(cap):
+    # the 4 x 4 unit grid: 9 unit squares, each a loop born at 1 that fills at sqrt(2)
+    m = from_points(np.array(list(itertools.product(range(4), repeat=2)), dtype=float))
+    return compute_persistence(full_rips(m, cap, 2))
+
+
+def test_a_death_at_the_cap_is_a_real_death():
+    a = grid_diagram(math.sqrt(2))
+    assert a.alpha_max == math.sqrt(2) and a.in_dim(1) == [(1.0, math.sqrt(2))] * 9
+    moved = PersistenceDiagram(pairs={0: a.in_dim(0), 1: [(1.0, 3.0)] * 9}, k=2,
+                               alpha_max=a.alpha_max)
+    # 3.0 > 1.5 * sqrt(2), and (1, 3) is too far from the diagonal
+    assert not multiplicative_match(a, moved, 1.5).ok
+    assert not multiplicative_match(moved, a, 1.5).ok
+    assert multiplicative_match(a, moved, 3.0 / math.sqrt(2)).ok
+
+
+def test_a_class_alive_at_the_cap_has_an_infinite_death():
+    a = grid_diagram(1.0)
+    assert a.in_dim(1) == [(1.0, INF)] * 9 and a.in_dim(0).count((0.0, INF)) == 1
+    assert not multiplicative_match(a, grid_diagram(math.sqrt(2)), 1e6).ok
 
 
 # --- brute-force oracle -----------------------------------------------------
 # the scalar predicates below are the reference for the array ones in compare.py
 
 def within_factor(x, y, c, rtol):
-    if x == 0.0 or y == 0.0:
+    if x == 0.0 or y == 0.0 or math.isinf(x) or math.isinf(y):
         return x == y
     lo, hi = (x, y) if x <= y else (y, x)
     return hi <= c * lo * (1.0 + rtol)
 
 
-def deaths_compatible(pa, pb, c, rtol, amax_a, amax_b):
-    da, db = pa[1], pb[1]
-    cens_a = amax_a is not None and da == amax_a
-    cens_b = amax_b is not None and db == amax_b
-    if cens_a or cens_b:
-        ok = True
-        if cens_a:
-            ok &= db >= amax_a / c * (1.0 - rtol)
-        if cens_b:
-            ok &= da >= amax_b / c * (1.0 - rtol)
-        return ok
-    if math.isinf(da) or math.isinf(db):
-        return math.isinf(da) and math.isinf(db)
-    return within_factor(da, db, c, rtol)
-
-
-def compatible(pa, pb, c, rtol, amax_a, amax_b):
-    return (within_factor(pa[0], pb[0], c, rtol)
-            and deaths_compatible(pa, pb, c, rtol, amax_a, amax_b))
+def compatible(pa, pb, c, rtol):
+    return within_factor(pa[0], pb[0], c, rtol) and within_factor(pa[1], pb[1], c, rtol)
 
 
 def diagonal_ok(p, c, rtol):
@@ -234,7 +235,7 @@ def brute_match(a, b, c, rtol=1e-12):
         used = [j for j in image if j is not None]
         return (len(set(used)) == len(used)
                 and all(diagonal_ok(p, c, rtol) if j is None
-                        else compatible(p, pb[j], c, rtol, a.alpha_max, b.alpha_max)
+                        else compatible(p, pb[j], c, rtol)
                         for p, j in zip(pa, image))
                 and all(diagonal_ok(q, c, rtol) for j, q in enumerate(pb) if j not in used))
 
@@ -262,7 +263,7 @@ def brute_equal(a, b, tol):
 
 def random_diagram(rng, k, alpha_max):
     """Up to 3 points per dimension with zero births, zero persistence, ties,
-    infinite and censored deaths."""
+    infinite deaths and deaths at the cap alpha_max."""
     pairs = {}
     for d in range(k):
         pairs[d] = []
@@ -297,8 +298,7 @@ def test_match_and_equal_agree_with_brute_force():
                 elif j is None:
                     assert diagonal_ok(a.in_dim(d)[i], c, 1e-12)
                 else:
-                    assert compatible(a.in_dim(d)[i], b.in_dim(d)[j], c, 1e-12,
-                                      a.alpha_max, b.alpha_max)
+                    assert compatible(a.in_dim(d)[i], b.in_dim(d)[j], c, 1e-12)
             for d in range(k):
                 entries = [e for e in res.matching if e[0] == d]
                 assert sorted(i for _, i, _ in entries if i is not None) == \

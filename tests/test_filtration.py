@@ -521,6 +521,31 @@ def test_from_simplices_refuses_a_label_that_is_no_integer(label):
     assert str(exc.value) == f"vertex label not an integer: {pair!r}"
 
 
+@pytest.mark.parametrize("value", ["0.5", True, np.True_, b"1", None, 1 + 0j,
+                                   np.complex128(1), Fraction(1, 2)])
+def test_from_simplices_refuses_a_value_that_is_no_real_number(value):
+    # np.array(..., dtype=float) would parse the string and take the bool as 1.0
+    pair = ((0, 1), value)
+    with pytest.raises(MalformedFiltrationError) as exc:
+        SparseFiltration.from_simplices([((0,), 0.0), ((1,), 0.0), pair], 1, "sparse_S")
+    assert str(exc.value) == f"value not a real number: {pair!r}"
+
+
+@pytest.mark.parametrize("value", [2, 0.5, np.int32(2), np.uint8(2), np.float32(0.5),
+                                   np.float64(0.5)])
+def test_from_simplices_takes_ints_and_floats_as_values(value):
+    f = SparseFiltration.from_simplices([((0,), 0.0), ((1,), 0.0), ((0, 1), value)],
+                                        1, "sparse_S")
+    assert f.values[1].tolist() == [float(value)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_from_simplices_names_a_value_that_is_no_finite_number(value):
+    with pytest.raises(MalformedFiltrationError) as exc:
+        SparseFiltration.from_simplices([((0,), value)], 0, "sparse_S")
+    assert str(exc.value) == f"bad value {float(value)} for simplex (0,)"
+
+
 def test_from_simplices_takes_every_int64_label_and_no_other():
     low, high = -2**63, 2**63 - 1
     for a, b in [(low, high), (np.int64(low), np.uint64(high)), (np.int8(-3), np.uint8(7))]:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from sparse_rips import (OracleSizeError, WeightContext, check_net_conditions,
-                         compute_persistence, from_matrix, from_points, full_rips,
-                         multiplicative_match, net_at, relaxed_rips, run_battery,
-                         static_complex)
+from sparse_rips import (OracleSizeError, WeightContext, betti_numbers,
+                         check_net_conditions, compute_persistence, from_matrix,
+                         from_points, full_rips, multiplicative_match, net_at,
+                         relaxed_rips, run_battery, static_complex)
 from sparse_rips.metric import MetricInput
 from sparse_rips.verify import (CheckResult, check_betti, check_c_approximation,
                                 check_diagram_equality, check_interleaving,
@@ -124,7 +124,8 @@ NAN_SCALES = {
     "check_net_conditions": (lambda m, ctx: check_net_conditions(m, ctx.schedule, NAN),
                              "alpha must be nonnegative"),
     "multiplicative_match": (lambda m, ctx: multiplicative_match(
-        *[compute_persistence(full_rips(m, 1.0, 2))] * 2, NAN), "factor must be >= 1, got nan"),
+        *[compute_persistence(full_rips(m, 1.0, 2))] * 2, NAN),
+        "factor must be a finite number >= 1, got nan"),
 }
 
 
@@ -137,3 +138,15 @@ def test_a_nan_scale_is_refused(call):
     with pytest.raises(ValueError) as exc:
         run(m, ctx)
     assert str(exc.value) == message
+
+
+def test_an_infinite_scale_is_the_empty_net():
+    # no point is deleted after inf: the net and the snapshot there are empty,
+    # and the net check, which measures distances to the net, refuses the scale
+    m = from_points(np.random.default_rng(73).random((20, 2)))
+    ctx = WeightContext.build(m, 1 / 3)
+    assert net_at(ctx.schedule, float("inf")).tolist() == []
+    q = static_complex(m, ctx, float("inf"), "Q_open", 2)
+    assert len(q) == 0 and betti_numbers(q) == [0, 0]
+    with pytest.raises(ValueError, match="^alpha must be finite$"):
+        check_net_conditions(m, ctx.schedule, float("inf"))
